@@ -27,8 +27,22 @@ type Pair struct {
 // DefaultPair returns the boot/default configuration (Core-H, Mem-H).
 func DefaultPair() Pair { return Pair{arch.FreqHigh, arch.FreqHigh} }
 
+// pairNames holds the notation of the nine level pairs, indexed
+// [core][mem], so formatting a pair — done once per sweep cell for the
+// cell's noise scope — allocates nothing.
+var pairNames = [3][3]string{
+	arch.FreqLow:  {arch.FreqLow: "(L-L)", arch.FreqMid: "(L-M)", arch.FreqHigh: "(L-H)"},
+	arch.FreqMid:  {arch.FreqLow: "(M-L)", arch.FreqMid: "(M-M)", arch.FreqHigh: "(M-H)"},
+	arch.FreqHigh: {arch.FreqLow: "(H-L)", arch.FreqMid: "(H-M)", arch.FreqHigh: "(H-H)"},
+}
+
 // String formats the pair in the paper's "(H-L)" notation.
-func (p Pair) String() string { return fmt.Sprintf("(%s-%s)", p.Core, p.Mem) }
+func (p Pair) String() string {
+	if uint(p.Core) < 3 && uint(p.Mem) < 3 {
+		return pairNames[p.Core][p.Mem]
+	}
+	return fmt.Sprintf("(%s-%s)", p.Core, p.Mem)
+}
 
 // ParsePair parses the "(H-L)" notation (parentheses optional).
 func ParsePair(s string) (Pair, error) {

@@ -21,6 +21,27 @@ func TestPairString(t *testing.T) {
 	}
 }
 
+// TestPairStringTable checks the constant table against the notation
+// built from the level names for all nine pairs, the fallback for
+// out-of-range levels, and that formatting allocates nothing.
+func TestPairStringTable(t *testing.T) {
+	for _, c := range arch.Levels() {
+		for _, m := range arch.Levels() {
+			p := Pair{c, m}
+			if got, want := p.String(), "("+c.String()+"-"+m.String()+")"; got != want {
+				t.Errorf("%d/%d: String() = %q, want %q", c, m, got, want)
+			}
+		}
+	}
+	if got, want := (Pair{arch.FreqLevel(5), arch.FreqLow}).String(), "(FreqLevel(5)-L)"; got != want {
+		t.Errorf("out-of-range String() = %q, want %q", got, want)
+	}
+	p := Pair{arch.FreqMid, arch.FreqLow}
+	if n := testing.AllocsPerRun(100, func() { _ = p.String() }); n != 0 {
+		t.Errorf("Pair.String allocates %v objects per call, want 0", n)
+	}
+}
+
 func TestParsePair(t *testing.T) {
 	good := map[string]Pair{
 		"(H-L)": {arch.FreqHigh, arch.FreqLow},

@@ -1,6 +1,7 @@
 package counters
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -102,6 +103,50 @@ func TestCollectNilRNGIsExact(t *testing.T) {
 	}
 }
 
+// TestCollectRepeatable pins that a counter's weighted sum is evaluated
+// in one fixed order: repeated nil-rng Collect calls on one vector must
+// agree to the last bit on every generation. Kepler's three-term
+// l2_subp*_total_read_sector_queries counters are the ones an unordered
+// sum rounds differently from call to call.
+func TestCollectRepeatable(t *testing.T) {
+	// Event totals of one magnitude with full-width mantissas. The L2
+	// and global-load totals are chosen so that 0.25·hit + 0.25·miss +
+	// 0.02·loads rounds to two different values depending on the order.
+	var v Vector
+	rng := rand.New(rand.NewSource(1))
+	for i := range v {
+		v[i] = rng.Float64() * 1e6
+	}
+	v[ActL2Hit], v[ActL2Miss], v[ActGlobalLoadTxn] = 237964.62709189137, 544229.2252959518, 369955.1665480792
+	v[ActOccupancy] = 0.61803398875
+	for _, g := range []arch.Generation{arch.Tesla, arch.Fermi, arch.Kepler, arch.GCN} {
+		s := ForGeneration(g)
+		want := s.Collect(&v, nil)
+		for call := 0; call < 2000; call++ {
+			got := s.Collect(&v, nil)
+			for i := range got {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%v: call %d: %s = %v, first call gave %v",
+						g, call, s.Defs[i].Name, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestForGenerationShared pins that every call for a generation returns
+// the one process-wide set instead of rebuilding it.
+func TestForGenerationShared(t *testing.T) {
+	for _, g := range []arch.Generation{arch.Tesla, arch.Fermi, arch.Kepler, arch.GCN} {
+		if a, b := ForGeneration(g), ForGeneration(g); a != b {
+			t.Errorf("%v: ForGeneration returned two different sets", g)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { ForGeneration(arch.Kepler) }); n != 0 {
+		t.Errorf("ForGeneration allocates %v objects per call, want 0", n)
+	}
+}
+
 func TestCollectNonNegativeProperty(t *testing.T) {
 	s := ForGeneration(arch.Kepler)
 	f := func(seed int64, insts, lsu, l2 uint32) bool {
@@ -199,10 +244,16 @@ func TestGCNCounterSet(t *testing.T) {
 }
 
 func TestForGenerationPanicsOnUnknown(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("ForGeneration should panic on an unregistered generation")
-		}
-	}()
-	ForGeneration(arch.Generation(99))
+	// Every call must panic, not only the first: memoization must not
+	// record a failed lookup as done.
+	for call := 0; call < 3; call++ {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("call %d: ForGeneration should panic on an unregistered generation", call)
+				}
+			}()
+			ForGeneration(arch.Generation(99))
+		}()
+	}
 }

@@ -71,5 +71,5 @@ func gcnDefs() []Def {
 // gcnSet is wired into ForGeneration via init to keep the NVIDIA
 // generations (the paper's scope) and the future-work extension separable.
 func init() {
-	extraGenerations[arch.GCN] = func() *Set { return newSet(arch.GCN, gcnDefs()) }
+	generations[arch.GCN] = register(arch.GCN, gcnDefs)
 }

@@ -3,6 +3,7 @@ package counters
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"gpuperf/internal/arch"
 )
@@ -27,17 +28,27 @@ func (c Class) String() string {
 	return "mem"
 }
 
+// Term is one weighted activity in a counter definition.
+type Term struct {
+	Act    Activity
+	Weight float64
+}
+
 // Def defines one named hardware counter as a weighted view over the
-// activity vector. Jitter is the relative standard deviation of the
-// multiplicative sampling noise (profiler nondeterminism).
+// activity vector. Weights are summed in order, so a counter's value is
+// the same to the last bit on every evaluation. Jitter is the relative
+// standard deviation of the multiplicative sampling noise (profiler
+// nondeterminism).
 type Def struct {
 	Name    string
 	Class   Class
-	Weights map[Activity]float64
+	Weights []Term
 	Jitter  float64
 }
 
-// Set is the full counter list of one architecture generation.
+// Set is the full counter list of one architecture generation. Sets
+// returned by ForGeneration are shared by every device of the generation
+// and must be treated as read-only.
 type Set struct {
 	Generation arch.Generation
 	Defs       []Def
@@ -62,8 +73,8 @@ func (s *Set) Collect(v *Vector, rng *rand.Rand) []float64 {
 	out := make([]float64, len(s.Defs))
 	for i, d := range s.Defs {
 		var x float64
-		for act, w := range d.Weights {
-			x += w * v[act]
+		for _, t := range d.Weights {
+			x += t.Weight * v[t.Act]
 		}
 		if d.Jitter > 0 && rng != nil {
 			x *= 1 + d.Jitter*rng.NormFloat64()
@@ -91,15 +102,17 @@ func def(name string, class Class, jitter float64, pairs ...interface{}) Def {
 	if len(pairs)%2 != 0 {
 		panic("counters: def weights must be (Activity, float64) pairs")
 	}
-	w := make(map[Activity]float64, len(pairs)/2)
+	w := make([]Term, 0, len(pairs)/2)
 	for i := 0; i < len(pairs); i += 2 {
-		w[pairs[i].(Activity)] = pairs[i+1].(float64)
+		w = append(w, Term{Act: pairs[i].(Activity), Weight: pairs[i+1].(float64)})
 	}
 	return Def{Name: name, Class: class, Weights: w, Jitter: jitter}
 }
 
 // ForGeneration returns the counter set of an architecture generation.
-// Cardinalities match the paper: Tesla 32, Fermi 74, Kepler 108.
+// Cardinalities match the paper: Tesla 32, Fermi 74, Kepler 108. Each
+// set is built once per process on first use and shared read-only by
+// every caller; an unregistered generation panics on every call.
 //
 // Counter fidelity improves with generation: the GT200-era profiler sampled
 // a single TPC (or one memory partition) and extrapolated chip-wide, so its
@@ -107,24 +120,27 @@ func def(name string, class Class, jitter float64, pairs ...interface{}) Def {
 // counting. This is one of the paper's explanations for why both models
 // grow more accurate on newer GPUs.
 func ForGeneration(g arch.Generation) *Set {
-	switch g {
-	case arch.Tesla:
-		return newSet(g, scaleJitter(teslaDefs(), 4.0))
-	case arch.Fermi:
-		return newSet(g, scaleJitter(fermiDefs(), 1.8))
-	case arch.Kepler:
-		return newSet(g, keplerDefs())
-	default:
-		if mk, ok := extraGenerations[g]; ok {
-			return mk()
-		}
+	get, ok := generations[g]
+	if !ok {
 		panic(fmt.Sprintf("counters: unknown generation %v", g))
 	}
+	return get()
 }
 
-// extraGenerations registers counter sets beyond the paper's three NVIDIA
-// generations (the future-work GCN set registers itself here).
-var extraGenerations = map[arch.Generation]func() *Set{}
+// generations maps each known generation to its memoized set builder.
+// It is written only during package initialization (the future-work GCN
+// set registers itself from gcn.go), so lookups need no lock.
+var generations = map[arch.Generation]func() *Set{
+	arch.Tesla:  register(arch.Tesla, func() []Def { return scaleJitter(teslaDefs(), 4.0) }),
+	arch.Fermi:  register(arch.Fermi, func() []Def { return scaleJitter(fermiDefs(), 1.8) }),
+	arch.Kepler: register(arch.Kepler, keplerDefs),
+}
+
+// register wraps a generation's definitions into a builder that runs
+// once per process.
+func register(g arch.Generation, defs func() []Def) func() *Set {
+	return sync.OnceValue(func() *Set { return newSet(g, defs()) })
+}
 
 func scaleJitter(defs []Def, k float64) []Def {
 	for i := range defs {

@@ -2,8 +2,9 @@ package driver
 
 import (
 	"container/list"
-	"fmt"
+	"encoding/binary"
 	"hash/fnv"
+	"math"
 	"math/bits"
 	"sync"
 	"sync/atomic"
@@ -289,15 +290,97 @@ func (d *Device) DisableLaunchCache() {
 	d.useShared = false
 }
 
-// specFingerprint digests the complete spec contents. Hashing the full
+// specFingerprint digests the complete spec contents, field by field in
+// declaration order: integers and float bit patterns as 8 little-endian
+// bytes, strings length-prefixed, bools as one byte. Hashing the full
 // value rather than the board name matters: the ablation experiments boot
 // modified specs (flattened voltage curves, disabled caches) that keep the
 // original name, and those must never share cache entries with the
-// unmodified board.
+// unmodified board. TestSpecFingerprintCoversEveryField perturbs every
+// field of arch.Spec through reflection, so a field added to Spec without
+// a line here fails that test.
 //
 //gpulint:deterministic
 func specFingerprint(spec *arch.Spec) uint64 {
 	h := fnv.New64a()
-	_, _ = fmt.Fprintf(h, "%+v", *spec) // fnv: hash.Hash.Write never errors
+	var buf [8]byte
+	u64 := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		_, _ = h.Write(buf[:]) // fnv: hash.Hash.Write never errors
+	}
+	i64 := func(v int) { u64(uint64(v)) }
+	f64 := func(v float64) { u64(math.Float64bits(v)) }
+	f64s := func(vs [3]float64) {
+		for _, v := range vs {
+			f64(v)
+		}
+	}
+
+	u64(uint64(len(spec.Name)))
+	_, _ = h.Write([]byte(spec.Name))
+	i64(int(spec.Generation))
+
+	i64(spec.SMCount)
+	i64(spec.CoresPerSM)
+	i64(spec.WarpSize)
+	i64(spec.MaxWarpsPerSM)
+	i64(spec.MaxBlocksPerSM)
+	i64(spec.SchedulersPerSM)
+	i64(spec.IssuePerSched)
+	i64(spec.SharedMemPerSM)
+	i64(spec.RegistersPerSM)
+
+	f64(spec.ALUThroughput)
+	f64(spec.SFUThroughput)
+	f64(spec.DPThroughput)
+	f64(spec.LSUThroughput)
+
+	i64(spec.L1PerSM)
+	i64(spec.L2Size)
+	f64(spec.L1LatencyCyc)
+	f64(spec.L2LatencyCyc)
+	f64(spec.DRAMLatencyNS)
+	i64(spec.LineSize)
+
+	i64(spec.MemBusWidthBits)
+	f64(spec.MemDataRate)
+
+	f64(spec.PeakGFLOPS)
+	f64(spec.MemBandwidthGBs)
+	f64(spec.TDPWatts)
+
+	f64s(spec.CoreFreqsMHz)
+	f64s(spec.MemFreqsMHz)
+	var valid [9]byte
+	for c := range spec.ValidPairs {
+		for m, ok := range spec.ValidPairs[c] {
+			if ok {
+				valid[3*c+m] = 1
+			}
+		}
+	}
+	_, _ = h.Write(valid[:])
+
+	f64(spec.CoreVoltHigh)
+	f64(spec.CoreVoltLow)
+	f64(spec.MemVoltHigh)
+	f64(spec.MemVoltLow)
+	f64(spec.VoltExponent)
+
+	f64(spec.EnergyPerWarpInst)
+	f64(spec.EnergyPerALU)
+	f64(spec.EnergyPerSFU)
+	f64(spec.EnergyPerDP)
+	f64(spec.EnergyPerLSU)
+	f64(spec.EnergyPerSharedAcc)
+	f64(spec.EnergyPerL1Access)
+	f64(spec.EnergyPerL2Access)
+	f64(spec.EnergyPerDRAMTxn)
+	f64(spec.CoreLeakWatts)
+	f64(spec.MemLeakWatts)
+	f64(spec.CoreIdleWatts)
+	f64(spec.MemIdleWatts)
+
+	f64(spec.TimingIrregularity)
 	return h.Sum64()
 }

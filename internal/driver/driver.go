@@ -41,8 +41,8 @@ type Device struct {
 	profiling bool
 	// The noise source: src is reseeded in place (Seed/SeedScoped run once
 	// per measurement cell — the fastrng package exists to make that
-	// allocation-free), rng is the long-lived adapter the meter and
-	// profiler draw through. The pair's stream is bit-identical to
+	// allocation-free and to seed only the state the cell draws), rng is
+	// the long-lived adapter the meter and profiler draw through. The pair's stream is bit-identical to
 	// rand.New(rand.NewSource(seed)) for every seed.
 	src      *fastrng.Source
 	rng      *rand.Rand
@@ -165,7 +165,8 @@ func OpenSpec(spec *arch.Spec) (*Device, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, fmt.Errorf("driver: %w", err)
 	}
-	decoded, err := bios.Parse(bios.Build(spec))
+	img := bios.Build(spec)
+	decoded, err := bios.Parse(img)
 	if err != nil {
 		return nil, fmt.Errorf("driver: boot failed: %w", err)
 	}
@@ -177,7 +178,6 @@ func OpenSpec(spec *arch.Spec) (*Device, error) {
 	_, _ = h.Write([]byte(spec.Name)) // fnv: hash.Hash.Write never errors
 	seed := int64(h.Sum64())
 	src, rng := fastrng.NewRand(seed)
-	img := bios.Build(spec)
 	d := &Device{
 		spec:     spec,
 		img:      img,
@@ -205,7 +205,8 @@ func (d *Device) Clocks() clock.Pair { return d.clk.Pair() }
 // need the ground truth, e.g. calibration benches).
 func (d *Device) PowerModel() *power.Model { return d.pm }
 
-// CounterSet returns the architecture's performance-counter set.
+// CounterSet returns the architecture's performance-counter set. It is
+// shared by every device of the generation and must not be modified.
 func (d *Device) CounterSet() *counters.Set { return d.set }
 
 // Meter returns the wall-power instrument attached to the machine.

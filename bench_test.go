@@ -12,6 +12,7 @@
 package gpuperf
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"sync"
@@ -252,7 +253,7 @@ func BenchmarkFig6PerfErrDist(b *testing.B) { benchErrDistribution(b, core.Time)
 func benchVariableSweep(b *testing.B, kind core.Kind) {
 	var at5, at10, at20 float64
 	for i := 0; i < b.N; i++ {
-		points, err := core.VariableSweep(datasets(b)["GTX 680"], kind, 5, 20)
+		points, err := core.VariableSweep(context.Background(), datasets(b)["GTX 680"], kind, core.SweepMinVars, core.SweepMaxVars)
 		if err != nil {
 			b.Fatal(err)
 		}

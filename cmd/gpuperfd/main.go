@@ -68,7 +68,9 @@ func main() {
 			"characterize_cells_quarantined_total")()
 	}
 
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	// ReadHeaderTimeout bounds how long a client may hold a connection
+	// before its request headers arrive.
+	hs := &http.Server{Addr: *addr, Handler: srv.Handler(), ReadHeaderTimeout: 10 * time.Second}
 	serveErr := make(chan error, 1)
 	go func(errs chan<- error) {
 		errs <- hs.ListenAndServe()

@@ -13,7 +13,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -121,6 +120,7 @@ func main() {
 	case 0:
 		r2 := map[string][2]float64{}
 		evals := map[string][2]*core.Eval{}
+		models := map[string][2]*core.Model{}
 		for _, spec := range boards {
 			ds := datasets[spec.Name]
 			pm := train(ds, core.Power)
@@ -128,6 +128,7 @@ func main() {
 			pe, te := pm.Evaluate(ds.Rows), tm.Evaluate(ds.Rows)
 			r2[spec.Name] = [2]float64{pe.AdjR2, te.AdjR2}
 			evals[spec.Name] = [2]*core.Eval{pe, te}
+			models[spec.Name] = [2]*core.Model{pm, tm}
 			if *saveDir != "" {
 				persist(*saveDir, spec.Name, ds, pm, tm)
 			}
@@ -137,8 +138,8 @@ func main() {
 		if *diagnose {
 			for _, spec := range boards {
 				ds := datasets[spec.Name]
-				for _, kind := range []core.Kind{core.Power, core.Time} {
-					m := train(ds, kind)
+				for i, kind := range []core.Kind{core.Power, core.Time} {
+					m := models[spec.Name][i]
 					diags, err := m.Diagnose(ds.Rows)
 					if err != nil {
 						cliflags.Fatal("model", err)
@@ -176,7 +177,7 @@ func main() {
 			kind = core.Time
 		}
 		for _, spec := range boards {
-			points, err := variableSweep(ctx, datasets[spec.Name], kind)
+			points, err := core.VariableSweep(ctx, datasets[spec.Name], kind, core.SweepMinVars, core.SweepMaxVars)
 			if err != nil {
 				cliflags.Fatal("model", err)
 			}
@@ -215,15 +216,6 @@ func main() {
 	if err := camp.WriteArtifacts(cfg.Obs); err != nil {
 		cliflags.Fatal("model", err)
 	}
-}
-
-// variableSweep is core.VariableSweep with a cancellation check between
-// cap sizes.
-func variableSweep(ctx context.Context, ds *core.Dataset, kind core.Kind) ([]core.SweepPoint, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("model: variable sweep cancelled: %w", context.Cause(ctx))
-	}
-	return core.VariableSweep(ds, kind, 5, 20)
 }
 
 // persist writes the dataset and both trained models under dir, named by

@@ -64,3 +64,18 @@ func TestTrainCtxCancelled(t *testing.T) {
 		t.Fatalf("TrainCtx returned %v, want context.Canceled in the chain", err)
 	}
 }
+
+// TestVariableSweepCancelled: the Figs. 7/8 sweep honours its context at
+// selection-step boundaries.
+func TestVariableSweepCancelled(t *testing.T) {
+	ds, err := CollectCtx(context.Background(), "GTX 480", modelBenches(t, 4),
+		CollectOptions{Seed: 42, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := VariableSweep(ctx, ds, Time, SweepMinVars, SweepMaxVars); !errors.Is(err, context.Canceled) {
+		t.Fatalf("VariableSweep returned %v, want context.Canceled in the chain", err)
+	}
+}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"gpuperf/internal/arch"
@@ -176,7 +177,7 @@ func TestPerBenchmarkErrorsSortedAndComplete(t *testing.T) {
 
 func TestVariableSweepImproves(t *testing.T) {
 	ds := collectSmall(t, "GTX 480")
-	points, err := VariableSweep(ds, Power, 2, 12)
+	points, err := VariableSweep(context.Background(), ds, Power, 2, 12)
 	if err != nil {
 		t.Fatal(err)
 	}

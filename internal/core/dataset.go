@@ -26,6 +26,13 @@ import (
 // MaxVariables is the paper's cap on explanatory variables.
 const MaxVariables = 10
 
+// SweepMinVars and SweepMaxVars bound the Figs. 7/8 explanatory-variable
+// sweep.
+const (
+	SweepMinVars = 5
+	SweepMaxVars = 20
+)
+
 // MinRunSeconds mirrors the characterization floor (≥ 10 meter samples).
 const MinRunSeconds = 0.5
 

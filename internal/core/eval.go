@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"sort"
 
@@ -72,39 +73,49 @@ func (m *Model) PerBenchmarkErrors(rows []Observation) []BenchmarkError {
 	return out
 }
 
-// VariableSweep trains models with 1..maxVars variables and reports the
-// mean |error|% at each size from minVars on — the Figs. 7/8 sweep. The
-// forward-selection path is computed once; prefixes of it give the smaller
-// models.
+// SweepPoint is one Figs. 7/8 point: the fit over the first Vars
+// variables of the selection path and its mean |error|% over the rows.
 type SweepPoint struct {
 	Vars       int
 	AdjR2      float64
 	MeanAbsPct float64
 }
 
-// VariableSweep evaluates selection-path prefixes between minVars and
-// maxVars (inclusive) against the dataset's rows.
-func VariableSweep(ds *Dataset, kind Kind, minVars, maxVars int) ([]SweepPoint, error) {
-	x, y := designMatrix(kind, ds.Set, ds.Rows)
-	sel, err := regress.ForwardSelect(x, y, maxVars)
+// VariableSweep trains models with 1..maxVars variables and reports the
+// mean |error|% at each size from minVars on — the Figs. 7/8 sweep. The
+// context is checked before each forward-selection step, as in TrainCtx.
+func VariableSweep(ctx context.Context, ds *Dataset, kind Kind, minVars, maxVars int) ([]SweepPoint, error) {
+	f, err := NewFamily(ctx, ds, kind, maxVars)
+	if err != nil {
+		return nil, err
+	}
+	return f.Sweep(minVars, maxVars)
+}
+
+// Sweep evaluates the family's models of minVars..maxVars variables
+// (inclusive) against the dataset's rows. The cap-maxVars selection is
+// computed once and the smaller models are prefixes of it, each refit
+// from the path's one factorization.
+func (f *Family) Sweep(minVars, maxVars int) ([]SweepPoint, error) {
+	sel, err := f.path.Select(maxVars)
 	if err != nil {
 		return nil, err
 	}
 	var out []SweepPoint
-	pred := make([]float64, len(y))
+	pred := make([]float64, len(f.y))
 	for n := minVars; n <= len(sel.Indices); n++ {
 		cols := sel.Indices[:n]
-		fit, err := regress.OLSColumns(x, cols, y)
+		fit, err := f.path.Fit(n)
 		if err != nil {
 			continue
 		}
-		for i, row := range x {
+		for i, row := range f.x {
 			pred[i] = fit.PredictColumns(row, cols)
 		}
 		out = append(out, SweepPoint{
 			Vars:       n,
 			AdjR2:      fit.AdjR2,
-			MeanAbsPct: regress.MeanAbsPctError(pred, y),
+			MeanAbsPct: regress.MeanAbsPctError(pred, f.y),
 		})
 	}
 	return out, nil

@@ -112,15 +112,50 @@ func Train(ds *Dataset, kind Kind, maxVars int) (*Model, error) {
 // forward-selection steps. A cancelled training run returns the context's
 // cause wrapped in the error.
 func TrainCtx(ctx context.Context, ds *Dataset, kind Kind, maxVars int) (*Model, error) {
+	f, err := NewFamily(ctx, ds, kind, maxVars)
+	if err != nil {
+		return nil, err
+	}
+	return f.Model(maxVars)
+}
+
+// Family is one (board, kind) modeling family of Section IV: a dataset's
+// Eq. 1 or Eq. 2 design matrix, built once, and one greedy
+// forward-selection path over it. Every model of the family is read off
+// that path — the capped unified model of Tables V–VIII and Figs. 5/6,
+// 9/10 and 11 through Model, the Figs. 7/8 points through Sweep — and
+// each is bit-identical to training it on its own.
+type Family struct {
+	ds   *Dataset
+	kind Kind
+	x    [][]float64
+	y    []float64
+	path *regress.Path
+}
+
+// NewFamily builds the dataset's design matrix for kind and grows one
+// selection path of up to steps variables, checking ctx before each step.
+// steps bounds every cap the family can answer: pass the largest of them.
+func NewFamily(ctx context.Context, ds *Dataset, kind Kind, steps int) (*Family, error) {
 	if len(ds.Rows) == 0 {
 		return nil, errors.New("core: empty dataset")
 	}
 	x, y := designMatrix(kind, ds.Set, ds.Rows)
-	sel, err := regress.ForwardSelectCtx(ctx, x, y, maxVars)
+	path, err := regress.ForwardPath(ctx, x, y, steps)
 	if err != nil {
 		return nil, fmt.Errorf("core: training %s model for %s: %w", kind, ds.Board, err)
 	}
-	return &Model{Kind: kind, Board: ds.Board, Set: ds.Set, Selection: sel}, nil
+	return &Family{ds: ds, kind: kind, x: x, y: y, path: path}, nil
+}
+
+// Model returns the unified model capped at maxVars variables, identical
+// to TrainCtx(ctx, ds, kind, maxVars).
+func (f *Family) Model(maxVars int) (*Model, error) {
+	sel, err := f.path.Select(maxVars)
+	if err != nil {
+		return nil, fmt.Errorf("core: training %s model for %s: %w", f.kind, f.ds.Board, err)
+	}
+	return &Model{Kind: f.kind, Board: f.ds.Board, Set: f.ds.Set, Selection: sel}, nil
 }
 
 // TrainNaive fits a baseline model WITHOUT the paper's frequency coupling:

@@ -39,6 +39,14 @@ const (
 	StateCancelled = "cancelled"
 )
 
+// Request bounds. They admit every documented campaign (a 10,000-device
+// fleet, an N=5 repetition cohort) with room to spare, and keep a single
+// POST from asking the daemon for unbounded work.
+const (
+	MaxFleetSize   = 100_000
+	MaxRepetitions = 100
+)
+
 // CampaignRequest is the POST /api/v1/campaigns body. The zero value of
 // every optional field means the engine default.
 type CampaignRequest struct {
@@ -204,6 +212,9 @@ func (s *Server) Submit(req CampaignRequest) (*Campaign, error) {
 		if req.FleetSize < 1 {
 			return nil, reqErrf("fleet campaigns require fleet_size ≥ 1")
 		}
+		if req.FleetSize > MaxFleetSize {
+			return nil, reqErrf("fleet_size %d exceeds the limit of %d", req.FleetSize, MaxFleetSize)
+		}
 		if req.Shards < 0 {
 			return nil, reqErrf("shards must be ≥ 0 (0: one shard)")
 		}
@@ -241,6 +252,9 @@ func (s *Server) Submit(req CampaignRequest) (*Campaign, error) {
 	}
 	if req.Repetitions < 0 || req.MinValid < 0 {
 		return nil, reqErrf("repetitions and min_valid must be ≥ 0")
+	}
+	if req.Repetitions > MaxRepetitions {
+		return nil, reqErrf("repetitions %d exceeds the limit of %d", req.Repetitions, MaxRepetitions)
 	}
 
 	s.mu.Lock()

@@ -314,3 +314,40 @@ func TestDaemonCancelAndDrain(t *testing.T) {
 		t.Fatalf("submit after drain: %d", code)
 	}
 }
+
+// TestDaemonRejectsOversizedBody: a request body over the limit is
+// refused with 413 and starts nothing.
+func TestDaemonRejectsOversizedBody(t *testing.T) {
+	srv, ts, _ := newTestServer(t, "GTX 480")
+	body := `{"faults":"` + strings.Repeat("x", maxRequestBytes) + `"}`
+	resp, err := http.Post(ts.URL+"/api/v1/campaigns", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	msg, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: got %d, want 413 (%s)", resp.StatusCode, msg)
+	}
+	if n := len(srv.Campaigns()); n != 0 {
+		t.Errorf("%d campaigns started by a rejected request", n)
+	}
+}
+
+// TestDaemonRejectsOversizedFleet: fleet_size is bounded from above.
+func TestDaemonRejectsOversizedFleet(t *testing.T) {
+	_, ts, _ := newTestServer(t, "GTX 680")
+	req := CampaignRequest{Kind: KindFleet, FleetSize: MaxFleetSize + 1, Shards: 2}
+	if code, _, body := postCampaign(t, ts.URL, req); code != http.StatusBadRequest {
+		t.Fatalf("fleet_size %d: got %d, want 400 (%s)", req.FleetSize, code, body)
+	}
+}
+
+// TestDaemonRejectsTooManyRepetitions: repetitions is bounded from above.
+func TestDaemonRejectsTooManyRepetitions(t *testing.T) {
+	_, ts, _ := newTestServer(t, "GTX 480")
+	req := CampaignRequest{Repetitions: MaxRepetitions + 1}
+	if code, _, body := postCampaign(t, ts.URL, req); code != http.StatusBadRequest {
+		t.Fatalf("repetitions %d: got %d, want 400 (%s)", req.Repetitions, code, body)
+	}
+}

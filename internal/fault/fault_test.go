@@ -38,17 +38,17 @@ func TestParseProfile(t *testing.T) {
 
 func TestParseProfileRejects(t *testing.T) {
 	for _, bad := range []string{
-		"launch.hang",              // no probability
-		"launch.hang:0.5:1:2",      // too many fields
-		"nosuch.point:0.5",         // unknown point
-		"meter.degraded:0.5",       // pseudo-point is not injectable
-		"launch.hang:1.5",          // probability > 1
-		"launch.hang:-0.1",         // probability < 0
-		"launch.hang:NaN",          // NaN probability
-		"launch.hang:x",            // unparseable probability
-		"meter.spike:0.5:-3",       // negative param
-		"meter.spike:0.5:1e13",     // absurd param
-		"launch.hang:0.5,,",        // empty entry
+		"launch.hang",                     // no probability
+		"launch.hang:0.5:1:2",             // too many fields
+		"nosuch.point:0.5",                // unknown point
+		"meter.degraded:0.5",              // pseudo-point is not injectable
+		"launch.hang:1.5",                 // probability > 1
+		"launch.hang:-0.1",                // probability < 0
+		"launch.hang:NaN",                 // NaN probability
+		"launch.hang:x",                   // unparseable probability
+		"meter.spike:0.5:-3",              // negative param
+		"meter.spike:0.5:1e13",            // absurd param
+		"launch.hang:0.5,,",               // empty entry
 		"launch.hang:0.5,launch.hang:0.2", // duplicate
 	} {
 		if _, err := ParseProfile(bad); err == nil {

@@ -105,54 +105,70 @@ func (m *Matrix) MulVec(x []float64) ([]float64, error) {
 // (numerically) linearly dependent columns.
 var ErrRankDeficient = errors.New("linalg: rank-deficient system")
 
-// solveScratch is SolveLS's reusable factorization workspace.
-type solveScratch struct {
-	data []float64 // QR copy of the input matrix
-	rhs  []float64 // transformed right-hand side
-	proj []float64 // per-column reflector projections
+// QR is a Householder QR factorization of a least-squares system
+// min‖A·x − b‖₂, with the reflectors already applied to b.
+//
+// Householder QR works on the columns left to right, and step k reads and
+// writes only column k and the columns to its right. The factorization's
+// leading k columns — R's leading k×k block and the first k entries of
+// Qᵀb — are therefore bit-identical to a factorization of A's first k
+// columns alone, and Solve(k) reads the least-squares solution of that
+// prefix by back substitution on the block: one factorization serves a
+// whole chain of nested designs, as forward selection's prefix refits
+// need.
+type QR struct {
+	n        int       // columns of A
+	factored int       // leading columns factored: an all-zero column stops the factorization
+	data     []float64 // m×n row-major: R on and above the diagonal, reflectors below
+	rhs      []float64 // Qᵀb
+	proj     []float64 // per-column reflector projections (factorization scratch)
 }
 
-var solvePool = sync.Pool{New: func() any { return new(solveScratch) }}
+// qrPool recycles factorization workspaces: SolveLS factors once per
+// call, and the copy of A dominated the solver's allocation profile.
+var qrPool = sync.Pool{New: func() any { return new(QR) }}
 
-// SolveLS solves min‖A·x − b‖₂ for x via Householder QR. A must have at
-// least as many rows as columns. A and b are not modified.
+// grow returns buf resliced to n, reallocating only when it is too short.
+func grow(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		return make([]float64, n)
+	}
+	return buf[:n]
+}
+
+// Factor computes the Householder QR factorization of A, applying the
+// reflectors to b. A must have at least as many rows as columns; A and b
+// are not modified. The workspace is pooled: call Release when done with
+// the factorization (an unreleased one is ordinary garbage).
+//
+// A column that is entirely zero below the diagonal once the reflectors
+// of the columns before it are applied has no reflector; the
+// factorization stops there, and Solve reports ErrRankDeficient for every
+// prefix that includes it, as SolveLS does.
 //
 // The reflectors are applied to all trailing columns in two row-major
 // sweeps per step (gather the projections, then update), so the inner
 // loops walk the Data slice contiguously instead of striding down
-// columns — this routine sits under every candidate fit of forward
-// selection and dominates training time.
-func SolveLS(a *Matrix, b []float64) ([]float64, error) {
+// columns.
+func Factor(a *Matrix, b []float64) (*QR, error) {
 	if len(b) != a.Rows {
-		return nil, fmt.Errorf("linalg: SolveLS: len(b) = %d, want %d", len(b), a.Rows)
+		return nil, fmt.Errorf("linalg: Factor: len(b) = %d, want %d", len(b), a.Rows)
 	}
 	if a.Rows < a.Cols {
-		return nil, fmt.Errorf("linalg: SolveLS: underdetermined system %d×%d", a.Rows, a.Cols)
+		return nil, fmt.Errorf("linalg: Factor: underdetermined system %d×%d", a.Rows, a.Cols)
 	}
 	m, n := a.Rows, a.Cols
-	// The factorization workspace (QR copy, transformed rhs, projection
-	// scratch) never escapes; recycle it — one solve runs per candidate
-	// fit of forward selection, and the copy dominated the solver's
-	// allocation profile. Every reused word is overwritten by the copies
-	// below or zeroed before use (proj).
-	sc := solvePool.Get().(*solveScratch)
-	defer solvePool.Put(sc)
-	if cap(sc.data) < m*n {
-		sc.data = make([]float64, m*n)
-	}
-	data := sc.data[:m*n]
+	// Every reused word is overwritten by the copies below or zeroed
+	// before use (proj).
+	q := qrPool.Get().(*QR)
+	q.n, q.factored = n, n
+	q.data = grow(q.data, m*n)
+	q.rhs = grow(q.rhs, m)
+	q.proj = grow(q.proj, n)
+	data, rhs, proj := q.data, q.rhs, q.proj
 	copy(data, a.Data)
-	if cap(sc.rhs) < m {
-		sc.rhs = make([]float64, m)
-	}
-	rhs := sc.rhs[:m]
 	copy(rhs, b)
-	if cap(sc.proj) < n {
-		sc.proj = make([]float64, n)
-	}
-	proj := sc.proj[:n] // per-column reflector projections, reused
 
-	// Householder triangularization, applying the reflectors to rhs.
 	for k := 0; k < n; k++ {
 		// Norm of the k-th column below the diagonal, scaled by the
 		// largest magnitude so squaring cannot overflow or underflow.
@@ -163,7 +179,8 @@ func SolveLS(a *Matrix, b []float64) ([]float64, error) {
 			}
 		}
 		if scale == 0 {
-			return nil, ErrRankDeficient
+			q.factored = k
+			break
 		}
 		var ssq float64
 		invScale := 1 / scale
@@ -220,19 +237,33 @@ func SolveLS(a *Matrix, b []float64) ([]float64, error) {
 		}
 		data[k*n+k] = -norm // store R's diagonal
 	}
+	return q, nil
+}
 
-	// Back substitution on R·x = rhs[:n].
-	x := make([]float64, n)
-	for k := n - 1; k >= 0; k-- {
-		d := data[k*n+k]
+// Solve returns the least-squares solution over A's first k columns,
+// bit-identical to SolveLS on a copy of those columns (and to its
+// ErrRankDeficient when they are numerically dependent). Solve(A.Cols)
+// solves the full system.
+func (q *QR) Solve(k int) ([]float64, error) {
+	if k < 0 || k > q.n {
+		return nil, fmt.Errorf("linalg: Solve: prefix %d outside [0, %d]", k, q.n)
+	}
+	if k > q.factored {
+		return nil, ErrRankDeficient
+	}
+	// Back substitution on R[:k, :k]·x = (Qᵀb)[:k].
+	data, n := q.data, q.n
+	x := make([]float64, k)
+	for r := k - 1; r >= 0; r-- {
+		d := data[r*n+r]
 		if math.Abs(d) < 1e-12 {
 			return nil, ErrRankDeficient
 		}
-		s := rhs[k]
-		for j := k + 1; j < n; j++ {
-			s -= data[k*n+j] * x[j]
+		s := q.rhs[r]
+		for j := r + 1; j < k; j++ {
+			s -= data[r*n+j] * x[j]
 		}
-		x[k] = s / d
+		x[r] = s / d
 	}
 	for _, v := range x {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
@@ -240,4 +271,22 @@ func SolveLS(a *Matrix, b []float64) ([]float64, error) {
 		}
 	}
 	return x, nil
+}
+
+// Release returns the factorization's workspace to the pool. Only the
+// sole owner may call it; q must not be used afterwards.
+func (q *QR) Release() { qrPool.Put(q) }
+
+// SolveLS solves min‖A·x − b‖₂ for x via Householder QR: Factor, then
+// Solve at full width. A must have at least as many rows as columns. A
+// and b are not modified. It sits under every least-squares fit of the
+// regression layer; a caller solving several nested column prefixes of
+// one design factors once with Factor instead.
+func SolveLS(a *Matrix, b []float64) ([]float64, error) {
+	q, err := Factor(a, b)
+	if err != nil {
+		return nil, err
+	}
+	defer q.Release()
+	return q.Solve(a.Cols)
 }

@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -188,3 +189,120 @@ func residualNorm(a *Matrix, x, b []float64) float64 {
 }
 
 func close(a, b float64) bool { return math.Abs(a-b) <= 1e-9*(1+math.Abs(b)) }
+
+// tallDesign draws an m×n design whose columns share a common factor, as
+// the counter matrices' do, plus a right-hand side.
+func tallDesign(rng *rand.Rand, m, n int) (*Matrix, []float64) {
+	a := NewMatrix(m, n)
+	for i := 0; i < m; i++ {
+		common := rng.NormFloat64()
+		for j := 0; j < n; j++ {
+			a.Set(i, j, common*float64(j+1)+0.3*rng.NormFloat64())
+		}
+	}
+	b := make([]float64, m)
+	for i := range b {
+		b[i] = rng.NormFloat64() * 10
+	}
+	return a, b
+}
+
+// prefixCopy copies A's first k columns into a matrix of their own.
+func prefixCopy(a *Matrix, k int) *Matrix {
+	out := NewMatrix(a.Rows, k)
+	for i := 0; i < a.Rows; i++ {
+		copy(out.Data[i*k:(i+1)*k], a.Data[i*a.Cols:i*a.Cols+k])
+	}
+	return out
+}
+
+// checkPrefixes requires every prefix solve of one factorization of a to
+// equal SolveLS on a copy of that prefix, bit for bit, errors included.
+func checkPrefixes(t *testing.T, a *Matrix, b []float64) {
+	t.Helper()
+	q, err := Factor(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Release()
+	for k := 1; k <= a.Cols; k++ {
+		got, gerr := q.Solve(k)
+		want, werr := SolveLS(prefixCopy(a, k), b)
+		if !errors.Is(gerr, werr) {
+			t.Fatalf("%d×%d prefix %d: Solve error %v, SolveLS error %v", a.Rows, a.Cols, k, gerr, werr)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%d×%d prefix %d: %d coefficients, want %d", a.Rows, a.Cols, k, len(got), len(want))
+		}
+		for j := range want {
+			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+				t.Fatalf("%d×%d prefix %d: x[%d] = %v, SolveLS gives %v", a.Rows, a.Cols, k, j, got[j], want[j])
+			}
+		}
+	}
+}
+
+// TestSolvePrefixMatchesSolveLS: one factorization answers every leading
+// prefix of a tall design exactly as factoring that prefix alone does.
+func TestSolvePrefixMatchesSolveLS(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for n := 1; n <= 21; n++ {
+		for trial := 0; trial < 3; trial++ {
+			a, b := tallDesign(rng, n+2+rng.Intn(60), n)
+			checkPrefixes(t, a, b)
+		}
+	}
+}
+
+// TestSolvePrefixRankDeficient: a zero column, or one duplicating an
+// earlier column, fails every prefix that includes it with
+// ErrRankDeficient, as SolveLS does, and leaves the shorter prefixes
+// exact.
+func TestSolvePrefixRankDeficient(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	const m, n = 40, 8
+	for j := 1; j < n; j++ {
+		for _, dup := range []bool{false, true} {
+			a, b := tallDesign(rng, m, n)
+			src := rng.Intn(j)
+			for i := 0; i < m; i++ {
+				v := 0.0
+				if dup {
+					v = a.At(i, src)
+				}
+				a.Set(i, j, v)
+			}
+			checkPrefixes(t, a, b)
+			q, err := Factor(a, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := 1; k <= n; k++ {
+				_, err := q.Solve(k)
+				if deficient := errors.Is(err, ErrRankDeficient); deficient != (k > j) {
+					t.Errorf("column %d (dup=%v), prefix %d: Solve error %v", j, dup, k, err)
+				}
+			}
+			q.Release()
+		}
+	}
+}
+
+// BenchmarkSolveLS times one least-squares solve at the shape of a
+// 10-variable Section IV refit: ~800 observations, intercept plus ten
+// correlated columns.
+func BenchmarkSolveLS(b *testing.B) {
+	a, rhs := tallDesign(rand.New(rand.NewSource(1)), 798, 11)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		x, err := SolveLS(a, rhs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		solveSink = x
+	}
+}
+
+// solveSink keeps BenchmarkSolveLS's result live.
+var solveSink []float64

@@ -37,12 +37,12 @@ func OLS(x [][]float64, y []float64) (*Fit, error) {
 	if n <= p+1 {
 		return nil, fmt.Errorf("regress: OLS: %d observations cannot support %d variables", n, p)
 	}
-	// Pooled: every cell is written below, and olsFinish returns the
-	// matrix to the pool once the fit statistics are derived.
+	// Pooled: every cell is written below, and the matrix goes back to
+	// the pool once the fit statistics are derived.
 	a := linalg.GetMatrix(n, p+1)
+	defer linalg.PutMatrix(a)
 	for i, row := range x {
 		if len(row) != p {
-			linalg.PutMatrix(a)
 			return nil, fmt.Errorf("regress: OLS: ragged row %d", i)
 		}
 		a.Set(i, 0, 1)
@@ -50,47 +50,20 @@ func OLS(x [][]float64, y []float64) (*Fit, error) {
 			a.Set(i, j+1, v)
 		}
 	}
-	return olsFinish(a, y, n, p)
-}
-
-// OLSColumns fits y against the chosen columns of x with an intercept:
-// identical to OLS(Project(x, cols), y) — same design matrix, same QR
-// solve, bit-identical fit — without materializing the projected row set.
-// The hot consumers (forward selection's refit, the variable sweep) call
-// it once per candidate model size.
-func OLSColumns(x [][]float64, cols []int, y []float64) (*Fit, error) {
-	n := len(x)
-	if n == 0 || n != len(y) {
-		return nil, fmt.Errorf("regress: OLS: %d rows vs %d targets", n, len(y))
-	}
-	p := len(cols)
-	if n <= p+1 {
-		return nil, fmt.Errorf("regress: OLS: %d observations cannot support %d variables", n, p)
-	}
-	a := linalg.GetMatrix(n, p+1) // every cell written; olsFinish pools it
-	for i, row := range x {
-		a.Set(i, 0, 1)
-		for j, c := range cols {
-			a.Set(i, j+1, row[c])
-		}
-	}
-	return olsFinish(a, y, n, p)
-}
-
-// olsFinish solves the assembled design matrix and derives the fit
-// statistics; shared by OLS and OLSColumns.
-func olsFinish(a *linalg.Matrix, y []float64, n, p int) (*Fit, error) {
-	defer linalg.PutMatrix(a) // olsFinish owns the assembled design matrix
 	beta, err := linalg.SolveLS(a, y)
 	if err != nil {
 		return nil, err
 	}
-	fit := &Fit{Intercept: beta[0], Coef: beta[1:], N: n, P: p}
+	return olsFit(a, beta, y), nil
+}
 
-	pred, err := a.MulVec(beta)
-	if err != nil {
-		return nil, err
-	}
+// olsFit derives the fit statistics of beta, the least-squares solution
+// over the leading len(beta) columns of the design matrix a (intercept
+// column first). Predictions sum the row prefix in column order, as
+// Matrix.MulVec would over a copy of those columns.
+func olsFit(a *linalg.Matrix, beta, y []float64) *Fit {
+	n, w := a.Rows, len(beta)
+	fit := &Fit{Intercept: beta[0], Coef: beta[1:], N: n, P: w - 1}
 	var mean float64
 	for _, v := range y {
 		mean += v
@@ -99,7 +72,11 @@ func olsFinish(a *linalg.Matrix, y []float64, n, p int) (*Fit, error) {
 	var ssRes, ssTot float64
 	fit.Residuals = make([]float64, n)
 	for i := range y {
-		r := y[i] - pred[i]
+		var pred float64
+		for j, v := range a.Data[i*a.Cols : i*a.Cols+w] {
+			pred += v * beta[j]
+		}
+		r := y[i] - pred
 		fit.Residuals[i] = r
 		ssRes += r * r
 		d := y[i] - mean
@@ -109,9 +86,9 @@ func olsFinish(a *linalg.Matrix, y []float64, n, p int) (*Fit, error) {
 		fit.R2, fit.AdjR2 = 1, 1
 	} else {
 		fit.R2 = 1 - ssRes/ssTot
-		fit.AdjR2 = 1 - (1-fit.R2)*float64(n-1)/float64(n-p-1)
+		fit.AdjR2 = 1 - (1-fit.R2)*float64(n-1)/float64(n-w)
 	}
-	return fit, nil
+	return fit
 }
 
 // Ridge fits y against x with an L2 penalty λ on the coefficients (the
@@ -225,32 +202,71 @@ var ErrNoUsableVariables = errors.New("regress: no usable variables")
 // fits at every size); Best() recovers the paper's "optimal" model — the
 // step with maximum adjusted R².
 //
-// Candidate evaluation is incremental rather than one OLS refit per
-// candidate per step: the residual target and every unselected column are
-// kept orthogonal to the selected set (modified Gram–Schmidt, with the
-// intercept projected out up front by centering), so a candidate's R²
-// gain is (w·t)²/‖w‖² — one pass over the column. A step costs O(p·n)
-// and the whole selection O(maxVars·p·n), where the per-fit approach
-// pays an extra factor of the subset size cubed. Within a step every
-// candidate's adjusted R² shares the same degrees-of-freedom factor, so
-// maximizing the gain maximizes adjusted R²; ties resolve to the lowest
-// column index. The reported Fit is refit by QR on the selected subset
-// for full numerical accuracy.
+// It runs in two parts. ForwardPath is the greedy path: an incremental
+// Gram–Schmidt scan whose candidate evaluation is fused into the
+// projection pass of the step before. Path.Select is the cap selection:
+// it refits the picks from one QR factorization of the path's columns,
+// reading the fit over any leading run of picks as a prefix of that
+// factorization (Path.Fit). A caller needing several caps of one design —
+// the 10-variable model and the 5–20 variable sweep of Section IV — grows
+// one path to the largest cap and selects each cap from it; every
+// selection is bit-identical to ForwardSelect at that cap. A caller that
+// must stop when its context is cancelled grows the path itself with
+// ForwardPath.
 func ForwardSelect(x [][]float64, y []float64, maxVars int) (*Selection, error) {
-	return ForwardSelectCtx(context.Background(), x, y, maxVars)
+	path, err := ForwardPath(context.Background(), x, y, maxVars)
+	if err != nil {
+		return nil, err
+	}
+	defer path.release()
+	return path.Select(maxVars)
 }
 
-// ForwardSelectCtx is ForwardSelect with cooperative cancellation: the
-// context is checked before each selection step (one step is a full
-// O(p·n) candidate scan), so a cancelled training run stops at a step
-// boundary and returns the cause wrapped in the error.
-func ForwardSelectCtx(ctx context.Context, x [][]float64, y []float64, maxVars int) (*Selection, error) {
-	if maxVars <= 0 {
-		return nil, fmt.Errorf("regress: ForwardSelect: maxVars = %d", maxVars)
+// Path is a greedy forward-selection path over one design: the columns in
+// the order the scan picked them, the fit quality after each pick, and
+// one QR factorization of the design [1, picked columns]. Because the
+// picks are nested, the refit over the first k picks is a prefix of that
+// factorization (see linalg.QR), so every cap up to the path's length is
+// answered by back substitution rather than a new factorization. A Path
+// is read-only once built and safe for concurrent use.
+type Path struct {
+	Indices []int  // picked column indices, in selection order
+	Steps   []Step // state after each pick
+
+	maxSteps int            // the cap the path was grown to
+	y        []float64      // the target
+	design   *linalg.Matrix // n×(len(Indices)+1): intercept, then the picks
+	qr       *linalg.QR     // factorization of design against y
+}
+
+// ForwardPath grows the greedy path over x's columns for up to maxSteps
+// picks. ctx is checked before each step (one step is a full O(p·n)
+// candidate scan), so a cancelled training run stops at a step boundary
+// and returns the cause wrapped in the error.
+//
+// Candidate evaluation is incremental rather than one OLS refit per
+// candidate per step: the residual target and every unpicked column are
+// kept orthogonal to the picked set (modified Gram–Schmidt, with the
+// intercept projected out up front by centering), so a candidate's R²
+// gain is (w·t)²/‖w‖². The scan is fused into the projection: the pass
+// that projects a step's pick out of a candidate also accumulates the
+// candidate's w·t and ‖w‖² against the updated target for the next step
+// (the same operands in the same order as a separate scan), and the last
+// step projects nothing. A step costs O(p·n) and the path
+// O(maxSteps·p·n). Within a step every candidate's adjusted R² shares the
+// same degrees-of-freedom factor, so maximizing the gain maximizes
+// adjusted R²; ties resolve to the lowest column index. Steps and picks
+// do not depend on maxSteps, so a longer path extends a shorter one.
+func ForwardPath(ctx context.Context, x [][]float64, y []float64, maxSteps int) (*Path, error) {
+	if maxSteps <= 0 {
+		return nil, fmt.Errorf("regress: ForwardSelect: maxVars = %d", maxSteps)
 	}
 	n := len(x)
 	if n == 0 {
 		return nil, errors.New("regress: ForwardSelect: no observations")
+	}
+	if len(y) != n {
+		return nil, fmt.Errorf("regress: ForwardSelect: %d rows vs %d targets", n, len(y))
 	}
 	p := len(x[0])
 
@@ -288,7 +304,7 @@ func ForwardSelectCtx(ctx context.Context, x [][]float64, y []float64, maxVars i
 		ymean += v
 	}
 	ymean /= float64(n)
-	t := make([]float64, n) // residual target, orthogonal to the selection
+	t := make([]float64, n) // residual target, orthogonal to the picks
 	var ssTot float64
 	for i, v := range y {
 		t[i] = v - ymean
@@ -296,35 +312,41 @@ func ForwardSelectCtx(ctx context.Context, x [][]float64, y []float64, maxVars i
 	}
 
 	// A candidate whose orthogonalized component has lost (almost) all of
-	// its original mass is numerically in the span of the selected set.
+	// its original mass is numerically in the span of the picked set.
 	const tol = 1e-10
 
-	sel := &Selection{}
+	path := &Path{maxSteps: maxSteps, y: y}
 	used := make([]bool, p)
-	for len(sel.Indices) < maxVars && len(sel.Indices) < p {
+	// Each candidate's w·t and ‖w‖² against the current picks: a full
+	// scan before the first step, then kept by the projection passes.
+	dot, ww := make([]float64, p), make([]float64, p)
+	for k := 0; k < maxSteps && k < p; k++ {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("regress: forward selection cancelled: %w", context.Cause(ctx))
 		}
-		k := len(sel.Indices)
 		if n <= k+2 {
 			break // one more variable would exhaust the observations
+		}
+		if k == 0 {
+			for j, w := range cols {
+				if norm0[j] == 0 {
+					continue
+				}
+				var d, s float64
+				for i, wi := range w {
+					d += wi * t[i]
+					s += wi * wi
+				}
+				dot[j], ww[j] = d, s
+			}
 		}
 		bestJ := -1
 		var bestGain float64
 		for j := 0; j < p; j++ {
-			if used[j] || norm0[j] == 0 {
-				continue
+			if used[j] || norm0[j] == 0 || ww[j] <= tol*norm0[j] {
+				continue // a collinear candidate is skipped
 			}
-			w := cols[j]
-			var dot, ww float64
-			for i, wi := range w {
-				dot += wi * t[i]
-				ww += wi * wi
-			}
-			if ww <= tol*norm0[j] {
-				continue // collinear with the selected set: skip
-			}
-			gain := dot * dot / ww
+			gain := dot[j] * dot[j] / ww[j]
 			if bestJ < 0 || gain > bestGain {
 				bestJ, bestGain = j, gain
 			}
@@ -333,68 +355,118 @@ func ForwardSelectCtx(ctx context.Context, x [][]float64, y []float64, maxVars i
 			break
 		}
 
-		// Project the winner out of the target and every remaining
-		// candidate, then report fit quality from the residual.
+		// Project the pick out of the target, reporting fit quality from
+		// the residual. The pick's w·t and ‖w‖² are already in hand.
 		u := cols[bestJ]
-		var uu float64
-		for _, v := range u {
-			uu += v * v
-		}
-		invUU := 1 / uu
-		var ut float64
-		for i, v := range u {
-			ut += v * t[i]
-		}
-		c := ut * invUU
+		invUU := 1 / ww[bestJ]
+		c := dot[bestJ] * invUU
+		var rss float64
 		for i, v := range u {
 			t[i] -= c * v
-		}
-		for j := 0; j < p; j++ {
-			if used[j] || j == bestJ || norm0[j] == 0 {
-				continue
-			}
-			w := cols[j]
-			var uw float64
-			for i, v := range u {
-				uw += v * w[i]
-			}
-			cj := uw * invUU
-			for i, v := range u {
-				w[i] -= cj * v
-			}
+			rss += t[i] * t[i]
 		}
 		used[bestJ] = true
-		sel.Indices = append(sel.Indices, bestJ)
-
-		var rss float64
-		for _, v := range t {
-			rss += v * v
-		}
+		path.Indices = append(path.Indices, bestJ)
 		r2, adj := 1.0, 1.0
 		if ssTot > 0 {
 			r2 = 1 - rss/ssTot
 			adj = 1 - (1-r2)*float64(n-1)/float64(n-k-2)
 		}
-		sel.Steps = append(sel.Steps, Step{Added: bestJ, AdjR2: adj, R2: r2})
+		path.Steps = append(path.Steps, Step{Added: bestJ, AdjR2: adj, R2: r2})
+
+		if k+1 == maxSteps || k+1 == p || n <= k+3 {
+			break // no next step: leave the candidates unprojected
+		}
+		// Project the pick out of every remaining candidate, scanning it
+		// for the next step in the same pass.
+		for j, w := range cols {
+			if used[j] || norm0[j] == 0 {
+				continue
+			}
+			var uw float64
+			for i, v := range u {
+				uw += v * w[i]
+			}
+			cj := uw * invUU
+			var d, s float64
+			for i, v := range u {
+				w[i] -= cj * v
+				d += w[i] * t[i]
+				s += w[i] * w[i]
+			}
+			dot[j], ww[j] = d, s
+		}
 	}
-	if len(sel.Indices) == 0 {
+	if len(path.Indices) == 0 {
 		return nil, ErrNoUsableVariables
 	}
-	// Refit the reported model by QR. If accumulated orthogonalization
-	// error let a dependent column through, drop trailing picks until the
-	// refit is full-rank — mirroring the per-candidate skip of a per-fit
-	// implementation.
-	for len(sel.Indices) > 0 {
-		fit, err := OLSColumns(x, sel.Indices, y)
-		if err == nil {
-			sel.Fit = fit
-			observeSelection(sel)
-			return sel, nil
+
+	// Factor the design over every pick once; each refit below is a
+	// prefix of it. The path stops two picks short of the observations,
+	// so the design is never wider than it is tall.
+	path.design = linalg.GetMatrix(n, len(path.Indices)+1)
+	for i, row := range x {
+		path.design.Set(i, 0, 1)
+		for j, c := range path.Indices {
+			path.design.Set(i, j+1, row[c])
 		}
-		sel.Indices = sel.Indices[:len(sel.Indices)-1]
-		sel.Steps = sel.Steps[:len(sel.Steps)-1]
+	}
+	qr, err := linalg.Factor(path.design, y)
+	if err != nil {
+		linalg.PutMatrix(path.design)
+		return nil, err
+	}
+	path.qr = qr
+	return path, nil
+}
+
+// Fit returns the least-squares fit over the path's first k picks with an
+// intercept, bit-identical to OLS(Project(x, Indices[:k]), y): the same
+// factorization steps and back substitution, read off the path's one
+// factorization.
+func (p *Path) Fit(k int) (*Fit, error) {
+	if k < 0 || k > len(p.Indices) {
+		return nil, fmt.Errorf("regress: Path.Fit: %d variables outside [0, %d]", k, len(p.Indices))
+	}
+	beta, err := p.qr.Solve(k + 1)
+	if err != nil {
+		return nil, err
+	}
+	return olsFit(p.design, beta, p.y), nil
+}
+
+// Select returns the path's cap-maxVars selection, bit-identical to
+// ForwardSelect(x, y, maxVars) on the path's design: the first maxVars
+// picks, refit by QR. If accumulated orthogonalization error let a
+// dependent column through, trailing picks are dropped until the refit
+// is full-rank — mirroring the per-candidate skip of a per-fit
+// implementation. Each returned selection counts as one forward
+// selection in the regress_forward_* metrics. maxVars may not exceed the
+// cap the path was grown to.
+func (p *Path) Select(maxVars int) (*Selection, error) {
+	if maxVars <= 0 {
+		return nil, fmt.Errorf("regress: ForwardSelect: maxVars = %d", maxVars)
+	}
+	if maxVars > p.maxSteps {
+		return nil, fmt.Errorf("regress: Path.Select: cap %d beyond the path's %d steps", maxVars, p.maxSteps)
+	}
+	for k := min(maxVars, len(p.Indices)); k > 0; k-- {
+		fit, err := p.Fit(k)
+		if err != nil {
+			continue
+		}
+		sel := &Selection{Indices: p.Indices[:k:k], Steps: p.Steps[:k:k], Fit: fit}
+		observeSelection(sel)
+		return sel, nil
 	}
 	return nil, ErrNoUsableVariables
+}
+
+// release returns the path's pooled design and factorization; the path
+// must not be used afterwards.
+func (p *Path) release() {
+	p.qr.Release()
+	linalg.PutMatrix(p.design)
 }
 
 // Best returns the number of variables (1-based) at which adjusted R²

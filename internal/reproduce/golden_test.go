@@ -32,7 +32,23 @@ func stripElapsed(s string) string {
 // reproduce the pre-refactor byte stream exactly, at the default worker
 // count and at the sequential reference.
 func TestPaperQuickGolden(t *testing.T) {
-	golden, err := os.ReadFile("testdata/paper-quick-seed42.golden")
+	checkGolden(t, "testdata/paper-quick-seed42.golden", reproduce.Quick)
+}
+
+// TestPaperFullGolden pins the complete seed-42 report — Section IV's
+// Tables V–VIII and Figs. 5–11, the ablations, future work and the
+// self-check, none of which the quick report runs — to the stdout of
+// `paper -seed 42` without its elapsed line.
+func TestPaperFullGolden(t *testing.T) {
+	checkGolden(t, "testdata/paper-full-seed42.golden")
+}
+
+// checkGolden reproduces the seed-42 report under tweaks at the default
+// worker count and at the sequential reference, and requires both to
+// equal the golden file byte for byte.
+func checkGolden(t *testing.T, path string, tweaks ...func(*reproduce.Options)) {
+	t.Helper()
+	golden, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +58,7 @@ func TestPaperQuickGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		_, err = s.Reproduce(context.Background(), &buf, reproduce.Quick)
+		_, err = s.Reproduce(context.Background(), &buf, tweaks...)
 		if cerr := s.Close(); err == nil {
 			err = cerr
 		}
@@ -50,8 +66,20 @@ func TestPaperQuickGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got := stripElapsed(buf.String()); got != string(golden) {
-			t.Fatalf("workers=%d: quick report diverged from the pre-refactor golden (len %d vs %d)",
-				workers, len(got), len(golden))
+			t.Fatalf("workers=%d: report diverged from %s at line %d (len %d vs %d)",
+				workers, path, firstDiffLine(got, string(golden)), len(got), len(golden))
 		}
 	}
+}
+
+// firstDiffLine returns the 1-based number of the first line where a and
+// b differ.
+func firstDiffLine(a, b string) int {
+	al, bl := strings.Split(a, "\n"), strings.Split(b, "\n")
+	for i := range al {
+		if i >= len(bl) || al[i] != bl[i] {
+			return i + 1
+		}
+	}
+	return len(al) + 1
 }

@@ -600,6 +600,7 @@ func runModeling(ctx context.Context, opts Options, boards []*arch.Spec, h *harn
 	r2 := map[string][2]float64{}
 	evals := map[string][2]*core.Eval{}
 	models := map[string][2]*core.Model{}
+	sweeps := map[string][2][]core.SweepPoint{}
 	datasets := map[string]*core.Dataset{}
 
 	for _, spec := range boards {
@@ -629,17 +630,27 @@ func runModeling(ctx context.Context, opts Options, boards []*arch.Spec, h *harn
 				continue
 			}
 		}
-		pm, err := core.TrainCtx(ctx, ds, core.Power, opts.MaxVars)
-		if err != nil {
-			return err
+		// One selection path per kind serves both the capped model and
+		// the Figs. 7/8 sweep; only their results outlive the loop.
+		var ms [2]*core.Model
+		var pts [2][]core.SweepPoint
+		for i, kind := range []core.Kind{core.Power, core.Time} {
+			f, err := core.NewFamily(ctx, ds, kind, max(opts.MaxVars, core.SweepMaxVars))
+			if err != nil {
+				return err
+			}
+			if ms[i], err = f.Model(opts.MaxVars); err != nil {
+				return err
+			}
+			if pts[i], err = f.Sweep(core.SweepMinVars, core.SweepMaxVars); err != nil {
+				return err
+			}
 		}
-		tm, err := core.TrainCtx(ctx, ds, core.Time, opts.MaxVars)
-		if err != nil {
-			return err
-		}
+		pm, tm := ms[0], ms[1]
 		pe, te := pm.Evaluate(ds.Rows), tm.Evaluate(ds.Rows)
 		datasets[spec.Name] = ds
-		models[spec.Name] = [2]*core.Model{pm, tm}
+		models[spec.Name] = ms
+		sweeps[spec.Name] = pts
 		r2[spec.Name] = [2]float64{pe.AdjR2, te.AdjR2}
 		evals[spec.Name] = [2]*core.Eval{pe, te}
 		res.PowerR2[spec.Name] = pe.AdjR2
@@ -687,12 +698,8 @@ func runModeling(ctx context.Context, opts Options, boards []*arch.Spec, h *harn
 	// Figs. 7 and 8: explanatory-variable sweeps.
 	for i, kind := range []core.Kind{core.Power, core.Time} {
 		for _, spec := range modeled {
-			points, err := core.VariableSweep(datasets[spec.Name], kind, 5, 20)
-			if err != nil {
-				return err
-			}
 			title := fmt.Sprintf("Fig. %d — variables vs accuracy, %s model (%s)", 7+i, kind, spec.Name)
-			fmt.Fprintln(w, report.Fig78(title, points).String())
+			fmt.Fprintln(w, report.Fig78(title, sweeps[spec.Name][i]).String())
 		}
 	}
 

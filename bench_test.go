@@ -596,21 +596,17 @@ func BenchmarkReproduce(b *testing.B) {
 }
 
 // BenchmarkSweepBoard is the multi-core scaling curve of the batched sweep:
-// one board's full Table IV frequency sweep from a cold shared launch cache
-// at 1, 2, 4 and 8 workers. Each iteration pushes a fresh shared LRU so
-// every worker count pays the same batched PrecomputePairs fill instead of
-// inheriting a warm cache from the previous run; the recorded curves live
-// in BENCH_fleet.json. On a single-CPU host the curve is flat — the bench
+// one board's full Table IV frequency sweep at 1, 2, 4 and 8 workers.
+// Every sweep job boots its own device, so each iteration pays the same
+// batched PrecomputePairs fill; the recorded curves live in
+// BENCH_fleet.json. On a single-CPU host the curve is flat — the bench
 // then measures the pooling overhead of widening the worker pool.
 func BenchmarkSweepBoard(b *testing.B) {
 	benches := workloads.Table4()
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				restore := driver.PushSharedLaunchCache(driver.NewLaunchCache(driver.DefaultSharedLaunchCacheEntries))
-				_, err := characterize.SweepBoardParallel("GTX 480", benches, benchSeed, workers)
-				restore()
-				if err != nil {
+				if _, err := characterize.SweepBoardParallel("GTX 480", benches, benchSeed, workers); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,7 +1,8 @@
 // Command gpuperfd is the long-running campaign server: it owns a fleet
-// of simulated devices and a shared launch cache, serves live Prometheus
-// metrics (including per-device, per-scope power gauges fed by every
-// running campaign), and runs sweep/model campaigns submitted over HTTP.
+// of simulated devices, serves live Prometheus metrics (including
+// per-device, per-scope power gauges fed by every running campaign), and
+// runs sweep/model campaigns submitted over HTTP. Each campaign boots its
+// own devices, whose launch caches live and die with them.
 //
 // Usage:
 //

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"gpuperf/internal/driver"
 	"gpuperf/internal/workloads"
 )
 
@@ -62,24 +61,20 @@ func TestSweepBoardsMatchesPerBoardSweeps(t *testing.T) {
 }
 
 // TestSweepBatchedColdCacheWorkers8 pins the batched fast path under
-// maximum concurrency from a cold cache: eight workers sweep a
-// multi-board grid, each job batch-filling the freshly emptied shared LRU
-// through PrecomputePairs while the others read it concurrently. The
-// results must be deeply identical to a sequential cold-cache sweep —
-// under -race this is also the data-race check on the sharded cache's
-// batch operations.
+// maximum concurrency: eight workers sweep a multi-board grid, each job
+// batch-filling its own device's launch cache through PrecomputePairs
+// while the others do the same. The results must be deeply identical to a
+// sequential sweep — under -race this is also the data-race check that no
+// launch state is shared between jobs.
 func TestSweepBatchedColdCacheWorkers8(t *testing.T) {
 	benches := sweepSet(t, 4)
 	boards := []string{"GTX 480", "GTX 680", "GTX 285"}
 
-	restore := driver.PushSharedLaunchCache(driver.NewLaunchCache(driver.DefaultSharedLaunchCacheEntries))
 	want, err := SweepBoards(boards, benches, 42, 1)
-	restore()
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	defer driver.PushSharedLaunchCache(driver.NewLaunchCache(driver.DefaultSharedLaunchCacheEntries))()
 	got, err := SweepBoards(boards, benches, 42, 8)
 	if err != nil {
 		t.Fatal(err)

@@ -74,8 +74,9 @@ type CampaignRequest struct {
 	// publishability floor (0: single run / all-valid).
 	Repetitions int `json:"repetitions,omitempty"`
 	MinValid    int `json:"min_valid,omitempty"`
-	// NoCache is rejected: the daemon's campaigns share one process-wide
-	// launch cache; per-campaign cache opt-out would toggle a global.
+	// NoCache is rejected: launch caching is a process-wide switch, so a
+	// campaign with Cache=false would flip it under every concurrent
+	// campaign.
 	NoCache bool `json:"nocache,omitempty"`
 	// FleetSize / Shards / JitterProfile configure "fleet" campaigns:
 	// FleetSize jittered devices generated from the board set, partitioned
@@ -206,7 +207,7 @@ func (s *Server) Submit(req CampaignRequest) (*Campaign, error) {
 		return nil, reqErrf("unknown campaign kind %q", req.Kind)
 	}
 	if req.NoCache {
-		return nil, reqErrf("nocache campaigns are not served: the daemon shares one launch cache across campaigns")
+		return nil, reqErrf("nocache campaigns are not served: launch caching is a process-wide switch that would flip under concurrent campaigns")
 	}
 	if req.Kind == KindFleet {
 		if req.FleetSize < 1 {

@@ -42,7 +42,37 @@ type deviceState struct {
 	seen    atomic.Int64 // samples since boot (idle reseed heartbeat)
 
 	mu   sync.Mutex
-	ring map[power.Scope][]float64 // fixed-capacity history, oldest first
+	ring map[power.Scope]*sampleRing
+}
+
+// sampleRing is one (device, scope) sample history: a fixed buffer written
+// circularly, so a sample costs O(1) however long the retention. head is
+// the oldest sample's index; n counts the samples held.
+type sampleRing struct {
+	buf     []float64
+	head, n int
+}
+
+// push appends w, overwriting the oldest sample once the buffer is full.
+func (r *sampleRing) push(w float64) {
+	r.buf[(r.head+r.n)%len(r.buf)] = w
+	if r.n < len(r.buf) {
+		r.n++
+	} else {
+		r.head = (r.head + 1) % len(r.buf)
+	}
+}
+
+// recent copies the held samples out, oldest first; nil when empty.
+func (r *sampleRing) recent() []float64 {
+	if r.n == 0 {
+		return nil
+	}
+	out := make([]float64, r.n)
+	for i := range out {
+		out[i] = r.buf[(r.head+i)%len(r.buf)]
+	}
+	return out
 }
 
 // Collector fans campaign power samples out to the live exposition with
@@ -96,7 +126,7 @@ func New(reg *obs.Registry, boardNames []string, retention int) (*Collector, err
 			idle:  dev.IdleScopePower(),
 			gauge: make(map[power.Scope]*obs.FloatGauge, 3),
 			hist:  make(map[power.Scope]*obs.Histogram, 3),
-			ring:  make(map[power.Scope][]float64, 3),
+			ring:  make(map[power.Scope]*sampleRing, 3),
 			samples: reg.Counter("gpuperf_power_samples_total",
 				"power samples received from campaign runs", obs.L("device", name)),
 		}
@@ -107,7 +137,7 @@ func New(reg *obs.Registry, boardNames []string, retention int) (*Collector, err
 			ds.hist[sc] = reg.Histogram("gpuperf_power_watts_hist",
 				"distribution of observed power by device and scope, watts",
 				wattBuckets, lbls...)
-			ds.ring[sc] = make([]float64, 0, retention)
+			ds.ring[sc] = &sampleRing{buf: make([]float64, retention)}
 			ds.gauge[sc].Set(ds.idle.Scope(sc)) // idle until the first sample
 		}
 		c.devices[name] = ds
@@ -138,18 +168,14 @@ func (c *Collector) SamplePower(device string, scopes power.Breakdown) {
 		w := scopes.Scope(sc)
 		ds.gauge[sc].Set(w)
 		ds.hist[sc].Observe(w)
-		r := ds.ring[sc]
-		if len(r) == cap(r) {
-			copy(r, r[1:])
-			r = r[:len(r)-1]
-		}
-		ds.ring[sc] = append(r, w)
+		ds.ring[sc].push(w)
 	}
 	ds.mu.Unlock()
 }
 
-// Recent returns up to the retention window of the device's most recent
-// samples for one scope, oldest first. Nil for unknown devices.
+// Recent returns a copy of up to the retention window of the device's
+// most recent samples for one scope, oldest first. Nil for unknown
+// devices and for a window that holds no sample yet.
 func (c *Collector) Recent(device string, sc power.Scope) []float64 {
 	ds, ok := c.devices[device]
 	if !ok {
@@ -157,7 +183,7 @@ func (c *Collector) Recent(device string, sc power.Scope) []float64 {
 	}
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
-	return append([]float64(nil), ds.ring[sc]...)
+	return ds.ring[sc].recent()
 }
 
 // Idle returns the device's modeled idle power breakdown (zero value for

@@ -1,6 +1,7 @@
 package collector
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -41,15 +42,29 @@ func TestNewSeedsIdleGaugesForEveryScope(t *testing.T) {
 }
 
 // TestSamplePowerUpdatesGaugesHistogramsAndRing covers the sample path:
-// known devices update all three scopes and the bounded ring; unknown
-// devices are counted and dropped.
+// known devices update all three scopes and the bounded ring, before and
+// after the window fills; unknown devices are counted and dropped.
 func TestSamplePowerUpdatesGaugesHistogramsAndRing(t *testing.T) {
 	reg := obs.NewRegistry()
 	c, err := New(reg, []string{"GTX 480"}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 10; i++ {
+	if got := c.Recent("GTX 480", power.ScopeGPU); got != nil {
+		t.Fatalf("empty window = %v, want nil", got)
+	}
+	for i := 0; i < 3; i++ {
+		c.SamplePower("GTX 480", power.Breakdown{GPU: 100 + float64(i), Memory: 40})
+	}
+	if got := c.Recent("GTX 480", power.ScopeGPU); !reflect.DeepEqual(got, []float64{100, 101, 102}) {
+		t.Fatalf("partly filled window = %v, want [100 101 102]", got)
+	}
+	// Recent hands out a copy: writing to it leaves the window intact.
+	c.Recent("GTX 480", power.ScopeGPU)[0] = -1
+	if got := c.Recent("GTX 480", power.ScopeGPU); got[0] != 100 {
+		t.Fatalf("caller's write reached the window: %v", got)
+	}
+	for i := 3; i < 10; i++ {
 		c.SamplePower("GTX 480", power.Breakdown{GPU: 100 + float64(i), Memory: 40})
 	}
 	c.SamplePower("Radeon HD 5870", power.Breakdown{GPU: 1, Memory: 1})
@@ -58,7 +73,7 @@ func TestSamplePowerUpdatesGaugesHistogramsAndRing(t *testing.T) {
 	if len(ring) != 4 {
 		t.Fatalf("retention not bounded: %d samples kept, want 4", len(ring))
 	}
-	if ring[0] != 106 || ring[3] != 109 {
+	if !reflect.DeepEqual(ring, []float64{106, 107, 108, 109}) {
 		t.Fatalf("ring not oldest-first window: %v", ring)
 	}
 	if mod := c.Recent("GTX 480", power.ScopeModule); mod[3] != 149 {
@@ -143,5 +158,24 @@ func TestNewRejectsBadFleets(t *testing.T) {
 	}
 	if _, err := New(obs.NewRegistry(), []string{"Voodoo 2"}, 0); err == nil {
 		t.Error("unknown board accepted")
+	}
+}
+
+// BenchmarkSamplePower is one campaign sample into a full default-depth
+// window: the per-sample cost must not grow with the retention, and the
+// path must not allocate.
+func BenchmarkSamplePower(b *testing.B) {
+	c, err := New(obs.NewRegistry(), []string{"GTX 480"}, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	bd := power.Breakdown{GPU: 120, Memory: 40}
+	for i := 0; i < DefaultRetention; i++ {
+		c.SamplePower("GTX 480", bd)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.SamplePower("GTX 480", bd)
 	}
 }

@@ -1,6 +1,7 @@
 // Package daemon is the serving layer: a long-running gpuperfd process
-// owns a fleet of simulated devices, a shared observability recorder and
-// a launch cache, and exposes the campaign engine over HTTP —
+// owns a fleet of simulated devices and a shared observability recorder,
+// and exposes the campaign engine over HTTP (launch payloads stay in the
+// caches of the devices each campaign boots) —
 //
 //	GET    /metrics                     live Prometheus text exposition
 //	GET    /healthz                     liveness

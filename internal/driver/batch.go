@@ -7,110 +7,73 @@ import (
 	"gpuperf/internal/gpu"
 )
 
-// PrecomputePairs fills the launch caches for every (kernel, pair)
-// combination in one batched pass, kernel-major: each kernel is compiled
-// once (gpu.Sim.Compile hoists everything frequency-invariant — event
-// tallies, derated hit fractions, replay factors, wave geometry) and the
-// compiled form is evaluated at all missing pairs, instead of re-deriving
-// the invariants per pair as per-launch simulation does. A sweep calls
-// this once per (board, benchmark) before its pair loop, so the loop's
-// launches all hit the per-device map.
+// PrecomputePairs fills the device's launch cache for every (kernel,
+// pair) combination in one batched pass, kernel-major: each kernel is
+// compiled once (gpu.Sim.Compile hoists everything frequency-invariant —
+// event tallies, derated hit fractions, replay factors, wave geometry) and
+// the compiled form is evaluated at all missing pairs, instead of
+// re-deriving the invariants per pair as per-launch simulation does. A
+// sweep calls this once per (board, benchmark) before its pair loop, so
+// the loop's launches all hit the device's map, profiled or not.
 //
 // The cached payloads are bit-identical to what per-launch simulation
 // would have stored: RunPairs reproduces Sim.RunKernel exactly (a property
 // test in internal/gpu pins this), and the power waveform is computed by
 // the same code on a scratch clock programmed to each pair. The device's
 // own clock, noise stream and fault state are never touched — precompute
-// is invisible to everything but the cache and the miss/hit counters.
+// is invisible to everything but the cache and the miss counter.
 //
-// Entries are inserted into the per-device map directly and into the
-// shared LRU with one batched insertion (one lock acquisition per shard)
-// instead of one per launch. Returns the number of entries newly
-// simulated; zero when launch caching is disabled on this device, in which
-// case nothing happens at all.
+// Returns the number of entries newly simulated; zero when launch caching
+// is disabled on this device, in which case nothing happens at all.
 func (d *Device) PrecomputePairs(ks []*gpu.KernelDesc, pairs []clock.Pair) (int, error) {
-	if d.cache == nil && !d.useShared {
+	if d.cache == nil || len(ks) == 0 || len(pairs) == 0 {
 		return 0, nil
-	}
-	if len(ks) == 0 || len(pairs) == 0 {
-		return 0, nil
-	}
-	var shared *LaunchCache
-	if d.useShared {
-		shared = SharedLaunchCache()
 	}
 	o := d.obs
 	scratch := clock.NewState(d.spec)
 	simulated := 0
-	var batch []cacheEntry // new entries destined for the shared LRU
-	keys := make([]launchKey, len(pairs))
-	found := make([]*cachedLaunch, len(pairs))
 	var missing []clock.Pair
-	var missingIdx []int
 	for _, k := range ks {
 		kfp := k.Fingerprint()
-		for i, p := range pairs {
-			keys[i] = launchKey{spec: d.specFP, pair: p, kernel: kfp, profiling: d.profiling}
-			found[i] = d.cache[keys[i]] // nil map lookups are fine
-		}
-		if shared != nil {
-			sharedHits := shared.getBatch(keys, found)
-			if o != nil {
-				for n := 0; n < sharedHits; n++ {
-					o.hitsShared.Inc()
-				}
-			}
-		}
-		missing, missingIdx = missing[:0], missingIdx[:0]
-		for i, p := range pairs {
-			if found[i] == nil {
+		missing = missing[:0]
+		for _, p := range pairs {
+			if _, ok := d.cache[launchKey{pair: p, kernel: kfp}]; !ok {
 				missing = append(missing, p)
-				missingIdx = append(missingIdx, i)
 			}
 		}
-		if len(missing) > 0 {
-			ck, err := d.sim.Compile(k)
-			if err != nil {
+		if len(missing) == 0 {
+			continue
+		}
+		ck, err := d.sim.Compile(k)
+		if err != nil {
+			return simulated, fmt.Errorf("driver: precompute %q: %w", k.Name, err)
+		}
+		results, err := d.sim.RunPairs(ck, missing)
+		if err != nil {
+			return simulated, fmt.Errorf("driver: precompute %q: %w", k.Name, err)
+		}
+		for mi, res := range results {
+			if err := scratch.SetPair(missing[mi]); err != nil {
 				return simulated, fmt.Errorf("driver: precompute %q: %w", k.Name, err)
 			}
-			results, err := d.sim.RunPairs(ck, missing)
-			if err != nil {
-				return simulated, fmt.Errorf("driver: precompute %q: %w", k.Name, err)
+			cl := &cachedLaunch{time: res.Time, acts: res.Activities}
+			for _, ph := range res.Phases {
+				// Same waveform construction as Device.launch: the
+				// phase's switching activity scales the energy events,
+				// never the profiler counters.
+				ev := ph.Events
+				ev.Scale(ph.EnergyScale)
+				w := d.pm.SystemWatts(scratch, ev, ph.Duration)
+				cl.trace = cl.trace.Append(ph.Duration, w)
+				cl.scopeJ = cl.scopeJ.Add(d.pm.ScopeWatts(scratch, ev, ph.Duration).Scale(ph.Duration))
 			}
-			for mi, res := range results {
-				if err := scratch.SetPair(missing[mi]); err != nil {
-					return simulated, fmt.Errorf("driver: precompute %q: %w", k.Name, err)
-				}
-				cl := &cachedLaunch{time: res.Time, acts: res.Activities}
-				for _, ph := range res.Phases {
-					// Same waveform construction as Device.launch: the
-					// phase's switching activity scales the energy events,
-					// never the profiler counters.
-					ev := ph.Events
-					ev.Scale(ph.EnergyScale)
-					w := d.pm.SystemWatts(scratch, ev, ph.Duration)
-					cl.trace = cl.trace.Append(ph.Duration, w)
-					cl.scopeJ = cl.scopeJ.Add(d.pm.ScopeWatts(scratch, ev, ph.Duration).Scale(ph.Duration))
-				}
-				found[missingIdx[mi]] = cl
-				gpu.ReleaseResult(res) // fully copied into the payload above
-				if shared != nil {
-					batch = append(batch, cacheEntry{key: keys[missingIdx[mi]], val: cl})
-				}
-				simulated++
-				if o != nil {
-					o.misses.Inc()
-				}
+			d.cache[launchKey{pair: missing[mi], kernel: kfp}] = cl
+			gpu.ReleaseResult(res) // fully copied into the payload above
+			simulated++
+			if o != nil {
+				o.misses.Inc()
 			}
 		}
-		if d.cache != nil {
-			for i := range keys {
-				d.cache[keys[i]] = found[i]
-			}
-		}
-	}
-	if shared != nil && len(batch) > 0 {
-		shared.putBatch(batch)
 	}
 	return simulated, nil
 }

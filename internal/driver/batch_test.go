@@ -2,19 +2,20 @@ package driver
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"gpuperf/internal/clock"
 	"gpuperf/internal/gpu"
+	"gpuperf/internal/obs"
 )
 
 // TestPrecomputePairsMatchesUncached is the batched-launch guarantee at
-// the driver layer: a device whose caches were filled by PrecomputePairs
+// the driver layer: a device whose cache was filled by PrecomputePairs
 // produces byte-identical metered results to an uncached reference, a
-// second precompute simulates nothing, and a second device warms itself
-// entirely from the shared cache.
+// second precompute simulates nothing, and a second device, which shares
+// nothing with the first, simulates every entry and matches too.
 func TestPrecomputePairsMatchesUncached(t *testing.T) {
-	defer PushSharedLaunchCache(NewLaunchCache(DefaultSharedLaunchCacheEntries))()
 	pre, err := OpenBoard("GTX 480")
 	if err != nil {
 		t.Fatal(err)
@@ -27,11 +28,9 @@ func TestPrecomputePairsMatchesUncached(t *testing.T) {
 	k := testKernel(4 * pre.Spec().SMCount)
 	pairs := clock.ValidPairs(pre.Spec())
 
-	// runAcrossPairs launches under the profiler, so precompute the
-	// profiled key population.
-	pre.EnableProfiler()
+	// runAcrossPairs launches under the profiler; the unprofiled
+	// precompute serves it all the same.
 	n, err := pre.PrecomputePairs([]*gpu.KernelDesc{k}, pairs)
-	pre.DisableProfiler()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,9 +46,7 @@ func TestPrecomputePairsMatchesUncached(t *testing.T) {
 	}
 
 	// Idempotence: everything is cached now.
-	pre.EnableProfiler()
 	n, err = pre.PrecomputePairs([]*gpu.KernelDesc{k}, pairs)
-	pre.DisableProfiler()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,25 +54,60 @@ func TestPrecomputePairsMatchesUncached(t *testing.T) {
 		t.Fatalf("second precompute simulated %d entries, want 0", n)
 	}
 
-	// A second device must fill its per-device map from the shared cache
-	// without simulating, and still reproduce the reference.
+	// Payloads stay with the device that computed them: a second device
+	// simulates every entry itself and still reproduces the reference.
 	second, err := OpenBoard("GTX 480")
 	if err != nil {
 		t.Fatal(err)
 	}
-	second.EnableProfiler()
 	n, err = second.PrecomputePairs([]*gpu.KernelDesc{k}, pairs)
-	second.DisableProfiler()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 0 {
-		t.Fatalf("shared-warmed precompute simulated %d entries, want 0", n)
+	if n != len(pairs) {
+		t.Fatalf("second device's precompute simulated %d entries, want %d", n, len(pairs))
 	}
 	got = runAcrossPairs(t, second, 42)
 	for i := range want {
 		if !reflect.DeepEqual(got[i], want[i]) {
-			t.Fatalf("pair #%d: shared-warmed result differs from uncached", i)
+			t.Fatalf("pair #%d: second device's result differs from uncached", i)
+		}
+	}
+}
+
+// TestProfiledLaunchHitsUnprofiledPrecompute: the profiler only adds
+// counter jitter after the cache lookup, so a profiled launch at a pair an
+// unprofiled precompute filled is served from the device's own cache.
+func TestProfiledLaunchHitsUnprofiledPrecompute(t *testing.T) {
+	d, err := OpenBoard("GTX 680")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := obs.New()
+	d.Observe(rec, "t")
+	k := testKernel(4 * d.Spec().SMCount)
+	if _, err := d.PrecomputePairs([]*gpu.KernelDesc{k}, []clock.Pair{d.Clocks()}); err != nil {
+		t.Fatal(err)
+	}
+	d.EnableProfiler()
+	lr, err := d.Launch(k)
+	d.DisableProfiler()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lr.Counters == nil {
+		t.Fatal("profiled launch returned no counters")
+	}
+	var b strings.Builder
+	if err := rec.Metrics().WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		`driver_launch_cache_hits_total{board="GTX 680",cache="device"} 1`,
+		`driver_launch_cache_misses_total{board="GTX 680"} 1`,
+	} {
+		if !strings.Contains(b.String(), want+"\n") {
+			t.Errorf("missing %q in:\n%s", want, b.String())
 		}
 	}
 }

@@ -55,11 +55,9 @@ type Device struct {
 	faults   *fault.Injector
 	pristine []byte
 
-	// Launch memoization (see cache.go). The per-device map is private to
-	// this device; the shared LRU is consulted when useShared is set.
-	specFP    uint64
-	cache     map[launchKey]*cachedLaunch
-	useShared bool
+	// Launch memoization (see cache.go): this device's noiseless launch
+	// payloads, never shared with another device. nil when caching is off.
+	cache map[launchKey]*cachedLaunch
 
 	// Instrumentation (see obs.go); nil unless Observe attached a recorder.
 	obs *driverObs
@@ -89,12 +87,11 @@ func (d *Device) IdleScopePower() power.Breakdown {
 	return d.pm.IdleScopeWatts(d.clk)
 }
 
-// initCaches attaches the launch caches according to the global switch.
+// initCaches gives the device its own launch cache unless the global
+// switch has caching off.
 func (d *Device) initCaches() {
-	d.specFP = specFingerprint(d.spec)
 	if LaunchCachingEnabled() {
 		d.cache = make(map[launchKey]*cachedLaunch)
-		d.useShared = true
 	}
 }
 
@@ -311,11 +308,11 @@ func (d *Device) MicroSim(k *gpu.KernelDesc) (*gpu.MicroResult, error) {
 }
 
 // launch returns the noiseless outcome of running k at the current
-// clocks, consulting the per-device and shared launch caches before the
-// simulator. The returned value is shared and immutable; it never touches
-// d.rng, so the device's noise stream is identical on hits and misses.
+// clocks, consulting the device's launch cache before the simulator. The
+// returned value is shared and immutable; it never touches d.rng, so the
+// device's noise stream is identical on hits and misses.
 func (d *Device) launch(k *gpu.KernelDesc) (*cachedLaunch, error) {
-	key := launchKey{spec: d.specFP, pair: d.clk.Pair(), kernel: k.Fingerprint(), profiling: d.profiling}
+	key := launchKey{pair: d.clk.Pair(), kernel: k.Fingerprint()}
 	o := d.obs
 	if o != nil {
 		o.launches.Inc()
@@ -328,28 +325,11 @@ func (d *Device) launch(k *gpu.KernelDesc) (*cachedLaunch, error) {
 		}
 		return cl, nil
 	}
-	var shared *LaunchCache
-	if d.useShared {
-		shared = SharedLaunchCache()
-		if shared != nil {
-			if cl, ok := shared.get(key); ok {
-				if d.cache != nil {
-					d.cache[key] = cl
-				}
-				if o != nil {
-					o.hitsShared.Inc()
-					o.track.Instant("launch cache hit",
-						obs.Arg{Key: "kernel", Value: k.Name}, obs.Arg{Key: "cache", Value: "shared"})
-				}
-				return cl, nil
-			}
-		}
-	}
 	res, err := d.sim.RunKernel(k)
 	if err != nil {
 		return nil, err
 	}
-	if o != nil && (d.cache != nil || d.useShared) {
+	if o != nil && d.cache != nil {
 		o.misses.Inc()
 	}
 	cl := &cachedLaunch{time: res.Time, acts: res.Activities}
@@ -364,9 +344,6 @@ func (d *Device) launch(k *gpu.KernelDesc) (*cachedLaunch, error) {
 	}
 	if d.cache != nil {
 		d.cache[key] = cl
-	}
-	if shared != nil {
-		shared.put(key, cl)
 	}
 	// The result was copied by value into the cached payload above.
 	gpu.ReleaseResult(res)

@@ -239,15 +239,4 @@ func TestPushHelpersSaveAndRestore(t *testing.T) {
 	if LaunchCachingEnabled() != wasOn {
 		t.Error("restore did not put the caching switch back")
 	}
-
-	prev := SharedLaunchCache()
-	mine := NewLaunchCache(4)
-	restore2 := PushSharedLaunchCache(mine)
-	if SharedLaunchCache() != mine {
-		t.Error("PushSharedLaunchCache did not swap the cache")
-	}
-	restore2()
-	if SharedLaunchCache() != prev {
-		t.Error("restore did not put the shared cache back")
-	}
 }

@@ -16,7 +16,6 @@ type driverObs struct {
 	clockSets  *obs.Counter
 	launches   *obs.Counter
 	hitsDevice *obs.Counter
-	hitsShared *obs.Counter
 	misses     *obs.Counter
 }
 
@@ -46,7 +45,6 @@ func newDriverObs(rec *obs.Recorder, board, track string) *driverObs {
 		clockSets:  reg.Counter("driver_clock_transitions_total", "successful VBIOS-patch clock transitions", bl),
 		launches:   reg.Counter("driver_launches_total", "kernel launches, memoized included", bl),
 		hitsDevice: reg.Counter("driver_launch_cache_hits_total", "launches served from a cache", bl, obs.L("cache", "device")),
-		hitsShared: reg.Counter("driver_launch_cache_hits_total", "launches served from a cache", bl, obs.L("cache", "shared")),
 		misses:     reg.Counter("driver_launch_cache_misses_total", "launches that ran the simulator", bl),
 	}
 }

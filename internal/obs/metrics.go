@@ -50,6 +50,10 @@ type series struct {
 	bucket []int64
 }
 
+// labelEscaper escapes label values per the Prometheus text format. A
+// strings.Replacer is safe for concurrent use, so one serves every call.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
 // renderLabels renders labels in the canonical `k="v"` comma form,
 // escaping per the Prometheus text format.
 func renderLabels(labels []Label) string {
@@ -63,8 +67,7 @@ func renderLabels(labels []Label) string {
 		}
 		b.WriteString(l.Key)
 		b.WriteString(`="`)
-		v := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`).Replace(l.Value)
-		b.WriteString(v)
+		b.WriteString(labelEscaper.Replace(l.Value))
 		b.WriteByte('"')
 	}
 	return b.String()

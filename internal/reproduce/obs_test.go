@@ -20,12 +20,9 @@ type obsArtifacts struct {
 }
 
 // runInstrumented runs the scoped-down reproduction with a fresh recorder
-// attached, isolating the process-wide launch cache so back-to-back runs
-// start equally cold.
+// attached.
 func runInstrumented(t *testing.T, opts Options) obsArtifacts {
 	t.Helper()
-	restore := driver.PushSharedLaunchCache(driver.NewLaunchCache(4096))
-	defer restore()
 	rec := obs.New()
 	opts.Obs = rec
 	var report bytes.Buffer

@@ -750,9 +750,10 @@ func runAblations(ctx context.Context, opts Options, w io.Writer) error {
 	fmt.Fprintf(w, "  (voltage headroom is the Kepler mechanism)\n\n")
 
 	// Clock-blind (naive) power model. The collect is a byte-identical
-	// repeat of the modeling section's, so with the shared launch cache
-	// warm it re-simulates nothing. Ablations always run fault-free — they
-	// are mechanism probes, not measurement campaigns.
+	// repeat of the modeling section's on freshly booted devices, so it
+	// re-simulates its launches (each device compiles its kernels once and
+	// evaluates them at every pair). Ablations always run fault-free —
+	// they are mechanism probes, not measurement campaigns.
 	ds, err := core.CollectCtx(ctx, "GTX 680", workloads.ModelingSet(),
 		core.CollectOptions{Seed: opts.Seed, Workers: opts.workers()})
 	if err != nil {

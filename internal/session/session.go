@@ -493,8 +493,9 @@ func (s *Session) Sweep(ctx context.Context, benches []*workloads.Benchmark) (ma
 // Repeat runs the session's repetition cohort: Config.Repetitions sweeps
 // of the benches over every session board, one result map per
 // repetition. Repetition 0 is bit-identical to Sweep; later repetitions
-// draw independent noise and fault streams (and share the launch cache,
-// so the marginal cost of a repetition is metering, not simulation).
+// draw independent noise and fault streams on freshly booted devices,
+// each of which compiles its kernels once and evaluates them at every
+// pair before metering.
 // Feed the result to a triage engine with characterize.ObserveTriageReps.
 func (s *Session) Repeat(ctx context.Context, benches []*workloads.Benchmark) ([]map[string][]*characterize.BenchResult, error) {
 	s.plan(s.BoardNames(), len(benches), s.cfg.Repetitions)

@@ -16,10 +16,11 @@ import (
 // sweep calls this once per (board, benchmark) before its pair loop, so
 // the loop's launches all hit the device's map, profiled or not.
 //
-// The cached payloads are bit-identical to what per-launch simulation
-// would have stored: RunPairs reproduces Sim.RunKernel exactly (a property
-// test in internal/gpu pins this), and the power waveform is computed by
-// the same code on a scratch clock programmed to each pair. The device's
+// The cached payloads are bit-identical to what a launch miss would have
+// stored: RunPairs and Sim.RunKernel evaluate the same compiled kernel (a
+// property test in internal/gpu holds both to the frozen reference model),
+// and both paths build the payload with newCachedLaunch, here on a
+// scratch clock programmed to each pair. The device's
 // own clock, noise stream and fault state are never touched — precompute
 // is invisible to everything but the cache and the miss counter.
 //
@@ -56,19 +57,7 @@ func (d *Device) PrecomputePairs(ks []*gpu.KernelDesc, pairs []clock.Pair) (int,
 			if err := scratch.SetPair(missing[mi]); err != nil {
 				return simulated, fmt.Errorf("driver: precompute %q: %w", k.Name, err)
 			}
-			cl := &cachedLaunch{time: res.Time, acts: res.Activities}
-			for _, ph := range res.Phases {
-				// Same waveform construction as Device.launch: the
-				// phase's switching activity scales the energy events,
-				// never the profiler counters.
-				ev := ph.Events
-				ev.Scale(ph.EnergyScale)
-				w := d.pm.SystemWatts(scratch, ev, ph.Duration)
-				cl.trace = cl.trace.Append(ph.Duration, w)
-				cl.scopeJ = cl.scopeJ.Add(d.pm.ScopeWatts(scratch, ev, ph.Duration).Scale(ph.Duration))
-			}
-			d.cache[launchKey{pair: missing[mi], kernel: kfp}] = cl
-			gpu.ReleaseResult(res) // fully copied into the payload above
+			d.cache[launchKey{pair: missing[mi], kernel: kfp}] = d.newCachedLaunch(res, scratch)
 			simulated++
 			if o != nil {
 				o.misses.Inc()

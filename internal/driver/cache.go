@@ -5,6 +5,7 @@ import (
 
 	"gpuperf/internal/clock"
 	"gpuperf/internal/counters"
+	"gpuperf/internal/gpu"
 	"gpuperf/internal/meter"
 	"gpuperf/internal/power"
 )
@@ -49,6 +50,22 @@ type cachedLaunch struct {
 	// live telemetry fan-out scales into watts. Pure function of the
 	// same inputs as the trace, so cache hits and misses agree.
 	scopeJ power.Breakdown
+}
+
+// newCachedLaunch folds a noiseless kernel result, evaluated at clk, into
+// a launch payload and releases the result. The phase's switching
+// activity scales the energy events, never the profiler counters.
+func (d *Device) newCachedLaunch(res *gpu.KernelResult, clk *clock.State) *cachedLaunch {
+	cl := &cachedLaunch{time: res.Time, acts: res.Activities}
+	for _, ph := range res.Phases {
+		ev := ph.Events
+		ev.Scale(ph.EnergyScale)
+		w := d.pm.SystemWatts(clk, ev, ph.Duration)
+		cl.trace = cl.trace.Append(ph.Duration, w)
+		cl.scopeJ = cl.scopeJ.Add(d.pm.ScopeWatts(clk, ev, ph.Duration).Scale(ph.Duration))
+	}
+	gpu.ReleaseResult(res) // copied by value into the payload above
+	return cl
 }
 
 // launchCachingOff is the global enable switch, read when a device boots

@@ -332,21 +332,10 @@ func (d *Device) launch(k *gpu.KernelDesc) (*cachedLaunch, error) {
 	if o != nil && d.cache != nil {
 		o.misses.Inc()
 	}
-	cl := &cachedLaunch{time: res.Time, acts: res.Activities}
-	for _, ph := range res.Phases {
-		// Apply the phase's data-dependent switching activity to the
-		// energy accounting; the profiler's counters never see it.
-		ev := ph.Events
-		ev.Scale(ph.EnergyScale)
-		w := d.pm.SystemWatts(d.clk, ev, ph.Duration)
-		cl.trace = cl.trace.Append(ph.Duration, w)
-		cl.scopeJ = cl.scopeJ.Add(d.pm.ScopeWatts(d.clk, ev, ph.Duration).Scale(ph.Duration))
-	}
+	cl := d.newCachedLaunch(res, d.clk)
 	if d.cache != nil {
 		d.cache[key] = cl
 	}
-	// The result was copied by value into the cached payload above.
-	gpu.ReleaseResult(res)
 	return cl, nil
 }
 

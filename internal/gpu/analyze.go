@@ -37,46 +37,49 @@ type KernelAnalysis struct {
 // Analyze runs the kernel's bottleneck model at the current DVFS state and
 // returns the per-resource breakdown instead of just the binding resource —
 // the tool a performance engineer uses to decide whether a kernel will
-// respond to core scaling, memory scaling, or neither. It shares the
-// RunKernel timing path, so Analyze(k).Time == RunKernel(k).Time.
+// respond to core scaling, memory scaling, or neither. It evaluates the
+// same CompiledKernel RunKernel does, so Analyze(k).Time ==
+// RunKernel(k).Time and every usage's Time is a bound RunKernel folds into
+// its phase's duration.
 func (s *Sim) Analyze(k *KernelDesc) (*KernelAnalysis, error) {
-	res, err := s.RunKernel(k)
+	ck, err := s.Compile(k)
 	if err != nil {
 		return nil, err
 	}
-	blocksPerSM, residentWarps := s.Occupancy(k)
+	res := ck.eval(s.clk)
 	out := &KernelAnalysis{
-		Kernel:      k.Name,
+		Kernel:      ck.name,
 		Time:        res.Time,
-		BlocksPerSM: blocksPerSM,
-		Warps:       residentWarps,
+		BlocksPerSM: ck.blocksPerSM,
+		Warps:       ck.residentWarps,
 		Occupancy:   res.Occupancy,
+		Phases:      make([]PhaseAnalysis, 0, len(ck.phases)),
 	}
-	warpsPerBlock := (k.ThreadsPerBlock + s.spec.WarpSize - 1) / s.spec.WarpSize
-	totalWarps := float64(k.Blocks * warpsPerBlock)
-	// Resource fractions are computed against the model-ideal duration
-	// (irregularity factored out): the per-grid timing deviation is by
-	// definition not attributable to any resource.
-	irregular := 1 + s.spec.TimingIrregularity*irregularity(k.Name, k.Blocks)
-	for i := range k.Phases {
-		p := &k.Phases[i]
-		bounds := s.phaseBounds(p, totalWarps, residentWarps)
+	fc := s.clk.CoreHz()
+	for i := range ck.phases {
+		ph := &ck.phases[i]
 		pa := PhaseAnalysis{
-			Phase:      p.Name,
+			Phase:      ph.name,
 			Duration:   res.Phases[i].Duration,
 			Bottleneck: res.Phases[i].Bottleneck,
 		}
-		ideal := pa.Duration / irregular
-		for _, b := range bounds {
-			pa.Usages = append(pa.Usages, ResourceUsage{
-				Resource: b.name,
-				Time:     b.t,
-				Fraction: b.t / ideal,
-			})
+		// Resource fractions are computed against the model-ideal duration
+		// (irregularity factored out): the per-grid timing deviation is by
+		// definition not attributable to any resource.
+		ideal := pa.Duration / ck.irregular
+		for bi := range ph.bounds {
+			if t := ph.bounds[bi].time(s.clk, fc); t > 0 {
+				pa.Usages = append(pa.Usages, ResourceUsage{
+					Resource: ph.bounds[bi].name,
+					Time:     t,
+					Fraction: t / ideal,
+				})
+			}
 		}
 		sort.Slice(pa.Usages, func(a, b int) bool { return pa.Usages[a].Time > pa.Usages[b].Time })
 		out.Phases = append(out.Phases, pa)
 	}
+	ReleaseResult(res) // every needed value was copied out above
 	return out, nil
 }
 
@@ -92,68 +95,4 @@ func (a *KernelAnalysis) String() string {
 		}
 	}
 	return b.String()
-}
-
-// phaseBounds recomputes the per-resource time bounds of one phase (the
-// same arithmetic runPhase folds into its p-norm).
-func (s *Sim) phaseBounds(p *PhaseDesc, totalWarps float64, residentWarps int) []bound {
-	spec := s.spec
-	fc := s.clk.CoreHz()
-	wi := totalWarps * p.WarpInstsPerWarp
-	replayFactor := 1 + p.FracBranch*p.DivergentFrac*2.0
-	issued := wi * replayFactor
-	alu := wi * (p.FracALU + otherFrac(p)) * replayFactor
-	sfu := wi * p.FracSFU
-	dp := wi * p.FracDP
-	shared := wi * p.FracShared
-	txns := wi * p.FracMem * p.TxnPerMemInst
-
-	var dramTxns float64
-	if spec.L1PerSM > 0 {
-		l1Hit := derate(p.L1Hit, p.WorkingSetBytes, float64(spec.L1PerSM))
-		l2Queries := txns * (1 - l1Hit)
-		l2Hit := derate(p.L2Hit, p.WorkingSetBytes*float64(spec.SMCount), float64(spec.L2Size))
-		dramTxns = l2Queries * (1 - l2Hit)
-	} else {
-		dramTxns = txns
-	}
-	dramTxns += txns * p.StoreFrac * 0.25
-
-	sms := float64(spec.SMCount)
-	divPenalty := 1 + p.DivergentFrac*1.5
-	var bounds []bound
-	add := func(name string, t float64) {
-		if t > 0 {
-			bounds = append(bounds, bound{name, t})
-		}
-	}
-	issueRate := float64(spec.SchedulersPerSM*spec.IssuePerSched) * p.IssueEff
-	add("issue", issued/(sms*issueRate*fc))
-	add("alu", alu*divPenalty/(sms*spec.ALUThroughput*fc))
-	if sfu > 0 {
-		add("sfu", sfu/(sms*spec.SFUThroughput*fc))
-	}
-	if dp > 0 {
-		add("dp", dp/(sms*spec.DPThroughput*fc))
-	}
-	if txns > 0 {
-		add("lsu", txns/(sms*spec.LSUThroughput*fc))
-	}
-	if shared > 0 {
-		add("shared", shared/(sms*spec.LSUThroughput*fc))
-	}
-	if dramTxns > 0 {
-		add("dram-bw", dramTxns*float64(spec.LineSize)/s.clk.MemBandwidthBytesPerSec())
-	}
-	if txns > 0 && p.MLP > 0 {
-		avgLat := s.avgMemLatency(p)
-		rate := float64(residentWarps) * p.MLP * sms / avgLat
-		add("mem-latency", txns/rate)
-	}
-	return bounds
-}
-
-type bound struct {
-	name string
-	t    float64
 }

@@ -8,27 +8,6 @@ import (
 	"gpuperf/internal/clock"
 )
 
-func TestAnalyzeMatchesRunKernel(t *testing.T) {
-	spec := arch.GTX680()
-	sim := New(spec, clock.NewState(spec))
-	for _, k := range []*KernelDesc{computeKernel(4 * spec.SMCount), memoryKernel(4 * spec.SMCount)} {
-		an, err := sim.Analyze(k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		run, err := sim.RunKernel(k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if an.Time != run.Time {
-			t.Errorf("%s: Analyze time %g != RunKernel time %g", k.Name, an.Time, run.Time)
-		}
-		if len(an.Phases) != len(k.Phases) {
-			t.Fatalf("%s: %d phase analyses, want %d", k.Name, len(an.Phases), len(k.Phases))
-		}
-	}
-}
-
 func TestAnalyzeIdentifiesBottlenecks(t *testing.T) {
 	spec := arch.GTX480()
 	sim := New(spec, clock.NewState(spec))

@@ -9,9 +9,9 @@ import (
 	"gpuperf/internal/counters"
 )
 
-// The compiled-kernel fast path.
+// The kernel timing model: compile once, evaluate per pair.
 //
-// Almost everything RunKernel derives is invariant under the DVFS pair:
+// Almost everything a launch derives is invariant under the DVFS pair:
 // occupancy and wave geometry are pure grid/spec arithmetic, event
 // tallies and derated cache-hit fractions depend only on the kernel
 // description and cache capacities, replay factors only on the
@@ -22,22 +22,25 @@ import (
 // core-vs-memory latency split for the latency bound.
 //
 // Compile therefore evaluates the whole invariant prefix once per
-// (spec, kernel) and stores, struct-of-arrays, the coefficients of each
-// bound as a function of the clock state; evaluating one frequency pair
-// is then a handful of multiply-divides per bound plus the p-norm fold.
-// A full sweep (every pair of Table III) reuses one CompiledKernel,
-// which is what Sim.RunPairs and the driver's batched precompute do.
+// (spec, kernel) and stores each phase's bounds as coefficients of the
+// clock state; evaluating one frequency pair is then a handful of
+// multiply-divides per bound plus the p-norm fold. This is the
+// simulator's only timing model: RunKernel compiles and evaluates at the
+// programmed pair, RunPairs reuses one CompiledKernel across a sweep,
+// and Analyze reads each resource bound off the same coefficients.
 //
 // Bit-identity is the hard contract (the seed-42 golden artifacts encode
-// these floats): every per-pair expression below replicates RunKernel's
-// operation sequence exactly. Invariant subexpressions are hoisted only
-// when they form a left-associated prefix of the original expression —
-// e.g. issued/(sms*issueRate*fc) keeps the grouping
-// numerator/(denominator·fc) with denominator = sms*issueRate hoisted —
-// and terms that the original computes separately (the three latency
-// addends, the two stall-slot factors) stay separate here. The property
-// test in compile_test.go checks RunPairs against per-pair RunKernel for
-// every modeling kernel × pair × board, comparing exact bits.
+// these floats): every per-pair expression replicates the operation
+// sequence of the uncompiled model the goldens were recorded with.
+// Invariant subexpressions are hoisted only when they form a
+// left-associated prefix of the original expression — e.g.
+// issued/(sms*issueRate*fc) keeps the grouping numerator/(denominator·fc)
+// with denominator = sms*issueRate hoisted — and terms that the original
+// computes separately (the three latency addends, the two stall-slot
+// factors) stay separate here. That uncompiled model is frozen in
+// reference_test.go; the property tests in compile_test.go hold
+// RunKernel, RunPairs and Analyze to it for every workload kernel × pair
+// × board, comparing exact bits.
 
 // boundKind selects the per-pair evaluation shape of one compiled bound.
 type boundKind uint8
@@ -48,37 +51,68 @@ const (
 	boundMemLat                  // t = num / (den / avgLat(pair))
 )
 
+// maxBoundsPerPhase is the number of resources a phase can be bound by:
+// issue, alu, sfu, dp, lsu, shared, dram-bw and mem-latency.
+const maxBoundsPerPhase = 8
+
+// compiledBound is one per-phase resource bound as a function of the
+// clock state.
+type compiledBound struct {
+	kind boundKind
+	name string
+	num  float64 // core: numerator · replay/penalty; mem-bw: bytes; mem-lat: txns
+	den  float64 // core: fc-free denominator; mem-lat: resident·MLP·SMs
+	lat0 float64 // mem-lat: core-clocked latency, cycles
+	lat1 float64 // mem-lat: L1-miss-weighted L2 latency, cycles
+	lat2 float64 // mem-lat: DRAM-latency weight
+}
+
+// time returns the bound at clock state clk, whose core clock is fc Hz.
+// Zero or NaN means the resource does not bind the phase at all.
+func (b *compiledBound) time(clk *clock.State, fc float64) float64 {
+	switch b.kind {
+	case boundCore:
+		return b.num / (b.den * fc)
+	case boundMemBW:
+		return b.num / clk.MemBandwidthBytesPerSec()
+	default: // boundMemLat
+		// The average memory latency's three addends, kept separate so
+		// the additions replay the original sequence: lat0/fc + lat1/fc +
+		// lat2·dram. On cacheless boards the original is 280/fc + dram,
+		// which the (280, 0, 1) coefficients reproduce exactly (adding 0.0
+		// and multiplying by 1.0 are bit-exact no-ops).
+		lat := b.lat0 / fc
+		lat += b.lat1 / fc
+		lat += b.lat2 * clk.DRAMLatencySec()
+		rate := b.den / lat
+		return b.num / rate
+	}
+}
+
+// compiledPhase is the frequency-invariant part of one phase.
+type compiledPhase struct {
+	name   string
+	events Events
+	escale float64
+	bounds []compiledBound // this phase's window of the kernel's bound storage
+}
+
 // CompiledKernel is the frequency-invariant precompute of one kernel on
-// one board: everything RunKernel derives except the final per-pair
-// timing folds. Build with Sim.Compile; evaluate with Sim.RunCompiled or
-// Sim.RunPairs. A CompiledKernel is immutable after Compile and safe for
+// one board: everything a launch derives except the final per-pair
+// timing folds. Build with Sim.Compile; RunKernel, RunPairs and Analyze
+// evaluate it. A CompiledKernel is immutable after Compile and safe for
 // concurrent use by any number of goroutines.
 type CompiledKernel struct {
 	spec *arch.Spec
+	name string
 
-	name            string
-	blocks          int
-	threadsPerBlock int
+	blocksPerSM   int
+	residentWarps int
+	occupancy     float64
+	waveStretch   float64
+	irregular     float64
 
-	totalWarps  float64
-	occupancy   float64
-	waveStretch float64
-	irregular   float64
-
-	// Per-phase arrays (parallel, len = number of phases).
-	phaseName []string
-	events    []Events
-	escale    []float64
-	boundOff  []int // bounds of phase i: [boundOff[i], boundOff[i+1])
-
-	// Flattened bound coefficients (parallel, struct-of-arrays).
-	bKind []boundKind
-	bName []string
-	bNum  []float64 // core: numerator · replay/penalty; mem-bw: bytes; mem-lat: txns
-	bDen  []float64 // core: fc-free denominator; mem-lat: resident·MLP·SMs
-	bLat0 []float64 // mem-lat: core-clocked latency, cycles
-	bLat1 []float64 // mem-lat: L1-miss-weighted L2 latency, cycles
-	bLat2 []float64 // mem-lat: DRAM-latency weight
+	phases []compiledPhase
 
 	// Frequency-invariant slice of the activity vector, computed once and
 	// copied into every result; eval adds only the stall and cycle-count
@@ -88,15 +122,9 @@ type CompiledKernel struct {
 	smsF       float64 // float64(SMCount)
 }
 
-// Kernel returns the compiled kernel's name.
-func (ck *CompiledKernel) Kernel() string { return ck.name }
-
-// Spec returns the board the kernel was compiled for.
-func (ck *CompiledKernel) Spec() *arch.Spec { return ck.spec }
-
-// Compile runs the frequency-invariant half of RunKernel once for this
-// simulator's board. The result may be evaluated at any clock state of
-// the same board, from any goroutine.
+// Compile runs the frequency-invariant half of the kernel model once for
+// this simulator's board. The result may be evaluated at any clock state
+// of the same board, from any goroutine.
 func (s *Sim) Compile(k *KernelDesc) (*CompiledKernel, error) {
 	if err := k.Validate(); err != nil {
 		return nil, err
@@ -106,35 +134,47 @@ func (s *Sim) Compile(k *KernelDesc) (*CompiledKernel, error) {
 	warpsPerBlock := (k.ThreadsPerBlock + spec.WarpSize - 1) / spec.WarpSize
 	totalWarps := float64(k.Blocks * warpsPerBlock)
 
+	// Wave (tail) effect: blocks execute in waves of SMCount×blocksPerSM;
+	// a partial final wave leaves SMs idle.
 	perWave := float64(spec.SMCount * blocksPerSM)
 	waves := float64(k.Blocks) / perWave
 	waveStretch := math.Ceil(waves) / waves
 	if waves < 1 {
+		// A single partial wave underuses the machine: stretch by the
+		// fraction of SMs left idle instead.
 		activeSMs := math.Ceil(float64(k.Blocks) / float64(blocksPerSM))
 		waveStretch = float64(spec.SMCount) / activeSMs
 	}
 
 	ck := &CompiledKernel{
-		spec:            spec,
-		name:            k.Name,
-		blocks:          k.Blocks,
-		threadsPerBlock: k.ThreadsPerBlock,
-		totalWarps:      totalWarps,
-		occupancy:       float64(residentWarps) / float64(spec.MaxWarpsPerSM),
-		waveStretch:     waveStretch,
-		irregular:       1 + spec.TimingIrregularity*irregularity(k.Name, k.Blocks),
-		phaseName:       make([]string, 0, len(k.Phases)),
-		events:          make([]Events, 0, len(k.Phases)),
-		escale:          make([]float64, 0, len(k.Phases)),
-		boundOff:        make([]int, 1, len(k.Phases)+1),
-		slotFactor:      float64(spec.SchedulersPerSM * spec.IssuePerSched),
-		smsF:            float64(spec.SMCount),
+		spec:          spec,
+		name:          k.Name,
+		blocksPerSM:   blocksPerSM,
+		residentWarps: residentWarps,
+		occupancy:     float64(residentWarps) / float64(spec.MaxWarpsPerSM),
+		waveStretch:   waveStretch,
+		// Architecture-dependent timing irregularity: a deterministic
+		// per-(kernel, grid) deviation that the performance counters do
+		// not explain (see arch.Spec.TimingIrregularity). It is
+		// independent of the frequency pair so that DVFS trends stay
+		// physical; what it degrades is the counter→time transfer across
+		// samples, as on real hardware.
+		irregular:  1 + spec.TimingIrregularity*irregularity(k.Name, k.Blocks),
+		phases:     make([]compiledPhase, 0, len(k.Phases)),
+		slotFactor: float64(spec.SchedulersPerSM * spec.IssuePerSched),
+		smsF:       float64(spec.SMCount),
 	}
+	// Sized for the worst case so no phase's window is ever reallocated.
+	bounds := make([]compiledBound, 0, maxBoundsPerPhase*len(k.Phases))
 
 	sms := float64(spec.SMCount)
+	v := &ck.baseActs
+	var issuedSum, retired float64
 	for i := range k.Phases {
 		p := &k.Phases[i]
 		wi := totalWarps * p.WarpInstsPerWarp
+
+		// Divergence replays inflate the issued instruction stream.
 		replayFactor := 1 + p.FracBranch*p.DivergentFrac*2.0
 		issued := wi * replayFactor
 
@@ -146,117 +186,83 @@ func (s *Sim) Compile(k *KernelDesc) (*CompiledKernel, error) {
 			LSU:    wi * p.FracMem,
 			Shared: wi * p.FracShared,
 		}
+
+		// Memory system: transactions, cache filtering, DRAM traffic. The
+		// event tally filters as txns - txns·hit and the dram-bw bound as
+		// txns·(1-hit); the two differ in the last bit and the goldens
+		// encode both, so both stay.
 		txns := wi * p.FracMem * p.TxnPerMemInst
-		var dramTxns float64
+		var l1Hit, l2Hit, dramTxns, dramBound float64
 		if spec.L1PerSM > 0 {
-			l1HitFrac := derate(p.L1Hit, p.WorkingSetBytes, float64(spec.L1PerSM))
-			l2Queries := txns - txns*l1HitFrac
-			l2HitFrac := derate(p.L2Hit, p.WorkingSetBytes*float64(spec.SMCount), float64(spec.L2Size))
-			dramTxns = l2Queries - l2Queries*l2HitFrac
+			l1Hit = derate(p.L1Hit, p.WorkingSetBytes, float64(spec.L1PerSM))
+			l2Hit = derate(p.L2Hit, p.WorkingSetBytes*float64(spec.SMCount), float64(spec.L2Size))
+			l2Queries := txns - txns*l1Hit
+			dramTxns = l2Queries - l2Queries*l2Hit
 			ev.L1 = txns
 			ev.L2 = l2Queries
+			dramBound = txns * (1 - l1Hit) * (1 - l2Hit)
 		} else {
 			dramTxns = txns
+			dramBound = txns
 		}
+		// Stores write through eventually: add write traffic not captured
+		// by the read path (write-allocate misses already counted above).
 		dramTxns += txns * p.StoreFrac * 0.25
+		dramBound += txns * p.StoreFrac * 0.25
 		ev.DRAM = dramTxns
 
 		escale := p.ActivityFactor
 		if escale == 0 {
 			escale = 1
 		}
-		ck.phaseName = append(ck.phaseName, p.Name)
-		ck.events = append(ck.events, ev)
-		ck.escale = append(ck.escale, escale)
 
-		// Bound coefficients, in phaseBounds order. The numerators here
-		// match phaseBounds' variables bit for bit: they are the same
-		// expressions over the same inputs (phaseBounds recomputes
-		// l2Queries as txns*(1-hit) where runPhase uses txns - txns*hit;
-		// both dramTxns variants agree only because the *bounds* only need
-		// dramTxns, which phaseBounds derives its own way — so the dram-bw
-		// numerator below uses phaseBounds' form).
-		bAdd := func(kind boundKind, name string, num, den, lat0, lat1, lat2 float64) {
-			ck.bKind = append(ck.bKind, kind)
-			ck.bName = append(ck.bName, name)
-			ck.bNum = append(ck.bNum, num)
-			ck.bDen = append(ck.bDen, den)
-			ck.bLat0 = append(ck.bLat0, lat0)
-			ck.bLat1 = append(ck.bLat1, lat1)
-			ck.bLat2 = append(ck.bLat2, lat2)
-		}
-		alu := wi * (p.FracALU + otherFrac(p)) * replayFactor
-		sfu := wi * p.FracSFU
-		dp := wi * p.FracDP
-		shared := wi * p.FracShared
-		var dramTxnsB float64
-		if spec.L1PerSM > 0 {
-			l1Hit := derate(p.L1Hit, p.WorkingSetBytes, float64(spec.L1PerSM))
-			l2Queries := txns * (1 - l1Hit)
-			l2Hit := derate(p.L2Hit, p.WorkingSetBytes*float64(spec.SMCount), float64(spec.L2Size))
-			dramTxnsB = l2Queries * (1 - l2Hit)
-		} else {
-			dramTxnsB = txns
-		}
-		dramTxnsB += txns * p.StoreFrac * 0.25
-
+		// Bottleneck analysis: one bound per resource the phase uses.
+		first := len(bounds)
 		divPenalty := 1 + p.DivergentFrac*1.5
 		issueRate := float64(spec.SchedulersPerSM*spec.IssuePerSched) * p.IssueEff
-		bAdd(boundCore, "issue", issued, sms*issueRate, 0, 0, 0)
-		bAdd(boundCore, "alu", alu*divPenalty, sms*spec.ALUThroughput, 0, 0, 0)
-		if sfu > 0 {
-			bAdd(boundCore, "sfu", sfu, sms*spec.SFUThroughput, 0, 0, 0)
+		bounds = append(bounds,
+			compiledBound{kind: boundCore, name: "issue", num: issued, den: sms * issueRate},
+			compiledBound{kind: boundCore, name: "alu", num: ev.ALU * divPenalty, den: sms * spec.ALUThroughput})
+		if ev.SFU > 0 {
+			bounds = append(bounds, compiledBound{kind: boundCore, name: "sfu", num: ev.SFU, den: sms * spec.SFUThroughput})
 		}
-		if dp > 0 {
-			bAdd(boundCore, "dp", dp, sms*spec.DPThroughput, 0, 0, 0)
+		if ev.DP > 0 {
+			bounds = append(bounds, compiledBound{kind: boundCore, name: "dp", num: ev.DP, den: sms * spec.DPThroughput})
 		}
 		if txns > 0 {
-			bAdd(boundCore, "lsu", txns, sms*spec.LSUThroughput, 0, 0, 0)
+			bounds = append(bounds, compiledBound{kind: boundCore, name: "lsu", num: txns, den: sms * spec.LSUThroughput})
 		}
-		if shared > 0 {
-			bAdd(boundCore, "shared", shared, sms*spec.LSUThroughput, 0, 0, 0)
+		if ev.Shared > 0 {
+			bounds = append(bounds, compiledBound{kind: boundCore, name: "shared", num: ev.Shared, den: sms * spec.LSUThroughput})
 		}
-		if dramTxnsB > 0 {
-			bAdd(boundMemBW, "dram-bw", dramTxnsB*float64(spec.LineSize), 0, 0, 0, 0)
+		if dramBound > 0 {
+			bounds = append(bounds, compiledBound{kind: boundMemBW, name: "dram-bw", num: dramBound * float64(spec.LineSize)})
 		}
 		if txns > 0 && p.MLP > 0 {
-			// avgMemLatency's three addends, kept separate so the per-pair
-			// additions replay the original sequence: lat0/fc + lat1/fc +
-			// lat2·dram. On cacheless boards the original is 280/fc + dram,
-			// which the (280, 0, 1) coefficients reproduce exactly
-			// (adding 0.0 and multiplying by 1.0 are bit-exact no-ops).
-			lat0, lat1, lat2 := 280.0, 0.0, 1.0
+			// Tesla: the whole coalescing/arbitration path to the memory
+			// controller is core-clocked and deep — lowering the core
+			// clock visibly stretches memory latency, which is why the
+			// paper sees little benefit from core scaling on the GTX 285.
+			b := compiledBound{kind: boundMemLat, name: "mem-latency", num: txns,
+				den: float64(residentWarps) * p.MLP * sms, lat0: 280, lat2: 1}
 			if spec.L1PerSM > 0 {
-				l1Hit := derate(p.L1Hit, p.WorkingSetBytes, float64(spec.L1PerSM))
-				l2Hit := derate(p.L2Hit, p.WorkingSetBytes*float64(spec.SMCount), float64(spec.L2Size))
 				missL1 := 1 - l1Hit
-				lat0 = spec.L1LatencyCyc
-				lat1 = missL1 * spec.L2LatencyCyc
-				lat2 = missL1 * (1 - l2Hit)
+				b.lat0 = spec.L1LatencyCyc
+				b.lat1 = missL1 * spec.L2LatencyCyc
+				b.lat2 = missL1 * (1 - l2Hit)
 			}
-			bAdd(boundMemLat, "mem-latency", txns, float64(residentWarps)*p.MLP*sms, lat0, lat1, lat2)
+			bounds = append(bounds, b)
 		}
-		ck.boundOff = append(ck.boundOff, len(ck.bKind))
-	}
+		ck.phases = append(ck.phases, compiledPhase{
+			name: p.Name, events: ev, escale: escale,
+			bounds: bounds[first:len(bounds):len(bounds)],
+		})
 
-	ck.compileActivities(k)
-	return ck, nil
-}
-
-// compileActivities accumulates the frequency-invariant entries of the
-// activity vector, replaying fillActivities' additions in the same phase
-// order (floating-point addition is not associative; the order is part
-// of the bit-identity contract).
-func (ck *CompiledKernel) compileActivities(k *KernelDesc) {
-	v := &ck.baseActs
-	var issued, retired float64
-	for i := range ck.events {
-		p := &k.Phases[i]
-		ev := ck.events[i]
-		issued += ev.Issue
-		wi := ck.totalWarps * p.WarpInstsPerWarp
+		// Frequency-invariant activities, accumulated in phase order
+		// (floating-point addition is not associative; the order is part
+		// of the bit-identity contract).
+		issuedSum += ev.Issue
 		retired += wi
-
 		v[counters.ActALU] += ev.ALU
 		v[counters.ActSFU] += ev.SFU
 		v[counters.ActDP] += ev.DP
@@ -265,15 +271,17 @@ func (ck *CompiledKernel) compileActivities(k *KernelDesc) {
 		v[counters.ActBranch] += wi * p.FracBranch
 		v[counters.ActDivergent] += wi * p.FracBranch * p.DivergentFrac
 
-		txns := ev.L1
-		if ck.spec.L1PerSM == 0 {
-			txns = ev.DRAM / (1 + p.StoreFrac*0.25)
+		memTxns := ev.L1
+		if spec.L1PerSM == 0 {
+			memTxns = ev.DRAM / (1 + p.StoreFrac*0.25)
 		}
-		v[counters.ActGlobalLoadTxn] += txns * (1 - p.StoreFrac)
-		v[counters.ActGlobalStoreTxn] += txns * p.StoreFrac
-		if ck.spec.L1PerSM > 0 {
+		v[counters.ActGlobalLoadTxn] += memTxns * (1 - p.StoreFrac)
+		v[counters.ActGlobalStoreTxn] += memTxns * p.StoreFrac
+		if spec.L1PerSM > 0 {
 			v[counters.ActL1Miss] += ev.L2
 			v[counters.ActL1Hit] += ev.L1 - ev.L2
+			// L2 hits = queries that did not go to DRAM (excluding the
+			// store write-through surcharge).
 			dramReads := ev.DRAM / (1 + p.StoreFrac*0.25)
 			v[counters.ActL2Miss] += dramReads
 			v[counters.ActL2Hit] += ev.L2 - dramReads
@@ -281,12 +289,13 @@ func (ck *CompiledKernel) compileActivities(k *KernelDesc) {
 		v[counters.ActDRAMRead] += ev.DRAM * (1 - p.StoreFrac)
 		v[counters.ActDRAMWrite] += ev.DRAM * p.StoreFrac
 	}
-	v[counters.ActInstIssued] = issued
+	v[counters.ActInstIssued] = issuedSum
 	v[counters.ActInstExecuted] = retired
-	v[counters.ActWarpsLaunched] = ck.totalWarps
-	v[counters.ActBlocksLaunched] = float64(ck.blocks)
-	v[counters.ActThreadsLaunched] = float64(ck.blocks * ck.threadsPerBlock)
+	v[counters.ActWarpsLaunched] = totalWarps
+	v[counters.ActBlocksLaunched] = float64(k.Blocks)
+	v[counters.ActThreadsLaunched] = float64(k.Blocks * k.ThreadsPerBlock)
 	v[counters.ActOccupancy] = ck.occupancy
+	return ck, nil
 }
 
 // eval runs the per-pair half of the model at the given clock state. It
@@ -294,54 +303,50 @@ func (ck *CompiledKernel) compileActivities(k *KernelDesc) {
 // everything else is arithmetic over the compiled coefficients.
 func (ck *CompiledKernel) eval(clk *clock.State) *KernelResult {
 	fc := clk.CoreHz()
-	res := newResult(len(ck.phaseName))
+	res := newResult(len(ck.phases))
 	res.Kernel = ck.name
 	res.Occupancy = ck.occupancy
-	for pi := range ck.phaseName {
+	v := ck.baseActs
+	for pi := range ck.phases {
+		ph := &ck.phases[pi]
+
+		// Smooth maximum over bottlenecks: resources overlap imperfectly,
+		// so the real time sits slightly above the max of the individual
+		// bounds. A p-norm with p=4 gives the max asymptotically with a
+		// gentle blend near crossover points — which is exactly the mixed
+		// behaviour the paper observes on Gaussian (Fig. 3).
 		const pnorm = 4.0
 		var acc, tmax float64
 		bname := "none"
-		for bi := ck.boundOff[pi]; bi < ck.boundOff[pi+1]; bi++ {
-			var t float64
-			switch ck.bKind[bi] {
-			case boundCore:
-				t = ck.bNum[bi] / (ck.bDen[bi] * fc)
-			case boundMemBW:
-				t = ck.bNum[bi] / clk.MemBandwidthBytesPerSec()
-			default: // boundMemLat
-				lat := ck.bLat0[bi] / fc
-				lat += ck.bLat1[bi] / fc
-				lat += ck.bLat2[bi] * clk.DRAMLatencySec()
-				rate := ck.bDen[bi] / lat
-				t = ck.bNum[bi] / rate
-			}
-			if !(t > 0) { // matches phaseBounds' add: drops zeros and NaNs
+		for bi := range ph.bounds {
+			t := ph.bounds[bi].time(clk, fc)
+			if !(t > 0) {
 				continue
 			}
 			acc += math.Pow(t, pnorm)
 			if t > tmax {
-				tmax, bname = t, ck.bName[bi]
+				tmax, bname = t, ph.bounds[bi].name
 			}
 		}
 		dur := math.Pow(acc, 1/pnorm) * ck.waveStretch
 		dur *= ck.irregular
 		res.Time += dur
 		res.Phases = append(res.Phases, PhaseResult{
-			Name:        ck.phaseName[pi],
+			Name:        ph.name,
 			Duration:    dur,
-			Events:      ck.events[pi],
-			EnergyScale: ck.escale[pi],
+			Events:      ph.events,
+			EnergyScale: ph.escale,
 			Bottleneck:  bname,
 		})
-	}
 
-	v := ck.baseActs
-	for pi := range res.Phases {
-		slots := res.Phases[pi].Duration * fc * ck.slotFactor * ck.smsF
-		idle := slots - ck.events[pi].Issue
+		// Stall accounting: scheduler slots lost to the dominant
+		// bottleneck, apportioned by how memory- vs. execution-bound the
+		// phase was.
+		slots := dur * fc * ck.slotFactor * ck.smsF
+		idle := slots - ph.events.Issue
 		if idle > 0 {
 			memShare := 0.2
-			switch res.Phases[pi].Bottleneck {
+			switch bname {
 			case "dram-bw", "mem-latency", "lsu":
 				memShare = 0.85
 			case "issue":
@@ -355,16 +360,6 @@ func (ck *CompiledKernel) eval(clk *clock.State) *KernelResult {
 	v[counters.ActElapsedCycles] = res.Time * fc
 	res.Activities = v
 	return res
-}
-
-// RunCompiled evaluates a compiled kernel at the simulator's current
-// DVFS state. Bit-identical to RunKernel on the same description.
-func (s *Sim) RunCompiled(ck *CompiledKernel) (*KernelResult, error) {
-	if ck.spec != s.spec {
-		return nil, fmt.Errorf("gpu: kernel %q compiled for %s, simulator runs %s",
-			ck.name, ck.spec.Name, s.spec.Name)
-	}
-	return ck.eval(s.clk), nil
 }
 
 // RunPairs evaluates a compiled kernel at every given frequency pair in

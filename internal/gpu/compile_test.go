@@ -44,50 +44,119 @@ func allKernels(t *testing.T) []*gpu.KernelDesc {
 	return out
 }
 
-// TestRunPairsBitIdenticalToRunKernel is the batched-vs-sequential
-// equivalence property: for every board, every kernel of the workload
-// suite, and every BIOS-exposed frequency pair, the compiled fast path
-// must reproduce RunKernel's result bit for bit — time, per-phase
-// durations, bottlenecks, events, and the full activity vector. The
-// seed-42 golden artifacts encode these floats, so "close" is not
-// enough; comparisons use exact bit patterns.
+// TestRunPairsBitIdenticalToRunKernel is the model-equivalence property:
+// for every board, every kernel of the workload suite, and every
+// BIOS-exposed frequency pair, both the batched path (RunPairs) and the
+// per-launch path (RunKernel) must reproduce the frozen uncompiled
+// reference bit for bit — time, per-phase durations, bottlenecks,
+// events, and the full activity vector. The seed-42 golden artifacts
+// encode these floats, so "close" is not enough; comparisons use exact
+// bit patterns.
 func TestRunPairsBitIdenticalToRunKernel(t *testing.T) {
+	kernels := allKernels(t)
 	for _, spec := range arch.AllBoards() {
-		kernels := allKernels(t)
 		pairs := clock.ValidPairs(spec)
-		clkSeq := clock.NewState(spec)
-		simSeq := gpu.New(spec, clkSeq)
+		clk := clock.NewState(spec)
+		sim := gpu.New(spec, clk)
 		for _, k := range kernels {
-			ck, err := simSeq.Compile(k)
+			ck, err := sim.Compile(k)
 			if err != nil {
 				t.Fatalf("%s/%s: Compile: %v", spec.Name, k.Name, err)
 			}
-			batched, err := simSeq.RunPairs(ck, pairs)
+			batched, err := sim.RunPairs(ck, pairs)
 			if err != nil {
 				t.Fatalf("%s/%s: RunPairs: %v", spec.Name, k.Name, err)
 			}
-			if clkSeq.Pair() != clock.DefaultPair() {
-				t.Fatalf("%s/%s: RunPairs moved the simulator clock to %s", spec.Name, k.Name, clkSeq.Pair())
+			if clk.Pair() != clock.DefaultPair() {
+				t.Fatalf("%s/%s: RunPairs moved the simulator clock to %s", spec.Name, k.Name, clk.Pair())
 			}
 			for pi, p := range pairs {
-				if err := clkSeq.SetPair(p); err != nil {
+				if err := clk.SetPair(p); err != nil {
 					t.Fatal(err)
 				}
-				want, err := simSeq.RunKernel(k)
+				want, err := gpu.ReferenceRunKernel(sim, k)
 				if err != nil {
-					t.Fatalf("%s/%s@%s: RunKernel: %v", spec.Name, k.Name, p, err)
+					t.Fatalf("%s/%s@%s: reference: %v", spec.Name, k.Name, p, err)
 				}
 				compareResults(t, spec.Name, k.Name, p, batched[pi], want)
 
-				// RunCompiled at the programmed pair must agree too.
-				got, err := simSeq.RunCompiled(ck)
+				got, err := sim.RunKernel(k)
 				if err != nil {
-					t.Fatalf("%s/%s@%s: RunCompiled: %v", spec.Name, k.Name, p, err)
+					t.Fatalf("%s/%s@%s: RunKernel: %v", spec.Name, k.Name, p, err)
 				}
 				compareResults(t, spec.Name, k.Name, p, got, want)
 			}
-			if err := clkSeq.SetPair(clock.DefaultPair()); err != nil {
+			if err := clk.SetPair(clock.DefaultPair()); err != nil {
 				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// TestAnalyzeMatchesRunKernel holds Analyze to RunKernel and to the
+// frozen reference: the analysis time is RunKernel's time, and every
+// phase's duration, bottleneck and resource usages — their count, order,
+// Time and Fraction — equal the reference's in exact bits, for every
+// board × workload kernel × valid pair.
+func TestAnalyzeMatchesRunKernel(t *testing.T) {
+	kernels := allKernels(t)
+	analyses := 0
+	for _, spec := range arch.AllBoards() {
+		clk := clock.NewState(spec)
+		sim := gpu.New(spec, clk)
+		for _, p := range clock.ValidPairs(spec) {
+			if err := clk.SetPair(p); err != nil {
+				t.Fatal(err)
+			}
+			for _, k := range kernels {
+				an, err := sim.Analyze(k)
+				if err != nil {
+					t.Fatalf("%s/%s@%s: Analyze: %v", spec.Name, k.Name, p, err)
+				}
+				run, err := sim.RunKernel(k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Float64bits(an.Time) != math.Float64bits(run.Time) {
+					t.Fatalf("%s/%s@%s: Analyze time %g != RunKernel time %g", spec.Name, k.Name, p, an.Time, run.Time)
+				}
+				if len(an.Phases) != len(k.Phases) {
+					t.Fatalf("%s/%s@%s: %d phase analyses, want %d", spec.Name, k.Name, p, len(an.Phases), len(k.Phases))
+				}
+				want, err := gpu.ReferenceAnalyze(sim, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				compareAnalyses(t, spec.Name+"/"+k.Name+"@"+p.String(), an, want)
+				analyses += len(an.Phases)
+			}
+		}
+	}
+	t.Logf("%d phase analyses bit-identical to the reference", analyses)
+}
+
+func compareAnalyses(t *testing.T, where string, got, want *gpu.KernelAnalysis) {
+	t.Helper()
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	if got.Kernel != want.Kernel || got.BlocksPerSM != want.BlocksPerSM || got.Warps != want.Warps ||
+		!same(got.Time, want.Time) || !same(got.Occupancy, want.Occupancy) || len(got.Phases) != len(want.Phases) {
+		t.Fatalf("%s: analysis header %+v, want %+v", where, *got, *want)
+	}
+	for i := range got.Phases {
+		g, w := &got.Phases[i], &want.Phases[i]
+		if g.Phase != w.Phase || g.Bottleneck != w.Bottleneck || !same(g.Duration, w.Duration) {
+			t.Fatalf("%s phase %d: (%q, %v, %q), want (%q, %v, %q)",
+				where, i, g.Phase, g.Duration, g.Bottleneck, w.Phase, w.Duration, w.Bottleneck)
+		}
+		if len(g.Usages) != len(w.Usages) {
+			t.Fatalf("%s phase %s: %d usages, want %d", where, g.Phase, len(g.Usages), len(w.Usages))
+		}
+		for u := range g.Usages {
+			gu, wu := g.Usages[u], w.Usages[u]
+			if gu.Resource != wu.Resource || !same(gu.Time, wu.Time) || !same(gu.Fraction, wu.Fraction) {
+				t.Fatalf("%s phase %s usage %d: %+v (%#x, %#x), want %+v (%#x, %#x)", where, g.Phase, u,
+					gu, math.Float64bits(gu.Time), math.Float64bits(gu.Fraction),
+					wu, math.Float64bits(wu.Time), math.Float64bits(wu.Fraction))
 			}
 		}
 	}
@@ -149,40 +218,36 @@ func TestRunPairsSpecMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := simB.RunCompiled(ck); err == nil {
-		t.Fatal("RunCompiled accepted a kernel compiled for another board")
-	}
 	if _, err := simB.RunPairs(ck, clock.ValidPairs(boards[1])); err == nil {
 		t.Fatal("RunPairs accepted a kernel compiled for another board")
 	}
 }
 
-// TestRunKernelAllocs pins the Phases preallocation: one result struct,
-// one phase slice, plus the bounded per-phase scratch of phaseBounds.
-// Regressing the preallocation (or adding per-phase garbage) fails here.
+// TestRunKernelAllocs pins the per-launch cost of compiling on every
+// call: the compiled kernel with its phase and bound storage, plus the
+// result struct and its phase slice when the pool has none to recycle.
+// The budget is flat, so any per-phase or per-bound garbage fails here
+// on the kernels that have the most phases and bounds.
 func TestRunKernelAllocs(t *testing.T) {
-	spec := arch.AllBoards()[0]
-	sim := gpu.New(spec, clock.NewState(spec))
-	k := workloads.Table4()[0].Kernels(1)[0]
-	if _, err := sim.RunKernel(k); err != nil {
-		t.Fatal(err)
-	}
-	// Budget: result + phase slice + irregularity's FNV state + per phase
-	// the bounds slice (append growth up to 8 bounds ≤ 4 allocs) and the
-	// add closure. Catches any accidental per-bound allocation while
-	// leaving the fixed costs room.
-	budget := float64(4 + 6*len(k.Phases))
-	if n := testing.AllocsPerRun(200, func() {
-		if _, err := sim.RunKernel(k); err != nil {
-			t.Fatal(err)
+	const budget = 5
+	for _, spec := range arch.AllBoards() {
+		sim := gpu.New(spec, clock.NewState(spec))
+		for _, k := range allKernels(t) {
+			if n := testing.AllocsPerRun(20, func() {
+				if _, err := sim.RunKernel(k); err != nil {
+					t.Fatal(err)
+				}
+			}); n > budget {
+				t.Fatalf("%s/%s: RunKernel allocates %v objects per run, budget %v", spec.Name, k.Name, n, budget)
+			}
 		}
-	}); n > budget {
-		t.Fatalf("RunKernel allocates %v objects per run, budget %v", n, budget)
 	}
 }
 
-// TestEvalAllocs pins the compiled path's allocation profile: exactly
-// the result struct and its phase slice, nothing per pair or per bound.
+// TestEvalAllocs pins the evaluation half's allocation profile through
+// RunPairs: the scratch clock state and the output slice once, then
+// exactly the result struct and its phase slice per pair — nothing per
+// bound.
 func TestEvalAllocs(t *testing.T) {
 	spec := arch.AllBoards()[0]
 	sim := gpu.New(spec, clock.NewState(spec))
@@ -191,11 +256,13 @@ func TestEvalAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pairs := clock.ValidPairs(spec)
+	budget := float64(2 + 2*len(pairs))
 	if n := testing.AllocsPerRun(200, func() {
-		if _, err := sim.RunCompiled(ck); err != nil {
+		if _, err := sim.RunPairs(ck, pairs); err != nil {
 			t.Fatal(err)
 		}
-	}); n > 2 {
-		t.Fatalf("RunCompiled allocates %v objects per run, want at most 2", n)
+	}); n > budget {
+		t.Fatalf("RunPairs over %d pairs allocates %v objects per run, want at most %v", len(pairs), n, budget)
 	}
 }

@@ -79,14 +79,19 @@ func (p *PhaseDesc) Validate() error {
 	if sum > 1+1e-9 {
 		return fmt.Errorf("gpu: phase %q: instruction mix sums to %.3f > 1", p.Name, sum)
 	}
-	for name, f := range map[string]float64{
-		"FracALU": p.FracALU, "FracSFU": p.FracSFU, "FracDP": p.FracDP,
-		"FracMem": p.FracMem, "FracShared": p.FracShared, "FracBranch": p.FracBranch,
-		"DivergentFrac": p.DivergentFrac, "StoreFrac": p.StoreFrac,
-		"L1Hit": p.L1Hit, "L2Hit": p.L2Hit,
+	// Declaration order, so a phase with several bad fractions always
+	// reports the same (first) one.
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"FracALU", p.FracALU}, {"FracSFU", p.FracSFU}, {"FracDP", p.FracDP},
+		{"FracMem", p.FracMem}, {"FracShared", p.FracShared}, {"FracBranch", p.FracBranch},
+		{"DivergentFrac", p.DivergentFrac}, {"StoreFrac", p.StoreFrac},
+		{"L1Hit", p.L1Hit}, {"L2Hit", p.L2Hit},
 	} {
-		if f < 0 || f > 1 {
-			return fmt.Errorf("gpu: phase %q: %s = %g out of [0,1]", p.Name, name, f)
+		if f.v < 0 || f.v > 1 {
+			return fmt.Errorf("gpu: phase %q: %s = %g out of [0,1]", p.Name, f.name, f.v)
 		}
 	}
 	if p.TxnPerMemInst < 0 || p.TxnPerMemInst > 32 {

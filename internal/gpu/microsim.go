@@ -25,6 +25,29 @@ type MicroSim struct {
 // NewMicro wraps a Sim for microsimulation at the same DVFS state.
 func NewMicro(s *Sim) *MicroSim { return &MicroSim{sim: s} }
 
+// avgMemLatency returns the average latency of one memory transaction in
+// seconds at the current clocks, weighting the cache levels by their hit
+// fractions. Core-clocked components stretch with 1/fc, DRAM with the
+// memory clock (see clock.DRAMLatencySec). The interval model folds the
+// same three terms into its compiled mem-latency bound.
+func (s *Sim) avgMemLatency(p *PhaseDesc) float64 {
+	spec := s.spec
+	fc := s.clk.CoreHz()
+	dram := s.clk.DRAMLatencySec()
+	if spec.L1PerSM == 0 {
+		// Tesla: the whole coalescing/arbitration path to the memory
+		// controller is core-clocked and deep.
+		return 280/fc + dram
+	}
+	l1Hit := derate(p.L1Hit, p.WorkingSetBytes, float64(spec.L1PerSM))
+	l2Hit := derate(p.L2Hit, p.WorkingSetBytes*float64(spec.SMCount), float64(spec.L2Size))
+	lat := spec.L1LatencyCyc / fc
+	missL1 := 1 - l1Hit
+	lat += missL1 * spec.L2LatencyCyc / fc
+	lat += missL1 * (1 - l2Hit) * dram
+	return lat
+}
+
 // instruction classes in the micro trace.
 type instClass uint8
 

@@ -258,6 +258,34 @@ func TestValidateRejectsBadKernels(t *testing.T) {
 	}
 }
 
+// TestValidateReportsFirstBadFraction pins the order in which Validate
+// checks the [0,1] fractions: a phase with several out-of-range fields
+// always names the first in declaration order, call after call.
+func TestValidateReportsFirstBadFraction(t *testing.T) {
+	p := PhaseDesc{Name: "p", WarpInstsPerWarp: 1, IssueEff: 1, MLP: 1,
+		DivergentFrac: 2, StoreFrac: -1, L1Hit: 5, L2Hit: 7}
+	const want = `gpu: phase "p": DivergentFrac = 2 out of [0,1]`
+	for i := 0; i < 100; i++ {
+		if err := p.Validate(); err == nil || err.Error() != want {
+			t.Fatalf("call %d: Validate() = %v, want %s", i, err, want)
+		}
+	}
+}
+
+// TestValidateAllocs pins Validate's cost on a valid kernel: every launch
+// validates, so it must not allocate.
+func TestValidateAllocs(t *testing.T) {
+	k := memoryKernel(100)
+	k.Phases = append(k.Phases, computeKernel(100).Phases...)
+	if n := testing.AllocsPerRun(100, func() {
+		if err := k.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("Validate allocates %v objects per call, want 0", n)
+	}
+}
+
 func TestDeterminism(t *testing.T) {
 	spec := arch.GTX460()
 	k := memoryKernel(100)

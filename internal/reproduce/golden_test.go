@@ -44,16 +44,20 @@ func TestPaperFullGolden(t *testing.T) {
 }
 
 // checkGolden reproduces the seed-42 report under tweaks at the default
-// worker count and at the sequential reference, and requires both to
-// equal the golden file byte for byte.
+// worker count, at the sequential reference, and at the sequential
+// reference with launch caching off (every launch compiles its kernel
+// afresh), and requires each to equal the golden file byte for byte.
 func checkGolden(t *testing.T, path string, tweaks ...func(*reproduce.Options)) {
 	t.Helper()
 	golden, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{0, 1} {
-		s, err := session.New(session.WithSeed(42), session.WithWorkers(workers))
+	for _, run := range []struct {
+		workers int
+		cache   bool
+	}{{0, true}, {1, true}, {1, false}} {
+		s, err := session.New(session.WithSeed(42), session.WithWorkers(run.workers), session.WithCache(run.cache))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,8 +70,8 @@ func checkGolden(t *testing.T, path string, tweaks ...func(*reproduce.Options)) 
 			t.Fatal(err)
 		}
 		if got := stripElapsed(buf.String()); got != string(golden) {
-			t.Fatalf("workers=%d: report diverged from %s at line %d (len %d vs %d)",
-				workers, path, firstDiffLine(got, string(golden)), len(got), len(golden))
+			t.Fatalf("workers=%d cache=%v: report diverged from %s at line %d (len %d vs %d)",
+				run.workers, run.cache, path, firstDiffLine(got, string(golden)), len(got), len(golden))
 		}
 	}
 }

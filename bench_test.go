@@ -103,10 +103,12 @@ func benchFigCurve(b *testing.B, bench string) {
 	var bestImp float64
 	for i := 0; i < b.N; i++ {
 		for _, spec := range arch.AllBoards() {
-			res, err := characterize.SweepBoard(spec.Name, []*workloads.Benchmark{workloads.ByName(bench)}, benchSeed)
+			m, err := characterize.Sweep(context.Background(), []string{spec.Name},
+				[]*workloads.Benchmark{workloads.ByName(bench)}, characterize.SweepOptions{Seed: benchSeed, Workers: 1})
 			if err != nil {
 				b.Fatal(err)
 			}
+			res := m[spec.Name]
 			if curves := characterize.Curves(res[0], spec); len(curves) == 0 {
 				b.Fatal("no curves")
 			}
@@ -606,7 +608,9 @@ func BenchmarkSweepBoard(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := characterize.SweepBoardParallel("GTX 480", benches, benchSeed, workers); err != nil {
+				_, err := characterize.Sweep(context.Background(), []string{"GTX 480"}, benches,
+					characterize.SweepOptions{Seed: benchSeed, Workers: workers})
+				if err != nil {
 					b.Fatal(err)
 				}
 			}

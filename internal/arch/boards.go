@@ -1,5 +1,7 @@
 package arch
 
+import "fmt"
+
 // The four boards of Table I. Microarchitectural parameters (SM widths,
 // cache sizes, latencies) come from the vendor whitepapers cited by the
 // paper; energy-per-event and voltage-curve parameters are calibration
@@ -312,4 +314,28 @@ func BoardByName(name string) *Spec {
 		}
 	}
 	return nil
+}
+
+// ResolveBoards turns a campaign's board list into specs, in list order.
+// Every name must be a Table I board and appear once: a repeated board
+// would be measured twice and rendered twice. Empty input means the four
+// Table I boards.
+func ResolveBoards(names []string) ([]*Spec, error) {
+	if len(names) == 0 {
+		return AllBoards(), nil
+	}
+	out := make([]*Spec, 0, len(names))
+	for _, n := range names {
+		s := BoardByName(n)
+		if s == nil {
+			return nil, fmt.Errorf("unknown board %q", n)
+		}
+		for _, prev := range out {
+			if prev.Name == n {
+				return nil, fmt.Errorf("board %q listed twice", n)
+			}
+		}
+		out = append(out, s)
+	}
+	return out, nil
 }

@@ -34,7 +34,7 @@ func (c *cancelAfter) Err() error {
 // the journal stays empty and the cause is wrapped.
 func TestSweepPreCancelled(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "j.jsonl")
-	j, err := OpenJournal(path, 42, "")
+	j, err := openBareJournal(path, 42, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestSweepCancelMultiBoardResumes(t *testing.T) {
 	}
 
 	path := filepath.Join(t.TempDir(), "j.jsonl")
-	j, err := OpenJournal(path, 42, "")
+	j, err := openBareJournal(path, 42, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestSweepCancelMultiBoardResumes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	j2, err := OpenJournal(path, 42, "")
+	j2, err := openBareJournal(path, 42, "")
 	if err != nil {
 		t.Fatal(err)
 	}

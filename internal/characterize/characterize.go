@@ -204,7 +204,7 @@ func pairResult(p clock.Pair, rr *driver.RunResult, retries int) PairResult {
 }
 
 // sweepSeed derives one benchmark's independent noise seed: seed ⊕
-// FNV-1a(benchmark name), the same scheme core.Collect uses. Independent
+// FNV-1a(benchmark name), the same scheme core.CollectCtx uses. Independent
 // per-benchmark streams are what make sequential and parallel sweeps
 // byte-identical — no benchmark's noise depends on which benchmarks ran
 // before it on the same device.
@@ -221,44 +221,6 @@ func cancelled(ctx context.Context) error {
 	return fmt.Errorf("characterize: sweep cancelled: %w", context.Cause(ctx))
 }
 
-// SweepBoard sweeps a set of benchmarks on one board, sequentially.
-//
-// Deprecated: use Sweep (or session.Session.Sweep) — SweepBoard is the
-// workers=1 configuration of the unified engine and delegates to it.
-func SweepBoard(boardName string, benches []*workloads.Benchmark, seed int64) ([]*BenchResult, error) {
-	return sweepOneBoard(boardName, benches, SweepOptions{Seed: seed, Workers: 1})
-}
-
-// SweepBoardParallel is SweepBoard with the benchmarks measured by a
-// worker pool; the per-benchmark seeding makes the result byte-identical
-// to SweepBoard.
-//
-// Deprecated: use Sweep (or session.Session.Sweep) with
-// SweepOptions.Workers — SweepBoardParallel delegates to the unified
-// engine.
-func SweepBoardParallel(boardName string, benches []*workloads.Benchmark, seed int64, workers int) ([]*BenchResult, error) {
-	return sweepOneBoard(boardName, benches, SweepOptions{Seed: seed, Workers: workers})
-}
-
-// sweepOneBoard runs the unified engine over a single board and unwraps
-// the map — shared by the deprecated per-board wrappers.
-func sweepOneBoard(boardName string, benches []*workloads.Benchmark, opts SweepOptions) ([]*BenchResult, error) {
-	m, err := Sweep(context.Background(), []string{boardName}, benches, opts)
-	if err != nil {
-		return nil, err
-	}
-	return m[boardName], nil
-}
-
-// SweepBoards sweeps the benches on every named board through one shared
-// worker pool over (board, benchmark) jobs.
-//
-// Deprecated: use Sweep (or session.Session.Sweep) — SweepBoards is the
-// fault-free configuration of the unified engine and delegates to it.
-func SweepBoards(boardNames []string, benches []*workloads.Benchmark, seed int64, workers int) (map[string][]*BenchResult, error) {
-	return Sweep(context.Background(), boardNames, benches, SweepOptions{Seed: seed, Workers: workers})
-}
-
 // Table4 runs the full Table IV experiment: every Table IV benchmark on
 // every board, returning results indexed [board][benchmark], with the
 // (board, benchmark) grid swept by one GOMAXPROCS-wide worker pool.
@@ -270,21 +232,6 @@ func Table4(seed int64) (map[string][]*BenchResult, error) {
 	}
 	return Sweep(context.Background(), names, workloads.Table4(),
 		SweepOptions{Seed: seed, Workers: runtime.GOMAXPROCS(0)})
-}
-
-// Table4Workers is Table4 with an explicit worker count.
-//
-// Deprecated: use Sweep (or session.Session.Sweep) with
-// SweepOptions.Workers — the output is identical at any width; 1 is the
-// bit-exact sequential reference.
-func Table4Workers(seed int64, workers int) (map[string][]*BenchResult, error) {
-	boards := arch.AllBoards()
-	names := make([]string, len(boards))
-	for i, s := range boards {
-		names[i] = s.Name
-	}
-	return Sweep(context.Background(), names, workloads.Table4(),
-		SweepOptions{Seed: seed, Workers: workers})
 }
 
 // MeanImprovementPct averages the Fig. 4 metric over a board's results.

@@ -208,14 +208,9 @@ func TestCurvesNormalizedAtDefault(t *testing.T) {
 }
 
 func TestSweepDeterministicWithSeed(t *testing.T) {
-	a, err := SweepBoard("GTX 460", []*workloads.Benchmark{workloads.ByName("lud")}, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := SweepBoard("GTX 460", []*workloads.Benchmark{workloads.ByName("lud")}, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
+	benches := []*workloads.Benchmark{workloads.ByName("lud")}
+	a := sweepBoard(t, "GTX 460", benches, SweepOptions{Seed: 7, Workers: 1})
+	b := sweepBoard(t, "GTX 460", benches, SweepOptions{Seed: 7, Workers: 1})
 	for i := range a[0].Pairs {
 		if a[0].Pairs[i] != b[0].Pairs[i] {
 			t.Fatalf("sweep not deterministic at pair %d", i)

@@ -122,15 +122,6 @@ func cellKey(board, bench string, rep int, p clock.Pair) string {
 	return key
 }
 
-// OpenJournal opens a checkpoint journal bound to a bare (seed, profile)
-// cohort — no board set, no code version.
-//
-// Deprecated: use OpenJournalCohort, which binds the full campaign
-// cohort; OpenJournal remains for callers that predate cohorts.
-func OpenJournal(path string, seed int64, profile string) (*Journal, error) {
-	return OpenJournalCohort(path, JournalConfig{Cohort: validity.Cohort{Seed: seed, Profile: profile}})
-}
-
 // OpenJournalCohort opens (or creates) a checkpoint journal at path,
 // bound to the campaign cohort in cfg.
 //

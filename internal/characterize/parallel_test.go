@@ -1,6 +1,7 @@
 package characterize
 
 import (
+	"context"
 	"reflect"
 	"runtime"
 	"strings"
@@ -19,21 +20,25 @@ func sweepSet(t *testing.T, n int) []*workloads.Benchmark {
 	return all[:n]
 }
 
+// sweepBoard runs the engine over one board and unwraps its results.
+func sweepBoard(t *testing.T, board string, benches []*workloads.Benchmark, opts SweepOptions) []*BenchResult {
+	t.Helper()
+	m, err := Sweep(context.Background(), []string{board}, benches, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m[board]
+}
+
 // TestSweepBoardParallelMatchesSequential: the pooled sweep must be deeply
 // identical to the sequential one at any worker count — each benchmark
 // owns a fresh device and an independent noise stream, so scheduling
 // cannot reorder any rng draws.
 func TestSweepBoardParallelMatchesSequential(t *testing.T) {
 	benches := sweepSet(t, 5)
-	want, err := SweepBoard("GTX 480", benches, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := sweepBoard(t, "GTX 480", benches, SweepOptions{Seed: 42, Workers: 1})
 	for _, workers := range []int{1, 3, 8} {
-		got, err := SweepBoardParallel("GTX 480", benches, 42, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := sweepBoard(t, "GTX 480", benches, SweepOptions{Seed: 42, Workers: workers})
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("workers=%d: parallel sweep differs from sequential", workers)
 		}
@@ -45,15 +50,12 @@ func TestSweepBoardParallelMatchesSequential(t *testing.T) {
 func TestSweepBoardsMatchesPerBoardSweeps(t *testing.T) {
 	benches := sweepSet(t, 3)
 	boards := []string{"GTX 285", "GTX 680"}
-	got, err := SweepBoards(boards, benches, 42, 4)
+	got, err := Sweep(context.Background(), boards, benches, SweepOptions{Seed: 42, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, board := range boards {
-		want, err := SweepBoard(board, benches, 42)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := sweepBoard(t, board, benches, SweepOptions{Seed: 42, Workers: 1})
 		if !reflect.DeepEqual(got[board], want) {
 			t.Fatalf("%s: grid-pool sweep differs from sequential per-board sweep", board)
 		}
@@ -70,12 +72,12 @@ func TestSweepBatchedColdCacheWorkers8(t *testing.T) {
 	benches := sweepSet(t, 4)
 	boards := []string{"GTX 480", "GTX 680", "GTX 285"}
 
-	want, err := SweepBoards(boards, benches, 42, 1)
+	want, err := Sweep(context.Background(), boards, benches, SweepOptions{Seed: 42, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	got, err := SweepBoards(boards, benches, 42, 8)
+	got, err := Sweep(context.Background(), boards, benches, SweepOptions{Seed: 42, Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +93,8 @@ func TestSweepPoolErrorPath(t *testing.T) {
 	benches := sweepSet(t, 3)
 	before := runtime.NumGoroutine()
 	// Board #2 of 3 is bogus: jobs 3..5 fail; job 3 is the lowest.
-	_, err := SweepBoards([]string{"GTX 480", "no such board", "also bogus"}, benches, 42, 4)
+	_, err := Sweep(context.Background(), []string{"GTX 480", "no such board", "also bogus"}, benches,
+		SweepOptions{Seed: 42, Workers: 4})
 	if err == nil {
 		t.Fatal("unknown board did not surface an error")
 	}
@@ -112,14 +115,8 @@ func TestSweepPoolErrorPath(t *testing.T) {
 // must clamp rather than spin up idle goroutines or deadlock.
 func TestSweepBoardParallelOverwidePool(t *testing.T) {
 	benches := sweepSet(t, 2)
-	want, err := SweepBoard("GTX 460", benches, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := SweepBoardParallel("GTX 460", benches, 7, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := sweepBoard(t, "GTX 460", benches, SweepOptions{Seed: 7, Workers: 1})
+	got := sweepBoard(t, "GTX 460", benches, SweepOptions{Seed: 7, Workers: 64})
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("overwide pool changed the sweep results")
 	}

@@ -170,23 +170,6 @@ func prepareSweepObs(opts *SweepOptions, jobs int) {
 	observePool(opts.Obs, w)
 }
 
-// SweepBoardsR is SweepBoards under the fault harness.
-//
-// Deprecated: use Sweep (or session.Session.Sweep) — SweepBoardsR is the
-// unified engine without a context and delegates to it.
-func SweepBoardsR(boardNames []string, benches []*workloads.Benchmark, opts SweepOptions) (map[string][]*BenchResult, error) {
-	return Sweep(context.Background(), boardNames, benches, opts)
-}
-
-// SweepBoardR sweeps one board's benchmarks under the fault harness.
-//
-// Deprecated: use Sweep (or session.Session.SweepBoard) — SweepBoardR is
-// the single-board configuration of the unified engine and delegates to
-// it.
-func SweepBoardR(boardName string, benches []*workloads.Benchmark, opts SweepOptions) ([]*BenchResult, error) {
-	return sweepOneBoard(boardName, benches, opts)
-}
-
 // bootR boots the board inside the retry loop through the open seam
 // (driver.OpenBoardWithFaults by default; the fleet's jittered-spec boot
 // otherwise). A boot that exhausts its budget returns the fault that

@@ -10,6 +10,7 @@ import (
 
 	"gpuperf/internal/clock"
 	"gpuperf/internal/fault"
+	"gpuperf/internal/validity"
 	"gpuperf/internal/workloads"
 )
 
@@ -34,6 +35,12 @@ func chaosRes(t *testing.T, spec string, seed int64) *fault.Resilience {
 		BackoffMax:    10 * time.Microsecond,
 		Sleep:         func(time.Duration) {},
 	}
+}
+
+// openBareJournal opens a checkpoint journal bound to a bare (seed,
+// profile) cohort — no board set, no code version.
+func openBareJournal(path string, seed int64, profile string) (*Journal, error) {
+	return OpenJournalCohort(path, JournalConfig{Cohort: validity.Cohort{Seed: seed, Profile: profile}})
 }
 
 func benchSubset(t *testing.T) []*workloads.Benchmark {
@@ -75,15 +82,9 @@ func sameMeasurements(t *testing.T, want, got []*BenchResult) {
 func TestResilientSweepRecoversByteIdentical(t *testing.T) {
 	benches := benchSubset(t)
 	const board = "GTX 480"
-	plain, err := SweepBoard(board, benches, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain := sweepBoard(t, board, benches, SweepOptions{Seed: 42, Workers: 1})
 	res := chaosRes(t, "launch.hang:0.05,clockset.fail:0.05,boot.fail:0.2,meter.drop:0.01,bios.bitflip:0.03", 7)
-	got, err := SweepBoardR(board, benches, SweepOptions{Seed: 42, Workers: 2, Res: res})
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := sweepBoard(t, board, benches, SweepOptions{Seed: 42, Workers: 2, Res: res})
 	sameMeasurements(t, plain, got)
 	retried := 0
 	for _, r := range got {
@@ -104,15 +105,9 @@ func TestResilientSweepRecoversByteIdentical(t *testing.T) {
 func TestResilientSweepZeroProbabilityIdentical(t *testing.T) {
 	benches := benchSubset(t)
 	const board = "GTX 285"
-	plain, err := SweepBoard(board, benches, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain := sweepBoard(t, board, benches, SweepOptions{Seed: 42, Workers: 1})
 	res := chaosRes(t, "launch.hang:0,meter.drop:0,boot.fail:0", 7)
-	got, err := SweepBoardR(board, benches, SweepOptions{Seed: 42, Workers: 1, Res: res})
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := sweepBoard(t, board, benches, SweepOptions{Seed: 42, Workers: 1, Res: res})
 	sameMeasurements(t, plain, got)
 }
 
@@ -123,10 +118,7 @@ func TestPermanentFaultQuarantines(t *testing.T) {
 	benches := benchSubset(t)[:1]
 	res := chaosRes(t, "clockset.fail:1", 3)
 	res.MaxRetries = 2
-	got, err := SweepBoardR("GTX 680", benches, SweepOptions{Seed: 42, Workers: 1, Res: res})
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := sweepBoard(t, "GTX 680", benches, SweepOptions{Seed: 42, Workers: 1, Res: res})
 	r := got[0]
 	if q := r.QuarantinedCells(); q != len(r.Pairs) {
 		t.Fatalf("%d of %d cells quarantined under a permanent fault", q, len(r.Pairs))
@@ -152,10 +144,7 @@ func TestPermanentFaultQuarantines(t *testing.T) {
 	// Permanent boot failure quarantines the same way.
 	bres := chaosRes(t, "boot.fail:1", 3)
 	bres.MaxRetries = 1
-	bgot, err := SweepBoardR("GTX 680", benches, SweepOptions{Seed: 42, Workers: 1, Res: bres})
-	if err != nil {
-		t.Fatal(err)
-	}
+	bgot := sweepBoard(t, "GTX 680", benches, SweepOptions{Seed: 42, Workers: 1, Res: bres})
 	if q := bgot[0].QuarantinedCells(); q != len(bgot[0].Pairs) {
 		t.Errorf("boot-dead board: %d of %d cells quarantined", q, len(bgot[0].Pairs))
 	}
@@ -173,15 +162,12 @@ func TestJournalCheckpointAndResume(t *testing.T) {
 	path := filepath.Join(dir, "sweep.journal")
 
 	run := func() ([]*BenchResult, *Journal) {
-		j, err := OpenJournal(path, seed, prof)
+		j, err := openBareJournal(path, seed, prof)
 		if err != nil {
 			t.Fatal(err)
 		}
 		res := chaosRes(t, prof, 9)
-		got, err := SweepBoardR(board, benches, SweepOptions{Seed: seed, Workers: 1, Res: res, Journal: j})
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := sweepBoard(t, board, benches, SweepOptions{Seed: seed, Workers: 1, Res: res, Journal: j})
 		if err := j.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -230,7 +216,7 @@ func TestJournalCheckpointAndResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = OpenJournal(path, seed+1, prof)
+	_, err = openBareJournal(path, seed+1, prof)
 	var mismatch *CohortMismatchError
 	if !errors.As(err, &mismatch) {
 		t.Fatalf("seed-mismatched open: err=%v, want *CohortMismatchError", err)
@@ -253,7 +239,7 @@ func TestJournalCheckpointAndResume(t *testing.T) {
 func TestJournalRoundTripsCells(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "j")
-	j, err := OpenJournal(path, 1, "")
+	j, err := openBareJournal(path, 1, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +265,7 @@ func TestJournalRoundTripsCells(t *testing.T) {
 	}
 	j.Close()
 
-	j2, err := OpenJournal(path, 1, "")
+	j2, err := openBareJournal(path, 1, "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -82,10 +82,7 @@ func TestTriageExhaustedRetriesIsInfraFlake(t *testing.T) {
 	prof := "launch.hang:1"
 	res := chaosRes(t, prof, seed)
 	res.MaxRetries = 2
-	got, err := SweepBoardR("GTX 460", benches, SweepOptions{Seed: seed, Workers: 1, Res: res})
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := sweepBoard(t, "GTX 460", benches, SweepOptions{Seed: seed, Workers: 1, Res: res})
 	if q := got[0].QuarantinedCells(); q != len(got[0].Pairs) {
 		t.Fatalf("%d of %d cells quarantined under a certain hang", q, len(got[0].Pairs))
 	}
@@ -120,10 +117,7 @@ func TestTriageLowConfidenceIsDistinctFlake(t *testing.T) {
 	prof := "meter.stuck:1:1000"
 	res := chaosRes(t, prof, seed)
 	res.MaxRetries = 1
-	got, err := SweepBoardR("GTX 460", benches, SweepOptions{Seed: seed, Workers: 1, Res: res})
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := sweepBoard(t, "GTX 460", benches, SweepOptions{Seed: seed, Workers: 1, Res: res})
 	// The stuck run starts at a random sample, so per-pair damage varies;
 	// pick the worst-hit cell, which must fall below the confidence floor.
 	var pr *PairResult

@@ -26,7 +26,7 @@ func smallSet() []*workloads.Benchmark {
 
 func collectSmall(t *testing.T, board string) *Dataset {
 	t.Helper()
-	ds, err := Collect(board, smallSet(), 42)
+	ds, err := CollectCtx(context.Background(), board, smallSet(), CollectOptions{Seed: 42, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,11 +294,11 @@ func abs(x float64) float64 {
 }
 
 func TestCollectParallelMatchesSequential(t *testing.T) {
-	seq, err := Collect("GTX 460", smallSet(), 42)
+	seq, err := CollectCtx(context.Background(), "GTX 460", smallSet(), CollectOptions{Seed: 42, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := CollectParallel("GTX 460", smallSet(), 42, 4)
+	par, err := CollectCtx(context.Background(), "GTX 460", smallSet(), CollectOptions{Seed: 42, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,8 +63,8 @@ type Dataset struct {
 	Samples int // distinct (benchmark, size) samples; the paper has 114
 	Rows    []Observation
 
-	// Fault-campaign bookkeeping, populated only by CollectResilient and
-	// deliberately absent from the persisted form (persist.go): Dropped
+	// Fault-campaign bookkeeping, populated only under CollectOptions.Res
+	// and deliberately absent from the persisted form (persist.go): Dropped
 	// lists benchmarks excluded after exhausting their retry budget, and
 	// Retries counts the transient-fault retries the collection absorbed.
 	Dropped []DroppedBench
@@ -80,31 +80,6 @@ func (d *Dataset) RowsAtPair(p clock.Pair) []Observation {
 		}
 	}
 	return out
-}
-
-// Collect builds the modeling dataset for one board: every modeled
-// benchmark at every input size is profiled once at the default clocks and
-// then measured (time + wall power) at every valid frequency pair.
-//
-// Each benchmark's noise stream is seeded independently (seed ⊕ name), so
-// the dataset is identical whether benchmarks are collected sequentially
-// or concurrently.
-//
-// Deprecated: use CollectCtx (or session.Session.Collect) — Collect is
-// the workers=1 configuration of the unified engine and delegates to it.
-func Collect(boardName string, benches []*workloads.Benchmark, seed int64) (*Dataset, error) {
-	return CollectCtx(context.Background(), boardName, benches, CollectOptions{Seed: seed, Workers: 1})
-}
-
-// CollectParallel is Collect with benchmarks gathered by a worker pool;
-// each worker boots its own device, so there is no shared mutable state.
-// It produces byte-identical datasets to Collect.
-//
-// Deprecated: use CollectCtx (or session.Session.Collect) with
-// CollectOptions.Workers — CollectParallel delegates to the unified
-// engine.
-func CollectParallel(boardName string, benches []*workloads.Benchmark, seed int64, workers int) (*Dataset, error) {
-	return CollectCtx(context.Background(), boardName, benches, CollectOptions{Seed: seed, Workers: workers})
 }
 
 // CollectAll builds the modeling dataset for the paper's full corpus (the

@@ -31,12 +31,12 @@ func modelBenches(t *testing.T, n int) []*workloads.Benchmark {
 // compares the whole Dataset).
 func TestCollectParallelDeepEqual(t *testing.T) {
 	benches := modelBenches(t, 4)
-	want, err := Collect("GTX 480", benches, 42)
+	want, err := CollectCtx(context.Background(), "GTX 480", benches, CollectOptions{Seed: 42, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 16} {
-		got, err := CollectParallel("GTX 480", benches, 42, workers)
+		got, err := CollectCtx(context.Background(), "GTX 480", benches, CollectOptions{Seed: 42, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +66,7 @@ func TestCollectErrorPathDoesNotLeak(t *testing.T) {
 	defer func() { collectBench = orig }()
 
 	before := runtime.NumGoroutine()
-	_, err := CollectParallel("GTX 480", benches, 42, 3)
+	_, err := CollectCtx(context.Background(), "GTX 480", benches, CollectOptions{Seed: 42, Workers: 3})
 	if err == nil {
 		t.Fatal("injected failures did not surface")
 	}
@@ -100,7 +100,7 @@ func TestCollectErrorIsSchedulingIndependent(t *testing.T) {
 	defer func() { collectBench = orig }()
 
 	for trial := 0; trial < 5; trial++ {
-		_, err := CollectParallel("GTX 480", benches, 42, 4)
+		_, err := CollectCtx(context.Background(), "GTX 480", benches, CollectOptions{Seed: 42, Workers: 4})
 		if err == nil {
 			t.Fatal("injected failures did not surface")
 		}

@@ -13,7 +13,7 @@ import (
 	"gpuperf/internal/workloads"
 )
 
-// The resilient collector is Collect wrapped in the fault harness: boots,
+// Under a fault campaign the collector runs inside the fault harness: boots,
 // clock sets, profiling passes and metered observations all retry
 // transient faults with backoff, hung launches are killed by the watchdog
 // and recovered by a reflash, and a benchmark that exhausts its retry
@@ -45,9 +45,12 @@ func cancelled(ctx context.Context) error {
 	return fmt.Errorf("core: collect cancelled: %w", context.Cause(ctx))
 }
 
-// CollectCtx is the unified collection engine: every sequential, parallel
-// and resilient collect variant is a configuration of this one
-// implementation. With a nil or fault-free Resilience it produces the
+// CollectCtx is the unified collection engine. It builds the modeling
+// dataset for one board: every modeled benchmark at every input size is
+// profiled once at the default clocks and then measured (time + wall
+// power) at every valid frequency pair. Each benchmark's noise stream is
+// seeded independently (seed ⊕ name), so the dataset is identical at any
+// worker count. With a nil or fault-free Resilience it produces the
 // reference dataset; under an all-transient campaign with enough retries
 // it converges to the same dataset, and under permanent faults it
 // degrades by dropping benchmarks (Dataset.Dropped).
@@ -64,16 +67,6 @@ func CollectCtx(ctx context.Context, boardName string, benches []*workloads.Benc
 		return nil, err
 	}
 	return fold.Dataset(st), nil
-}
-
-// CollectResilient is CollectParallel under the fault harness.
-//
-// Deprecated: use CollectCtx (or session.Session.Collect) with
-// CollectOptions.Res — CollectResilient is the unified engine without a
-// context and delegates to it.
-func CollectResilient(boardName string, benches []*workloads.Benchmark, seed int64, workers int, res *fault.Resilience) (*Dataset, error) {
-	return CollectCtx(context.Background(), boardName, benches,
-		CollectOptions{Seed: seed, Workers: workers, Res: res})
 }
 
 // collectBench is the per-benchmark collector the pool workers call; a

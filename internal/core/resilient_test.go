@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"testing"
 	"time"
@@ -31,7 +32,7 @@ func chaosRes(t *testing.T, spec string, seed int64) *fault.Resilience {
 func TestCollectResilientConvergesToPlainDataset(t *testing.T) {
 	benches := workloads.ModelingSet()[:2]
 	const board = "GTX 480"
-	plain, err := CollectParallel(board, benches, 42, 2)
+	plain, err := CollectCtx(context.Background(), board, benches, CollectOptions{Seed: 42, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +40,7 @@ func TestCollectResilientConvergesToPlainDataset(t *testing.T) {
 	// samples, so its probability must be far smaller than the per-run
 	// points for a clean attempt to land within the retry budget.
 	res := chaosRes(t, "launch.hang:0.03,clockset.fail:0.03,boot.fail:0.2,meter.drop:0.0002,launch.corrupt:0.03,bios.bitflip:0.02", 5)
-	got, err := CollectResilient(board, benches, 42, 2, res)
+	got, err := CollectCtx(context.Background(), board, benches, CollectOptions{Seed: 42, Workers: 2, Res: res})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,21 +55,23 @@ func TestCollectResilientConvergesToPlainDataset(t *testing.T) {
 	}
 }
 
-// TestCollectResilientNilPolicyIdentical: a nil Resilience is the plain
-// collector.
+// TestCollectResilientNilPolicyIdentical: a nil Resilience collects exactly
+// what the fault-free harness does — the policy a session builds when only
+// a checkpoint or a recorder is configured.
 func TestCollectResilientNilPolicyIdentical(t *testing.T) {
 	benches := workloads.ModelingSet()[:1]
 	const board = "GTX 285"
-	plain, err := Collect(board, benches, 42)
+	harness := &fault.Resilience{Campaign: &fault.Campaign{Seed: 42}}
+	plain, err := CollectCtx(context.Background(), board, benches, CollectOptions{Seed: 42, Workers: 1, Res: harness})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := CollectResilient(board, benches, 42, 1, nil)
+	got, err := CollectCtx(context.Background(), board, benches, CollectOptions{Seed: 42, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(plain.Rows, got.Rows) {
-		t.Error("nil-policy resilient dataset diverged from Collect")
+		t.Error("nil-policy dataset diverged from the fault-free harness")
 	}
 }
 
@@ -78,7 +81,7 @@ func TestCollectResilientDropsDeadBenchmark(t *testing.T) {
 	benches := workloads.ModelingSet()[:2]
 	res := chaosRes(t, "launch.corrupt:1", 3)
 	res.MaxRetries = 2
-	got, err := CollectResilient("GTX 680", benches, 42, 1, res)
+	got, err := CollectCtx(context.Background(), "GTX 680", benches, CollectOptions{Seed: 42, Workers: 1, Res: res})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +102,7 @@ func TestCollectResilientDropsDeadBenchmark(t *testing.T) {
 	// A permanent boot failure drops the same way.
 	bres := chaosRes(t, "boot.fail:1", 3)
 	bres.MaxRetries = 1
-	bgot, err := CollectResilient("GTX 680", benches[:1], 42, 1, bres)
+	bgot, err := CollectCtx(context.Background(), "GTX 680", benches[:1], CollectOptions{Seed: 42, Workers: 1, Res: bres})
 	if err != nil {
 		t.Fatal(err)
 	}

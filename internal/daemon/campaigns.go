@@ -232,10 +232,10 @@ func (s *Server) Submit(req CampaignRequest) (*Campaign, error) {
 	for _, b := range s.cfg.Boards {
 		served[b] = true
 	}
+	if _, err := arch.ResolveBoards(req.Boards); err != nil {
+		return nil, reqErrf("%v", err)
+	}
 	for _, b := range req.Boards {
-		if arch.BoardByName(b) == nil {
-			return nil, reqErrf("unknown board %q", b)
-		}
 		if !served[b] {
 			return nil, reqErrf("board %q is not in the served fleet", b)
 		}

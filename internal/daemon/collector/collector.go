@@ -8,7 +8,7 @@
 // through it, but nothing in the artifact path (journals, reports,
 // recorded metrics of a CLI run) ever depends on it. Every handle is
 // registered in New — the registry is never written from an HTTP
-// handler (the scrape-safety contract gpulint's daemoncheck enforces).
+// handler (the scrape-safety contract gpulint's obscheck enforces).
 package collector
 
 import (

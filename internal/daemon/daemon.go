@@ -20,7 +20,7 @@
 // byte-identical to what the artifact writer (obs.Recorder.WriteMetrics)
 // would emit for the same state. HTTP handlers never register metric
 // handles; every family is created in New (collector included), which is
-// the discipline gpulint's daemoncheck analyzer enforces.
+// the discipline gpulint's obscheck analyzer enforces.
 //
 // Campaigns are ordinary session.Sessions: each gets its own checkpoint
 // journal under DataDir and a context cancelled by DELETE or by Drain,

@@ -260,6 +260,7 @@ func TestDaemonRejectsBadRequests(t *testing.T) {
 		{Benchmarks: []string{"no-such-bench"}},
 		{Boards: []string{"Voodoo 2"}},
 		{Boards: []string{"GTX 680"}}, // valid board, outside the fleet
+		{Boards: []string{"GTX 480", "GTX 480"}},
 		{Kind: "explode"},
 		{Faults: "bogus:spec"},
 	}

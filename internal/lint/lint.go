@@ -21,14 +21,12 @@
 //     than released, and fault-aware driver calls in files with no
 //     visible retry/classification machinery.
 //   - obscheck:     instrumentation spans that are never ended, and
-//     metric registration outside init functions and constructors.
-//   - daemoncheck:  metric registration inside HTTP-handler-shaped
-//     functions — the gpuperfd scrape-safety contract says handlers
-//     read the registry through Snapshot and never mint series.
+//     metric registration outside init functions and constructors or
+//     inside HTTP-handler-shaped functions — the gpuperfd scrape-safety
+//     contract says handlers read the registry through Snapshot and
+//     never mint series.
 //   - sessioncheck: context.Context parameters that are accepted but
-//     never used (breaking the cancellation chain), and calls to the
-//     deprecated pre-session sweep/collect variants outside their
-//     defining packages.
+//     never used (breaking the cancellation chain).
 //   - validitycheck: table writers that render measured sweep results
 //     (BenchResult parameters feeding AddRow/AddRowf) without consuming
 //     a triage verdict from the validity layer.
@@ -153,7 +151,7 @@ func (p *ModulePass) report(pkg *Package, pos token.Pos, trace []TraceStep, msg 
 func All() []*Analyzer {
 	return []*Analyzer{
 		UnitSafety, CounterClass, ErrCheck, Concurrency, FaultSafety,
-		ObsCheck, DaemonCheck, SessionCheck, ValidityCheck, Determinism, DetContract, StaleIgnore,
+		ObsCheck, SessionCheck, ValidityCheck, Determinism, DetContract, StaleIgnore,
 	}
 }
 

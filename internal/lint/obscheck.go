@@ -18,19 +18,27 @@ import (
 //     track's slice nesting breaks and the Perfetto export shows a
 //     never-ending box. End it, defer its End, return it or pass it on.
 //
-//  2. Stray metric registration: Registry.Counter/Gauge/Histogram/
-//     CounterVec walk a sorted family map under a mutex. Calling them on
-//     hot paths (per cell, per sample) defeats the atomic fast path the
-//     exporters rely on; registration belongs in init functions and
-//     constructors (New*/new*/Open*/Observe/observe*), which cache the
-//     returned handles. internal/obs itself, where the registry is
-//     defined and exercised, is exempt.
+//  2. Stray metric registration: Registry.Counter/Gauge/FloatGauge/
+//     Histogram/CounterVec walk a sorted family map under a mutex.
+//     Calling them on hot paths (per cell, per sample) defeats the atomic
+//     fast path the exporters rely on; registration belongs in init
+//     functions and constructors (New*/new*/Open*/Observe/observe*),
+//     which cache the returned handles. HTTP handlers never register,
+//     whatever their name: the daemon's scrape-safety contract
+//     (internal/daemon package doc) is that /metrics renders a
+//     Registry.Snapshot of families created at construction, so a scrape
+//     is a pure read and two scrapes of an idle server agree. A function
+//     is handler-shaped when it takes a ResponseWriter and a *Request (a
+//     declaration or a literal), or is a two-parameter ServeHTTP method.
+//     internal/obs itself, where the registry is defined and exercised,
+//     is exempt.
 //
-// Both rules match by type name (Span, Track, Registry) so the fixture
-// packages can model them without importing the real module.
+// Both rules match by type name (Span, Track, Registry, ResponseWriter,
+// Request) so the fixture packages can model them without importing the
+// real module or net/http.
 var ObsCheck = &Analyzer{
 	Name: "obscheck",
-	Doc:  "instrumentation spans never ended; metric registration outside init/constructors",
+	Doc:  "instrumentation spans never ended; metric registration outside init/constructors or inside HTTP handlers",
 	Run:  runObsCheck,
 }
 
@@ -38,6 +46,7 @@ var ObsCheck = &Analyzer{
 var registrationMethods = map[string]bool{
 	"Counter":    true,
 	"Gauge":      true,
+	"FloatGauge": true,
 	"Histogram":  true,
 	"CounterVec": true,
 }
@@ -179,11 +188,54 @@ func registrationSiteAllowed(fn *ast.FuncDecl) bool {
 	return false
 }
 
-// checkRegistrationSites applies rule 2 to one file: Registry registration
-// methods may only be called from init functions or constructors. Function
-// literals inherit their enclosing declaration's name.
+// handlerName reports the name to report n under when n is an
+// HTTP-handler-shaped function declaration or literal, and "" otherwise.
+func handlerName(info *types.Info, n ast.Node) string {
+	var ft *ast.FuncType
+	name := "handler literal"
+	switch fn := n.(type) {
+	case *ast.FuncDecl:
+		ft, name = fn.Type, fn.Name.Name
+	case *ast.FuncLit:
+		ft = fn.Type
+	default:
+		return ""
+	}
+	nParams := 0
+	var hasWriter, hasRequest bool
+	for _, field := range ft.Params.List {
+		nParams += max(len(field.Names), 1)
+		t := info.TypeOf(field.Type)
+		switch namedTypeName(t) {
+		case "ResponseWriter":
+			hasWriter = true
+		case "Request":
+			if _, ok := t.(*types.Pointer); ok {
+				hasRequest = true
+			}
+		}
+	}
+	if (name == "ServeHTTP" && nParams == 2) || (hasWriter && hasRequest) {
+		return name
+	}
+	return ""
+}
+
+// checkRegistrationSites applies rule 2 to one file. A registration call
+// is judged first by its innermost enclosing handler-shaped function,
+// however deeply it is nested inside it; outside any handler it may only
+// be called from init functions or constructors, and function literals
+// inherit their enclosing declaration's name.
 func checkRegistrationSites(pass *Pass, info *types.Info, file *ast.File) {
+	// handlers mirrors ast.Inspect's path from the root: one entry per
+	// open node, the handler name for handler-shaped functions, else "".
+	var handlers []string
 	ast.Inspect(file, func(n ast.Node) bool {
+		if n == nil {
+			handlers = handlers[:len(handlers)-1]
+			return true
+		}
+		handlers = append(handlers, handlerName(info, n))
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
@@ -194,6 +246,14 @@ func checkRegistrationSites(pass *Pass, info *types.Info, file *ast.File) {
 		}
 		if namedTypeName(info.TypeOf(sel.X)) != "Registry" {
 			return true
+		}
+		for i := len(handlers) - 1; i >= 0; i-- {
+			if handlers[i] != "" {
+				pass.Reportf(call.Pos(),
+					"Registry.%s called inside HTTP handler %s: handlers must not write to the registry — register the handle in New/a collector constructor and serve scrapes from Registry.Snapshot",
+					sel.Sel.Name, handlers[i])
+				return true
+			}
 		}
 		if fn := enclosingFunc(file, call.Pos()); !registrationSiteAllowed(fn) {
 			pass.Reportf(call.Pos(),

@@ -6,62 +6,29 @@ import (
 )
 
 // SessionCheck enforces the session-engine discipline introduced with the
-// context-aware campaign stack.
-//
-// Two rules:
-//
-//  1. Dropped contexts: a function that accepts a context.Context must
-//     use it — pass it to a callee, check Err, select on Done. A context
-//     parameter with zero uses silently breaks the cancellation chain:
-//     the caller believes a cancel propagates, but the subtree below this
-//     function runs to completion. A function that genuinely needs no
-//     context opts out by naming the parameter _ (or leaving it
-//     unnamed).
-//
-//  2. Deprecated campaign variants: the pre-session sweep/collect entry
-//     points (characterize.SweepBoard/SweepBoardParallel/SweepBoards/
-//     SweepBoardR/SweepBoardsR/Table4Workers, core.Collect/
-//     CollectParallel/CollectResilient) are thin wrappers kept for
-//     compatibility; new call sites must use the unified engines
-//     (characterize.Sweep, core.CollectCtx) or a session.Session, which
-//     thread a context and honour the checkpoint journal. The defining
-//     packages themselves are exempt (the wrappers delegate to the
-//     engines). Method calls are never matched — only package-level
-//     functions with these names.
+// context-aware campaign stack: a function that accepts a
+// context.Context must use it — pass it to a callee, check Err, select on
+// Done. A context parameter with zero uses silently breaks the
+// cancellation chain: the caller believes a cancel propagates, but the
+// subtree below this function runs to completion. A function that
+// genuinely needs no context opts out by naming the parameter _ (or
+// leaving it unnamed).
 var SessionCheck = &Analyzer{
 	Name: "sessioncheck",
-	Doc:  "context parameters that are never used; calls to deprecated pre-session sweep/collect variants",
+	Doc:  "context parameters that are never used",
 	Run:  runSessionCheck,
-}
-
-// deprecatedCampaignCalls maps each deprecated entry-point name to its
-// defining package (exempt — the wrappers live there) and the suggested
-// replacement.
-var deprecatedCampaignCalls = map[string]struct {
-	home        string
-	replacement string
-}{
-	"SweepBoard":         {"gpuperf/internal/characterize", "characterize.Sweep or session.Session.SweepBoard"},
-	"SweepBoardParallel": {"gpuperf/internal/characterize", "characterize.Sweep or session.Session.SweepBoard"},
-	"SweepBoards":        {"gpuperf/internal/characterize", "characterize.Sweep or session.Session.Sweep"},
-	"SweepBoardR":        {"gpuperf/internal/characterize", "characterize.Sweep or session.Session.SweepBoard"},
-	"SweepBoardsR":       {"gpuperf/internal/characterize", "characterize.Sweep or session.Session.Sweep"},
-	"Table4Workers":      {"gpuperf/internal/characterize", "characterize.Sweep or session.Session.Sweep"},
-	"Collect":            {"gpuperf/internal/core", "core.CollectCtx or session.Session.Collect"},
-	"CollectParallel":    {"gpuperf/internal/core", "core.CollectCtx or session.Session.Collect"},
-	"CollectResilient":   {"gpuperf/internal/core", "core.CollectCtx or session.Session.Collect"},
 }
 
 func runSessionCheck(pass *Pass) {
 	info := pass.Pkg.Info
 	for _, file := range pass.Pkg.Files {
 		checkDroppedCtx(pass, info, file)
-		checkDeprecatedCampaignCalls(pass, info, file)
 	}
 }
 
-// checkDroppedCtx applies rule 1 to one file: every named context.Context
-// parameter of a function with a body must have at least one use.
+// checkDroppedCtx applies the rule to one file: every named
+// context.Context parameter of a function with a body must have at least
+// one use.
 func checkDroppedCtx(pass *Pass, info *types.Info, file *ast.File) {
 	ast.Inspect(file, func(n ast.Node) bool {
 		fd, ok := n.(*ast.FuncDecl)
@@ -93,42 +60,6 @@ func checkDroppedCtx(pass *Pass, info *types.Info, file *ast.File) {
 				}
 			}
 		}
-		return true
-	})
-}
-
-// checkDeprecatedCampaignCalls applies rule 2 to one file: direct calls to
-// the deprecated sweep/collect variant names, outside their defining
-// package. Methods never match — the names are checked against
-// package-level functions only.
-func checkDeprecatedCampaignCalls(pass *Pass, info *types.Info, file *ast.File) {
-	ast.Inspect(file, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		var id *ast.Ident
-		switch fun := ast.Unparen(call.Fun).(type) {
-		case *ast.SelectorExpr:
-			id = fun.Sel
-		case *ast.Ident:
-			id = fun
-		default:
-			return true
-		}
-		dep, isDep := deprecatedCampaignCalls[id.Name]
-		if !isDep || pass.Pkg.Path == dep.home {
-			return true
-		}
-		if fn, ok := info.Uses[id].(*types.Func); ok {
-			if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-				// A method that happens to share the name (e.g.
-				// counters.Set.Collect) is not a campaign entry point.
-				return true
-			}
-		}
-		pass.Reportf(call.Pos(),
-			"%s is a deprecated pre-session campaign variant; use %s (context-aware, checkpoint-correct)", id.Name, dep.replacement)
 		return true
 	})
 }

@@ -1,7 +1,8 @@
 // Package daemoncheck_bad models the serving-layer shapes (Registry,
-// ResponseWriter, *Request — matched by type name, as the analyzer does)
+// ResponseWriter, *Request — matched by type name, as obscheck does)
 // and breaks the scrape-safety contract: metric registration from inside
-// HTTP handlers.
+// HTTP handlers takes the family lock per request, and a series appears
+// only once its route is hit.
 package daemoncheck_bad
 
 // ResponseWriter and Request mirror the net/http shapes the analyzer
@@ -28,34 +29,37 @@ func (m *Mux) HandleFunc(pattern string, h func(ResponseWriter, *Request)) {}
 
 type server struct{ reg *Registry }
 
-// handleScrape registers on the scrape path: the family lock is taken
-// per request and the series appears only once this route is hit.
+// handleScrape registers on the scrape path.
 func (s *server) handleScrape(w ResponseWriter, r *Request) {
-	s.reg.FloatGauge("bad_scrape_gauge").Inc() // want:daemoncheck "inside HTTP handler handleScrape"
+	s.reg.FloatGauge("bad_scrape_gauge").Inc() // want:obscheck "inside HTTP handler handleScrape"
 }
 
-// ObserveScrape is constructor-shaped by name, so obscheck trusts it —
-// but its signature says HTTP handler, and daemoncheck keys on that.
+// ObserveScrape is constructor-shaped by name, but its signature says
+// HTTP handler, and the handler shape is judged first.
 func ObserveScrape(reg *Registry, w ResponseWriter, r *Request) {
-	reg.Counter("bad_evasive_total").Inc() // want:daemoncheck "inside HTTP handler ObserveScrape"
+	reg.Counter("bad_evasive_total").Inc() // want:obscheck "inside HTTP handler ObserveScrape"
 }
 
 // ServeHTTP is a handler by method name, whatever its parameter types.
 func (s *server) ServeHTTP(w ResponseWriter, r *Request) {
-	s.reg.Histogram("bad_latency_hist").Inc() // want:daemoncheck "inside HTTP handler ServeHTTP" // want:obscheck "register in init or a constructor"
+	s.reg.Histogram("bad_latency_hist").Inc() // want:obscheck "inside HTTP handler ServeHTTP"
 }
 
 // routes registers from a handler literal: the literal's own signature,
 // not the enclosing declaration's, makes it a handler.
 func (s *server) routes(m *Mux) {
 	m.HandleFunc("GET /metrics", func(w ResponseWriter, r *Request) {
-		s.reg.Counter("bad_hits_total").Inc() // want:daemoncheck "inside HTTP handler handler literal" // want:obscheck "register in init or a constructor"
+		s.reg.Counter("bad_hits_total").Inc() // want:obscheck "inside HTTP handler handler literal"
 	})
 }
 
-// newServer is the control: registration in a constructor is the
-// sanctioned idiom, handler-adjacent or not.
-func newServer(reg *Registry) *server {
+// NewServer's own registration is the sanctioned constructor idiom, but
+// the handler literal it wires runs per request: the literal, not the
+// constructor's name, decides.
+func NewServer(reg *Registry, m *Mux) *server {
 	reg.Counter("ok_boot_total").Inc()
+	m.HandleFunc("GET /hits", func(w ResponseWriter, r *Request) {
+		reg.Counter("bad_wired_total").Inc() // want:obscheck "inside HTTP handler handler literal"
+	})
 	return &server{reg: reg}
 }

@@ -67,8 +67,7 @@ func (s *server) routes(m *Mux) {
 }
 
 // newRouteCounter is a non-handler helper: registration outside a
-// handler is daemoncheck-clean (obscheck separately wants it
-// constructor-shaped, which it is).
+// handler is allowed when the helper is constructor-shaped, which it is.
 func newRouteCounter(reg *Registry, route string) *Counter {
 	return reg.Counter("ok_route_" + route)
 }

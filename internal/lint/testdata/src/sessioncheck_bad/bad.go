@@ -4,12 +4,6 @@ package sessioncheck_bad
 
 import "context"
 
-// Local package-level mocks of the deprecated campaign variants; the
-// fixture package is not their defining package, so calls are flagged.
-func SweepBoardParallel(board string, seed int64, workers int) error { return nil }
-func Table4Workers(seed int64, workers int) error                    { return nil }
-func CollectParallel(board string, seed int64, workers int) error    { return nil }
-
 func run() error { return nil }
 
 // The context is accepted and silently dropped: a cancel upstream never
@@ -23,18 +17,4 @@ type campaign struct{}
 
 func (c *campaign) sweep(ctx context.Context) error { // want:sessioncheck "never used"
 	return run()
-}
-
-// Calls to the deprecated pre-session variants outside their defining
-// package must migrate to the unified engines.
-func legacySweep() error {
-	return SweepBoardParallel("GTX 480", 42, 4) // want:sessioncheck "deprecated"
-}
-
-func legacyTable4() error {
-	return Table4Workers(42, 4) // want:sessioncheck "deprecated"
-}
-
-func legacyCollect() error {
-	return CollectParallel("GTX 480", 42, 4) // want:sessioncheck "deprecated"
 }

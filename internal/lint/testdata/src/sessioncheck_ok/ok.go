@@ -24,11 +24,3 @@ func optedOut(_ context.Context, board string) string { return board }
 
 // An unnamed context parameter (interface-shaped signature) is exempt.
 func unnamed(context.Context) {}
-
-// A method that shares a deprecated variant's name is not a campaign
-// entry point; method calls never match.
-type set struct{}
-
-func (s *set) Collect() int { return 0 }
-
-func methodCall(s *set) int { return s.Collect() }

@@ -2,8 +2,6 @@ package reproduce
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -143,45 +141,4 @@ func TestReproducePermanentFaultDegradesGracefully(t *testing.T) {
 			t.Errorf("report missing %q", want)
 		}
 	}
-}
-
-// TestReproduceCheckpointResume: a journaled campaign replays completed
-// cells on resume — including resume from a torn journal — and the
-// resumed report is byte-identical to the original.
-func TestReproduceCheckpointResume(t *testing.T) {
-	if testing.Short() {
-		t.Skip("single-board characterization; skipped with -short")
-	}
-	opts := faultOpts()
-	opts.Modeling = false
-	opts.Faults = mustProfile(t, "launch.hang:0.02,clockset.fail:0.03,meter.drop:0.0002")
-	opts.MaxRetries = 10
-	opts.LaunchTimeout = 30 * time.Millisecond
-	opts.Checkpoint = filepath.Join(t.TempDir(), "journal.jsonl")
-
-	first, _ := runReport(t, opts)
-
-	// A complete journal: every cell replays, nothing is remeasured.
-	second, res2 := runReport(t, opts)
-	if res2.CheckpointHits == 0 {
-		t.Error("resume from a complete journal replayed no cells")
-	}
-	requireSameReport(t, first, second)
-
-	// A torn journal (killed mid-write): the readable prefix replays, the
-	// tail — including the torn line — is remeasured.
-	data, err := os.ReadFile(opts.Checkpoint)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimRight(string(data), "\n"), "\n")
-	torn := strings.Join(lines[:len(lines)/2], "\n") + "\n" + `{"kind":"cell","boa`
-	if err := os.WriteFile(opts.Checkpoint, []byte(torn), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	third, res3 := runReport(t, opts)
-	if res3.CheckpointHits == 0 {
-		t.Error("resume from a torn journal replayed no cells")
-	}
-	requireSameReport(t, first, third)
 }

@@ -67,13 +67,11 @@ type Options struct {
 	Faults        *fault.Profile
 	MaxRetries    int
 	LaunchTimeout time.Duration
-	// Checkpoint, when set, journals completed sweep cells to this path
-	// and resumes from it, so a killed run repays only unfinished cells.
-	Checkpoint string
-	// Journal, when non-nil, is a pre-opened checkpoint journal the run
-	// uses instead of opening Checkpoint itself. The caller keeps
-	// ownership and must Close it — session.Session hands its journal in
-	// here so the file is opened exactly once per session.
+	// Journal, when non-nil, is the checkpoint journal the run records
+	// completed sweep cells to and resumes from, so a killed run repays
+	// only unfinished cells. The caller keeps ownership and must Close it;
+	// session.Open is what opens one, and Session.ReproduceOptions lends
+	// it here.
 	Journal *characterize.Journal
 
 	// Obs, when non-nil, records the campaign: spans and events on the
@@ -146,19 +144,18 @@ func Quick(o *Options) {
 // resilient sweeps use, the checkpoint journal, and the degradation
 // bookkeeping the summary section renders.
 type harness struct {
-	use        bool
-	res        *fault.Resilience
-	journal    *characterize.Journal
-	ownJournal bool // opened here (Checkpoint) vs lent by the caller (Journal)
-	triage     *validity.Triage
-	degraded   []characterize.Degradation
-	dropped    map[string][]core.DroppedBench
-	retries    int
+	use      bool
+	res      *fault.Resilience
+	journal  *characterize.Journal
+	triage   *validity.Triage
+	degraded []characterize.Degradation
+	dropped  map[string][]core.DroppedBench
+	retries  int
 }
 
 // campaignCohort assembles the run's cohort identity — the exact same
-// construction session.Open uses, so a journal a Session created and one
-// this package opens from Options.Checkpoint carry identical headers.
+// construction session.Open uses, so the triage report binds to the same
+// cohort as the journal a Session lends.
 func campaignCohort(opts Options, boardNames []string) validity.Cohort {
 	spec := ""
 	if opts.Faults != nil {
@@ -177,19 +174,19 @@ func campaignCohort(opts Options, boardNames []string) validity.Cohort {
 }
 
 // newHarness resolves the fault/checkpoint/observability/triage options.
-// The fault harness engages when a fault profile, a checkpoint path or
-// journal, or a recorder is configured; a checkpoint or recorder without
-// faults runs a fault-free campaign through the same code path. The
-// triage engine engages independently (Options.triageOn) — a fault-free
-// repetition cohort still gets judged.
-func newHarness(opts Options, cohort validity.Cohort) (*harness, error) {
-	h := &harness{dropped: map[string][]core.DroppedBench{}}
+// The fault harness engages when a fault profile, a journal or a recorder
+// is configured; a journal or recorder without faults runs a fault-free
+// campaign through the same code path. The triage engine engages
+// independently (Options.triageOn) — a fault-free repetition cohort still
+// gets judged.
+func newHarness(opts Options, cohort validity.Cohort) *harness {
+	h := &harness{dropped: map[string][]core.DroppedBench{}, journal: opts.Journal}
 	if opts.triageOn() {
 		h.triage = validity.NewTriage(cohort, opts.Repetitions, opts.MinValid, 0)
 	}
-	h.use = opts.Faults != nil || opts.Checkpoint != "" || opts.Journal != nil || opts.Obs != nil
+	h.use = opts.Faults != nil || opts.Journal != nil || opts.Obs != nil
 	if !h.use {
-		return h, nil
+		return h
 	}
 	h.res = &fault.Resilience{
 		Campaign:      &fault.Campaign{Profile: opts.Faults, Seed: opts.Seed},
@@ -198,30 +195,7 @@ func newHarness(opts Options, cohort validity.Cohort) (*harness, error) {
 		Obs:           opts.Obs,
 	}
 	h.res.Observe()
-	switch {
-	case opts.Journal != nil:
-		h.journal = opts.Journal
-	case opts.Checkpoint != "":
-		// The journal is bound to the full cohort; resuming under any other
-		// configuration is a hard *characterize.CohortMismatchError with
-		// the journal preserved on disk.
-		j, err := characterize.OpenJournalCohort(opts.Checkpoint, characterize.JournalConfig{Cohort: cohort})
-		if err != nil {
-			return nil, err
-		}
-		h.journal = j
-		h.ownJournal = true
-	}
-	return h, nil
-}
-
-func (h *harness) close() {
-	if h.journal != nil && h.ownJournal {
-		// Every cell was already flushed by Record; a close error here
-		// cannot lose checkpoint data. A lent journal stays open — its
-		// owner closes it.
-		_ = h.journal.Close()
-	}
+	return h
 }
 
 // note records a campaign's degradations and retry tally for the summary.
@@ -283,9 +257,9 @@ func RunContext(ctx context.Context, opts Options, w io.Writer) (*Result, error)
 	if opts.MinValid < 0 || opts.MinValid > opts.Repetitions {
 		return nil, fmt.Errorf("reproduce: min-valid %d outside [0, repetitions=%d]", opts.MinValid, opts.Repetitions)
 	}
-	boards, err := resolveBoards(opts.Boards)
+	boards, err := arch.ResolveBoards(opts.Boards)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("reproduce: %w", err)
 	}
 	boardNames := make([]string, len(boards))
 	for i, spec := range boards {
@@ -299,11 +273,7 @@ func RunContext(ctx context.Context, opts Options, w io.Writer) (*Result, error)
 		PowerErrW:          map[string]float64{},
 		TimeErrPct:         map[string]float64{},
 	}
-	h, err := newHarness(opts, campaignCohort(opts, boardNames))
-	if err != nil {
-		return nil, err
-	}
-	defer h.close()
+	h := newHarness(opts, campaignCohort(opts, boardNames))
 	if opts.Obs != nil {
 		defer regress.Observe(opts.Obs.Metrics())()
 	}
@@ -460,21 +430,6 @@ func saveArtifact(dir, name, content string) error {
 		}
 	}, name)
 	return os.WriteFile(filepath.Join(dir, slug), []byte(content), 0o644)
-}
-
-func resolveBoards(names []string) ([]*arch.Spec, error) {
-	if len(names) == 0 {
-		return arch.AllBoards(), nil
-	}
-	var out []*arch.Spec
-	for _, n := range names {
-		s := arch.BoardByName(n)
-		if s == nil {
-			return nil, fmt.Errorf("reproduce: unknown board %q", n)
-		}
-		out = append(out, s)
-	}
-	return out, nil
 }
 
 func runCharacterization(ctx context.Context, opts Options, boards []*arch.Spec, h *harness, res *Result, w io.Writer) error {

@@ -41,10 +41,18 @@ func TestQuickRunSingleBoard(t *testing.T) {
 }
 
 func TestRunRejectsUnknownBoard(t *testing.T) {
-	opts := DefaultOptions()
-	opts.Boards = []string{"GTX 9999"}
-	if _, err := Run(opts, &bytes.Buffer{}); err == nil {
-		t.Error("Run accepted unknown board")
+	for _, tc := range []struct {
+		boards []string
+		want   string
+	}{
+		{[]string{"GTX 9999"}, `reproduce: unknown board "GTX 9999"`},
+		{[]string{"GTX 480", "GTX 480"}, `reproduce: board "GTX 480" listed twice`},
+	} {
+		opts := DefaultOptions()
+		opts.Boards = tc.boards
+		if _, err := Run(opts, &bytes.Buffer{}); err == nil || err.Error() != tc.want {
+			t.Errorf("boards %q: got %v, want %q", tc.boards, err, tc.want)
+		}
 	}
 }
 

@@ -2,15 +2,12 @@ package reproduce
 
 import (
 	"bytes"
-	"errors"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
-	"gpuperf/internal/characterize"
 	"gpuperf/internal/validity"
 )
 
@@ -134,39 +131,6 @@ func TestReproduceTriageChaosGatesTableIV(t *testing.T) {
 	}
 	if parsed.Counts[validity.InfraFlake] != flakes {
 		t.Errorf("file says %d flakes, result says %d", parsed.Counts[validity.InfraFlake], flakes)
-	}
-}
-
-// TestReproduceCheckpointCohortMismatch: resuming a checkpoint under any
-// other cohort (here a different seed) is a hard error that leaves the
-// journal byte-identical on disk — never a silent reset.
-func TestReproduceCheckpointCohortMismatch(t *testing.T) {
-	dir := t.TempDir()
-	cp := filepath.Join(dir, "journal.jsonl")
-	opts := triageOpts()
-	opts.Checkpoint = cp
-	runReport(t, opts)
-	before, err := os.ReadFile(cp)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	opts2 := opts
-	opts2.Seed = 7
-	_, err = Run(opts2, io.Discard)
-	var cm *characterize.CohortMismatchError
-	if !errors.As(err, &cm) {
-		t.Fatalf("got %v, want *characterize.CohortMismatchError", err)
-	}
-	if cm.Old.Seed != 42 || cm.New.Seed != 7 {
-		t.Errorf("mismatch seeds: old %d new %d", cm.Old.Seed, cm.New.Seed)
-	}
-	after, err := os.ReadFile(cp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(before, after) {
-		t.Error("journal changed on a rejected resume")
 	}
 }
 

@@ -206,8 +206,6 @@ func WithPowerFanout(f driver.PowerFanout) Option {
 	return func(c *Config) { c.PowerFanout = f }
 }
 
-// WithTrackPrefix namespaces the session's sweep track names (see
-// Config.TrackPrefix).
 // WithFleet configures a fleet campaign: size jittered devices over the
 // session's boards, swept across shards pipelines.
 func WithFleet(size, shards int, jitter string) Option {
@@ -218,6 +216,8 @@ func WithFleet(size, shards int, jitter string) Option {
 	}
 }
 
+// WithTrackPrefix namespaces the session's sweep track names (see
+// Config.TrackPrefix).
 func WithTrackPrefix(prefix string) Option {
 	return func(c *Config) { c.TrackPrefix = prefix }
 }
@@ -325,9 +325,9 @@ func Open(cfg Config) (*Session, error) {
 	if err := fault.ValidateHarness(cfg.Workers, cfg.MaxRetries, cfg.LaunchTimeout); err != nil {
 		return nil, fmt.Errorf("session: %w", err)
 	}
-	boards, err := resolveBoards(cfg.Boards)
+	boards, err := arch.ResolveBoards(cfg.Boards)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("session: %w", err)
 	}
 	if cfg.Repetitions < 1 {
 		cfg.Repetitions = 1
@@ -397,21 +397,6 @@ func Open(cfg Config) (*Session, error) {
 	}
 	s.restoreCache = driver.PushLaunchCachingEnabled(cfg.Cache)
 	return s, nil
-}
-
-func resolveBoards(names []string) ([]*arch.Spec, error) {
-	if len(names) == 0 {
-		return arch.AllBoards(), nil
-	}
-	out := make([]*arch.Spec, 0, len(names))
-	for _, n := range names {
-		spec := arch.BoardByName(n)
-		if spec == nil {
-			return nil, fmt.Errorf("session: unknown board %q", n)
-		}
-		out = append(out, spec)
-	}
-	return out, nil
 }
 
 // Close releases what New built: the checkpoint journal and the pinned

@@ -29,6 +29,18 @@ func open(t *testing.T, options ...Option) *Session {
 	return s
 }
 
+// engineSweep is the engine's sequential GTX 480 sweep: the reference the
+// session's sweeps must reproduce.
+func engineSweep(t *testing.T, benches []*workloads.Benchmark) []*characterize.BenchResult {
+	t.Helper()
+	m, err := characterize.Sweep(context.Background(), []string{"GTX 480"}, benches,
+		characterize.SweepOptions{Seed: 42, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m["GTX 480"]
+}
+
 func TestDefaultsAndBoardResolution(t *testing.T) {
 	s := open(t)
 	if got := s.Config().Seed; got != 42 {
@@ -43,22 +55,27 @@ func TestDefaultsAndBoardResolution(t *testing.T) {
 		t.Errorf("resolved boards = %v", got)
 	}
 
-	if _, err := New(WithBoards("Voodoo 2")); err == nil {
-		t.Error("unknown board accepted")
+	for _, tc := range []struct {
+		boards []string
+		want   string
+	}{
+		{[]string{"Voodoo 2"}, `session: unknown board "Voodoo 2"`},
+		{[]string{"GTX 480", "GTX 480"}, `session: board "GTX 480" listed twice`},
+	} {
+		if _, err := New(WithBoards(tc.boards...)); err == nil || err.Error() != tc.want {
+			t.Errorf("boards %q: got %v, want %q", tc.boards, err, tc.want)
+		}
 	}
 	if _, err := New(WithWorkers(5), WithRetryPolicy(-1, time.Second)); err == nil {
 		t.Error("negative retry budget accepted")
 	}
 }
 
-// TestSweepMatchesDeprecatedPath: the Session sweep must reproduce the
-// deprecated per-board entry points bit-for-bit, at any worker count.
-func TestSweepMatchesDeprecatedPath(t *testing.T) {
+// TestSweepMatchesEngineReference: the Session sweep must reproduce the
+// engine's sequential sweep bit-for-bit, at any worker count.
+func TestSweepMatchesEngineReference(t *testing.T) {
 	benches := workloads.Table4()[:3]
-	want, err := characterize.SweepBoard("GTX 480", benches, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := engineSweep(t, benches)
 	for _, workers := range []int{1, 4} {
 		s := open(t, WithBoards("GTX 480"), WithWorkers(workers))
 		got, err := s.SweepBoard(context.Background(), "GTX 480", benches)
@@ -79,10 +96,10 @@ func TestSweepMatchesDeprecatedPath(t *testing.T) {
 }
 
 // TestCollectAndModelMatchReference: dataset and trained model through
-// the Session equal the deprecated sequential path.
+// the Session equal the engine's sequential reference.
 func TestCollectAndModelMatchReference(t *testing.T) {
 	benches := workloads.ModelingSet()[:4]
-	wantDS, err := core.Collect("GTX 480", benches, 42)
+	wantDS, err := core.CollectCtx(context.Background(), "GTX 480", benches, core.CollectOptions{Seed: 42, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,10 +161,7 @@ func TestJournalOwnership(t *testing.T) {
 // bit-identical to an uninterrupted run.
 func TestJournalResumeAfterCancel(t *testing.T) {
 	benches := workloads.Table4()[:3]
-	want, err := characterize.SweepBoard("GTX 480", benches, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := engineSweep(t, benches)
 	path := filepath.Join(t.TempDir(), "journal.jsonl")
 
 	s1, err := New(WithBoards("GTX 480"), WithWorkers(1), WithCheckpoint(path))
@@ -229,7 +243,7 @@ func TestReproduceQuickMatchesPlainRun(t *testing.T) {
 }
 
 // TestFaultySessionMatchesResilientPath: a fault-profile session must
-// reproduce CollectResilient's dataset exactly.
+// reproduce the engine's dataset under the same retry policy exactly.
 func TestFaultySessionMatchesResilientPath(t *testing.T) {
 	profile, err := fault.ParseProfile("boot.fail:0.2,meter.spike:0.1:500")
 	if err != nil {
@@ -241,7 +255,8 @@ func TestFaultySessionMatchesResilientPath(t *testing.T) {
 		MaxRetries:    fault.DefaultMaxRetries,
 		LaunchTimeout: fault.DefaultLaunchTimeout,
 	}
-	want, err := core.CollectResilient("GTX 480", benches, 42, 2, res)
+	want, err := core.CollectCtx(context.Background(), "GTX 480", benches,
+		core.CollectOptions{Seed: 42, Workers: 2, Res: res})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +266,7 @@ func TestFaultySessionMatchesResilientPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("faulty session dataset differs from CollectResilient")
+		t.Fatal("faulty session dataset differs from the engine under the same policy")
 	}
 }
 

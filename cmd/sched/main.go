@@ -7,12 +7,14 @@
 //	sched -board "GTX 680" -jobs backprop,sgemm,lbm -budget 80
 //	sched -jobs backprop,sgemm -deadline 0.5
 //
-// The device comes from the shared campaign session, so the campaign flag
-// block (-seed, -faults, -max-retries, …) behaves exactly as in the sweep
-// commands.
+// The device comes from the shared campaign session, so -seed, -nocache
+// and the observability flags behave as in the sweep commands.
+// The sweeps run one fault-free attempt per pair, so sched rejects -faults
+// with a usage error; run fault campaigns with characterize or paper.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -43,6 +45,9 @@ func main() {
 	}
 
 	camp.NoFleet("sched")
+	if camp.Faults != "" {
+		cliflags.Usage("sched", errors.New("-faults is not supported: sched's sweeps run one fault-free attempt per pair; run fault campaigns with characterize or paper"))
+	}
 	cfg, err := camp.Config(*board)
 	if err != nil {
 		cliflags.Usage("sched", err)

@@ -195,7 +195,9 @@ func RunBenchmark(dev *Device, benchmark string, scale float64) (*RunSummary, er
 }
 
 // Sweep measures one benchmark at every valid frequency pair of a device
-// (the Section III experiment). The device is left at (H-H).
+// (the Section III experiment). The device is left at (H-H). The sweep is
+// fault-free — one attempt per pair, with any fault injector the device
+// carries detached; fault campaigns run through Session.Sweep.
 func Sweep(dev *Device, benchmark string) (*SweepResult, error) {
 	b := workloads.ByName(benchmark)
 	if b == nil {

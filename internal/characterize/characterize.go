@@ -156,6 +156,9 @@ func (r *BenchResult) PerfLossPct() float64 {
 // seed and the pair — not on how many cells ran before it. The resilient
 // sweep relies on exactly this to make retried and checkpoint-resumed
 // runs byte-identical to clean ones.
+//
+// The sweep is fault-free: one attempt per pair, with any fault injector
+// the device carries detached. Fault campaigns go through Sweep.
 func SweepBenchmark(dev *driver.Device, b *workloads.Benchmark) (*BenchResult, error) {
 	return SweepBenchmarkCtx(context.Background(), dev, b)
 }
@@ -163,41 +166,26 @@ func SweepBenchmark(dev *driver.Device, b *workloads.Benchmark) (*BenchResult, e
 // SweepBenchmarkCtx is SweepBenchmark with cooperative cancellation: the
 // context is checked before each frequency-pair cell, so a cancelled sweep
 // stops at a cell boundary and returns the cause wrapped in the error.
+// It is the engine's own per-device loop run with zero SweepOptions (a
+// nil Resilience) on the caller's device and seed, so on a device seeded
+// sweepSeed(seed, benchmark) it returns exactly what Sweep returns.
 func SweepBenchmarkCtx(ctx context.Context, dev *driver.Device, b *workloads.Benchmark) (*BenchResult, error) {
-	out := &BenchResult{Benchmark: b.Name, Board: dev.Spec().Name}
-	kernels := b.Kernels(1)
-	hostGap := b.HostGap(1)
-	for _, p := range clock.ValidPairs(dev.Spec()) {
-		if ctx.Err() != nil {
-			return nil, cancelled(ctx)
-		}
-		if err := dev.SetClocks(p); err != nil {
-			return nil, fmt.Errorf("characterize: %s: %w", b.Name, err)
-		}
-		dev.SeedScoped("pair|" + p.String())
-		rr, err := dev.RunMetered(b.Name, kernels, hostGap, MinRunSeconds)
-		if err != nil {
-			return nil, fmt.Errorf("characterize: %s at %s: %w", b.Name, p, err)
-		}
-		out.Pairs = append(out.Pairs, pairResult(p, rr, 0))
-		driver.ReleaseRunResult(rr) // the cell copied out everything it needs
-	}
-	if err := dev.SetClocks(clock.DefaultPair()); err != nil {
-		return nil, err
-	}
-	return out, nil
+	board := dev.Spec().Name
+	return sweepDevice(ctx, dev, board, board+"|"+b.Name, b, &SweepOptions{},
+		driver.Harness{Cancelled: cancelled}, nil)
 }
 
-// pairResult builds one sweep cell from a metered run.
-func pairResult(p clock.Pair, rr *driver.RunResult, retries int) PairResult {
-	out := PairResult{
-		Pair:          p,
-		TimePerIter:   rr.TimePerIteration(),
-		AvgWatts:      rr.Measurement.AvgWatts,
-		EnergyPerIter: rr.EnergyPerIteration(),
-		Retries:       retries,
-		Interpolated:  rr.Measurement.Interpolated,
-		Confidence:    rr.Measurement.Confidence(),
+// pairResult builds one sweep cell from a metered run after the given
+// number of retries. A nil run is a cell quarantined after exhausting its
+// retry budget on failPt.
+func pairResult(p clock.Pair, rr *driver.RunResult, retries int, failPt fault.Point) PairResult {
+	out := PairResult{Pair: p, Quarantined: rr == nil, FailPoint: failPt, Retries: retries}
+	if rr != nil {
+		out.TimePerIter = rr.TimePerIteration()
+		out.AvgWatts = rr.Measurement.AvgWatts
+		out.EnergyPerIter = rr.EnergyPerIteration()
+		out.Interpolated = rr.Measurement.Interpolated
+		out.Confidence = rr.Measurement.Confidence()
 	}
 	out.Verdict = out.Classify()
 	return out

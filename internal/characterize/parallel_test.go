@@ -8,6 +8,9 @@ import (
 	"testing"
 	"time"
 
+	"gpuperf/internal/arch"
+	"gpuperf/internal/driver"
+	"gpuperf/internal/fault"
 	"gpuperf/internal/workloads"
 )
 
@@ -46,18 +49,60 @@ func TestSweepBoardParallelMatchesSequential(t *testing.T) {
 }
 
 // TestSweepBoardsMatchesPerBoardSweeps: the full-width (board, benchmark)
-// grid pool must reproduce the per-board sequential sweeps exactly.
+// grid pool must reproduce the per-board sequential sweeps exactly, and
+// so must the single-device sweep on a device seeded the way the engine
+// seeds it — SweepBenchmarkCtx is the engine's per-device loop. The
+// Radeon HD 7970 (no Table I board) boots through the Boot/SpecOf seam.
 func TestSweepBoardsMatchesPerBoardSweeps(t *testing.T) {
 	benches := sweepSet(t, 3)
-	boards := []string{"GTX 285", "GTX 680"}
-	got, err := Sweep(context.Background(), boards, benches, SweepOptions{Seed: 42, Workers: 4})
+	radeon := arch.RadeonHD7970()
+	open := func(name string) (*driver.Device, error) {
+		if name == radeon.Name {
+			return driver.OpenSpec(radeon)
+		}
+		return driver.OpenBoard(name)
+	}
+	opts := SweepOptions{Seed: 42,
+		Boot: func(name string, in *fault.Injector) (*driver.Device, error) {
+			if name == radeon.Name {
+				return driver.OpenSpecWithFaults(radeon, in)
+			}
+			return driver.OpenBoardWithFaults(name, in)
+		},
+		SpecOf: func(name string) *arch.Spec {
+			if name == radeon.Name {
+				return radeon
+			}
+			return arch.BoardByName(name)
+		},
+	}
+	boards := []string{"GTX 285", "GTX 460", "GTX 480", "GTX 680", radeon.Name}
+	grid := opts
+	grid.Workers = 4
+	got, err := Sweep(context.Background(), boards, benches, grid)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, board := range boards {
-		want := sweepBoard(t, board, benches, SweepOptions{Seed: 42, Workers: 1})
+		seq := opts
+		seq.Workers = 1
+		want := sweepBoard(t, board, benches, seq)
 		if !reflect.DeepEqual(got[board], want) {
 			t.Fatalf("%s: grid-pool sweep differs from sequential per-board sweep", board)
+		}
+		for i, b := range benches {
+			dev, err := open(board)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dev.Seed(sweepSeed(42, b.Name))
+			single, err := SweepBenchmarkCtx(context.Background(), dev, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(single, got[board][i]) {
+				t.Fatalf("%s / %s: SweepBenchmarkCtx differs from the engine's sweep", board, b.Name)
+			}
 		}
 	}
 }

@@ -10,17 +10,17 @@ import (
 	"gpuperf/internal/clock"
 	"gpuperf/internal/driver"
 	"gpuperf/internal/fault"
-	"gpuperf/internal/gpu"
 	"gpuperf/internal/obs"
 	"gpuperf/internal/workloads"
 )
 
-// The resilient sweep is the plain sweep wrapped in the fault harness:
-// every boot, clock set and metered run may fail transiently under a fault
+// Every sweep runs inside the measurement harness (driver.Harness): every
+// boot, clock set and metered run may fail transiently under a fault
 // campaign, so each one runs inside a bounded retry loop with backoff, a
 // watchdog kills hung launches and reboots the device, and a frequency
 // pair that exhausts its retry budget is quarantined — its Table IV cell
-// renders "n/a (unstable)" instead of sinking the whole campaign.
+// renders "n/a (unstable)" instead of sinking the whole campaign. Without
+// a fault campaign the same loops make one fault-free attempt.
 //
 // Determinism: each cell's measurement noise comes from a stream scoped to
 // the cell (SeedScoped) and each attempt's faults from a stream keyed by
@@ -81,20 +81,6 @@ type SweepOptions struct {
 	// quarantine path needs the pair grid of a device that never booted.
 	// Defaults to arch.BoardByName.
 	SpecOf func(boardName string) *arch.Spec
-}
-
-func (o *SweepOptions) res() *fault.Resilience {
-	if o.Res != nil {
-		return o.Res
-	}
-	return &fault.Resilience{}
-}
-
-func (o *SweepOptions) boot() func(string, *fault.Injector) (*driver.Device, error) {
-	if o.Boot != nil {
-		return o.Boot
-	}
-	return driver.OpenBoardWithFaults
 }
 
 func (o *SweepOptions) specOf(boardName string) *arch.Spec {
@@ -170,36 +156,6 @@ func prepareSweepObs(opts *SweepOptions, jobs int) {
 	observePool(opts.Obs, w)
 }
 
-// bootR boots the board inside the retry loop through the open seam
-// (driver.OpenBoardWithFaults by default; the fleet's jittered-spec boot
-// otherwise). A boot that exhausts its budget returns the fault that
-// kept failing with a nil device — the caller quarantines the
-// benchmark's cells.
-func bootR(ctx context.Context, boardName, scope string, open func(string, *fault.Injector) (*driver.Device, error), res *fault.Resilience, track *obs.Track) (*driver.Device, fault.Point, error) {
-	var lastPt fault.Point
-	for attempt := 0; attempt < res.Attempts(); attempt++ {
-		if ctx.Err() != nil {
-			return nil, "", cancelled(ctx)
-		}
-		in := res.Injector("boot|"+scope, attempt)
-		dev, err := open(boardName, in)
-		if err == nil {
-			return dev, "", nil
-		}
-		pt, transient := fault.PointOf(err)
-		if !transient {
-			return nil, "", err
-		}
-		lastPt = pt
-		res.RecordRetry(pt)
-		track.Instant("boot retry", obs.Arg{Key: "point", Value: string(pt)},
-			obs.Arg{Key: "attempt", Value: strconv.Itoa(attempt)})
-		track.Advance(res.Backoff("boot|"+scope, attempt).Seconds())
-		res.Pause("boot|"+scope, attempt)
-	}
-	return nil, lastPt, nil
-}
-
 // quarantineAll marks every valid pair of the board as quarantined — the
 // degradation shape of a benchmark whose device never booted.
 func quarantineAll(boardName, bench string, spec *arch.Spec, pt fault.Point, retries int) *BenchResult {
@@ -208,18 +164,16 @@ func quarantineAll(boardName, bench string, spec *arch.Spec, pt fault.Point, ret
 		return out
 	}
 	for _, p := range clock.ValidPairs(spec) {
-		pr := PairResult{Pair: p, Quarantined: true, FailPoint: pt, Retries: retries}
-		pr.Verdict = pr.Classify()
-		out.Pairs = append(out.Pairs, pr)
+		out.Pairs = append(out.Pairs, pairResult(p, nil, retries, pt))
 	}
 	return out
 }
 
 // sweepBenchR measures one benchmark on one board under the fault
-// harness, checking the context before every cell so a cancel stops the
-// job at a cell boundary with every completed cell already journaled.
+// harness: it boots through the harness's boot-retry loop (quarantining
+// every cell if the boot never succeeds), wires and seeds the device, and
+// hands it to the per-device loop.
 func sweepBenchR(ctx context.Context, boardName string, b *workloads.Benchmark, opts SweepOptions) (*BenchResult, error) {
-	res := opts.res()
 	scope := boardName + "|" + b.Name
 	if opts.Rep > 0 {
 		// Later repetitions draw independent fault streams; repetition 0
@@ -230,12 +184,19 @@ func sweepBenchR(ctx context.Context, boardName string, b *workloads.Benchmark, 
 	track := opts.Obs.Track(opts.trackName(boardName, b.Name))
 	span := track.Begin("sweep "+b.Name, obs.Arg{Key: "board", Value: boardName})
 	defer span.End()
-	dev, failPt, err := bootR(ctx, boardName, scope, opts.boot(), res, track)
+	h := driver.Harness{Res: opts.Res, Track: track, Cancelled: cancelled}
+	boot := opts.Boot
+	if boot == nil {
+		boot = driver.OpenBoardWithFaults
+	}
+	dev, attempt, failPt, err := h.Boot(ctx, scope, func(in *fault.Injector) (*driver.Device, error) {
+		return boot(boardName, in)
+	})
 	if err != nil {
 		return nil, err
 	}
 	if dev == nil {
-		out := quarantineAll(boardName, b.Name, opts.specOf(boardName), failPt, res.Attempts()-1)
+		out := quarantineAll(boardName, b.Name, opts.specOf(boardName), failPt, attempt)
 		if so != nil {
 			so.quarantined.With(string(failPt)).Add(int64(len(out.Pairs)))
 			track.Instant("quarantined (boot failed)", obs.Arg{Key: "point", Value: string(failPt)})
@@ -250,7 +211,26 @@ func sweepBenchR(ctx context.Context, boardName string, b *workloads.Benchmark, 
 	}
 	dev.SetPowerFanout(opts.Fanout)
 	dev.Seed(sweepSeed(opts.Seed, b.Name))
+	out, err := sweepDevice(ctx, dev, boardName, scope, b, &opts, h, so)
+	if err != nil {
+		return nil, err
+	}
+	if so != nil {
+		so.simUS.Add(track.Now())
+	}
+	return out, nil
+}
 
+// sweepDevice is the per-device sweep loop every sweep measures through:
+// the engine on each device it boots, and SweepBenchmarkCtx on the
+// caller's device with zero options and a nil Resilience. It measures one
+// benchmark at every valid pair of the device through the harness's
+// metered-pass loop, replays the cells the journal already holds, and
+// parks the device at the default pair with faults detached. boardName
+// keys the result, the journal and the progress hooks; scope roots the
+// cells' fault streams. A cell that exhausts its retry budget is
+// quarantined.
+func sweepDevice(ctx context.Context, dev *driver.Device, boardName, scope string, b *workloads.Benchmark, opts *SweepOptions, h driver.Harness, so *sweepObs) (*BenchResult, error) {
 	out := &BenchResult{Benchmark: b.Name, Board: boardName}
 	kernels := b.Kernels(1)
 	hostGap := b.HostGap(1)
@@ -282,25 +262,28 @@ func sweepBenchR(ctx context.Context, boardName string, b *workloads.Benchmark, 
 				out.Pairs = append(out.Pairs, cell)
 				if so != nil {
 					so.journalHits.Inc()
-					track.Instant("journal replay", obs.Arg{Key: "pair", Value: p.String()})
+					h.Track.Instant("journal replay", obs.Arg{Key: "pair", Value: p.String()})
 				}
 				opts.emitCell(boardName, b.Name, cell, true)
 				continue
 			}
 		}
-		if ctx.Err() != nil {
-			return nil, cancelled(ctx)
-		}
-		cell, err := sweepCellR(ctx, dev, b.Name, kernels, hostGap, p, scope, res, track)
+		rr, attempt, failPt, err := dev.RunMeteredRetried(ctx, h, p, scope+"|"+p.String(), "pair|"+p.String(),
+			b.Name, kernels, hostGap, MinRunSeconds)
 		if err != nil {
-			return nil, err
+			if ctx.Err() != nil {
+				return nil, err // the harness stopped at an attempt boundary
+			}
+			return nil, fmt.Errorf("characterize: %s at %s: %w", b.Name, p, err)
 		}
+		cell := pairResult(p, rr, attempt, failPt)
+		driver.ReleaseRunResult(rr) // the cell copied out everything it needs
 		out.Pairs = append(out.Pairs, cell)
 		if so != nil {
 			so.cells.Inc()
 			if cell.Quarantined {
 				so.quarantined.With(string(cell.FailPoint)).Inc()
-				track.Instant("quarantined", obs.Arg{Key: "pair", Value: p.String()},
+				h.Track.Instant("quarantined", obs.Arg{Key: "pair", Value: p.String()},
 					obs.Arg{Key: "point", Value: string(cell.FailPoint)})
 			}
 		}
@@ -317,77 +300,7 @@ func sweepBenchR(ctx context.Context, boardName string, b *workloads.Benchmark, 
 	if err := dev.SetClocks(clock.DefaultPair()); err != nil {
 		return nil, err
 	}
-	if so != nil {
-		so.simUS.Add(track.Now())
-	}
 	return out, nil
-}
-
-// sweepCellR measures one (pair) cell inside the retry loop. Transient
-// faults retry with backoff; a hang additionally reboots the device from
-// its golden image; exhaustion quarantines the cell.
-func sweepCellR(ctx context.Context, dev *driver.Device, bench string, kernels []*gpu.KernelDesc, hostGap float64, p clock.Pair, scope string, res *fault.Resilience, track *obs.Track) (PairResult, error) {
-	cellScope := scope + "|" + p.String()
-	retry := func(pt fault.Point, attempt int) {
-		res.RecordRetry(pt)
-		track.Instant("retry", obs.Arg{Key: "point", Value: string(pt)},
-			obs.Arg{Key: "pair", Value: p.String()},
-			obs.Arg{Key: "attempt", Value: strconv.Itoa(attempt)})
-		track.Advance(res.Backoff(cellScope, attempt).Seconds())
-		res.Pause(cellScope, attempt)
-	}
-	var lastPt fault.Point
-	for attempt := 0; attempt < res.Attempts(); attempt++ {
-		if ctx.Err() != nil {
-			// A cancelled parent must not spin the retry budget (an injected
-			// hang's watchdog fires on the same cancel) — abort the cell.
-			return PairResult{}, cancelled(ctx)
-		}
-		dev.AttachFaults(res.Injector(cellScope, attempt))
-		dev.SeedScoped("pair|" + p.String())
-		if err := dev.SetClocks(p); err != nil {
-			pt, transient := fault.PointOf(err)
-			if !transient {
-				return PairResult{}, fmt.Errorf("characterize: %s: %w", bench, err)
-			}
-			lastPt = pt
-			retry(pt, attempt)
-			continue
-		}
-		runCtx, cancel := res.LaunchContext(ctx)
-		rr, err := dev.RunMeteredCtx(runCtx, bench, kernels, hostGap, MinRunSeconds)
-		cancel()
-		if err != nil {
-			pt, transient := fault.PointOf(err)
-			if !transient {
-				return PairResult{}, fmt.Errorf("characterize: %s at %s: %w", bench, p, err)
-			}
-			lastPt = pt
-			if pt == fault.LaunchHang {
-				// The watchdog killed a hung launch; the device is wedged
-				// and needs a reboot before the next attempt.
-				if rerr := dev.Reflash(); rerr != nil {
-					return PairResult{}, fmt.Errorf("characterize: %s at %s: %w", bench, p, rerr)
-				}
-			}
-			retry(pt, attempt)
-			continue
-		}
-		if rr.Measurement.Degraded() && attempt+1 < res.Attempts() {
-			// The measurement survived but leans on interpolated windows;
-			// retry for a clean one, accepting low confidence only when
-			// the budget runs out.
-			lastPt = fault.MeterDegraded
-			retry(fault.MeterDegraded, attempt)
-			continue
-		}
-		pr := pairResult(p, rr, attempt)
-		driver.ReleaseRunResult(rr) // the cell copied out everything it needs
-		return pr, nil
-	}
-	pr := PairResult{Pair: p, Quarantined: true, FailPoint: lastPt, Retries: res.Attempts() - 1}
-	pr.Verdict = pr.Classify()
-	return pr, nil
 }
 
 // Degradation is one human-readable line of the campaign's damage report.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"sync"
 
+	"gpuperf/internal/driver"
 	"gpuperf/internal/workloads"
 )
 
@@ -79,7 +80,7 @@ func SweepStream(ctx context.Context, boardNames []string, benches []*workloads.
 		return nil
 	}
 	prepareSweepObs(&opts, jobs)
-	return streamPool(ctx, func(idx int) error {
+	return driver.Pool(ctx, opts.Workers, jobs, cancelled, func(idx int) error {
 		r, err := sweepBenchR(ctx, boardNames[idx/nb], benches[idx%nb], opts)
 		if err != nil {
 			return err
@@ -88,53 +89,7 @@ func SweepStream(ctx context.Context, boardNames []string, benches []*workloads.
 			opts.Sink.ConsumeBench(r)
 		}
 		return nil
-	}, opts.Workers, jobs)
-}
-
-// streamPool runs `jobs` through a bounded worker pool and reports only
-// the lowest-index error — results leave through the sink, never through
-// the pool. Both channels are buffered to the job count so every
-// goroutine can always complete (the leak-proofing audit of
-// core.collect); cancellation is checked before each job, so remaining
-// jobs fail with the wrapped cause while in-flight ones run to
-// completion.
-func streamPool(ctx context.Context, run func(int) error, workers, jobs int) error {
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > jobs {
-		workers = jobs
-	}
-	type done struct {
-		idx int
-		err error
-	}
-	queue := make(chan int, jobs)
-	for i := 0; i < jobs; i++ {
-		queue <- i
-	}
-	close(queue)
-	results := make(chan done, jobs)
-	for w := 0; w < workers; w++ {
-		go func() {
-			for idx := range queue {
-				if ctx.Err() != nil {
-					results <- done{idx: idx, err: cancelled(ctx)}
-					continue
-				}
-				results <- done{idx: idx, err: run(idx)}
-			}
-		}()
-	}
-	var firstErr error
-	firstIdx := jobs
-	for i := 0; i < jobs; i++ {
-		d := <-results
-		if d.err != nil && d.idx < firstIdx {
-			firstErr, firstIdx = d.err, d.idx
-		}
-	}
-	return firstErr
+	})
 }
 
 // resultFold is the collecting RowSink behind Sweep: it places every

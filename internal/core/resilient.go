@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
-	"strconv"
 
 	"gpuperf/internal/clock"
 	"gpuperf/internal/driver"
@@ -13,13 +12,13 @@ import (
 	"gpuperf/internal/workloads"
 )
 
-// Under a fault campaign the collector runs inside the fault harness: boots,
-// clock sets, profiling passes and metered observations all retry
-// transient faults with backoff, hung launches are killed by the watchdog
-// and recovered by a reflash, and a benchmark that exhausts its retry
-// budget is dropped from the dataset — recorded in Dataset.Dropped so the
-// report can say the model was trained without it — instead of failing
-// the campaign.
+// The collector measures through the measurement harness (driver.Harness),
+// the one the sweep uses. Under a fault campaign boots, clock sets,
+// profiling passes and metered observations all retry transient faults
+// with backoff, hung launches are killed by the watchdog and recovered by
+// a reflash, and a benchmark that exhausts its retry budget is dropped
+// from the dataset — recorded in Dataset.Dropped so the report can say
+// the model was trained without it — instead of failing the campaign.
 
 // DroppedBench names a benchmark excluded from a resilient dataset and
 // the fault that exhausted its retry budget.
@@ -73,9 +72,11 @@ func CollectCtx(ctx context.Context, boardName string, benches []*workloads.Benc
 // variable so tests can inject failures into the error path.
 var collectBench = collectBenchR
 
-// collectBenchR gathers one benchmark's samples under the fault harness.
-// A nil *DroppedBench and nil error mean success; a non-nil *DroppedBench
-// means the benchmark was sacrificed to a fault that would not go away.
+// collectBenchR gathers one benchmark's samples under the measurement
+// harness: it boots through the harness's boot-retry loop and runs every
+// profiling pass and observation through its metered-pass loop. A nil
+// *DroppedBench and nil error mean success; a non-nil *DroppedBench means
+// the benchmark was sacrificed to a fault that would not go away.
 //
 // Each profiling pass and each observation draws from a noise stream
 // scoped to its (scale, pair), so a retried pass replays exactly the
@@ -86,43 +87,29 @@ func collectBenchR(ctx context.Context, boardName string, b *workloads.Benchmark
 	track := res.Obs.Track("model/" + boardName + "/" + b.Name)
 	span := track.Begin("collect "+b.Name, obs.Arg{Key: "board", Value: boardName})
 	defer span.End()
-	retries := 0
-	var dev *driver.Device
-	var lastPt fault.Point
-	for attempt := 0; attempt < res.Attempts(); attempt++ {
-		if ctx.Err() != nil {
-			return nil, 0, 0, nil, cancelled(ctx)
-		}
-		d, err := driver.OpenBoardWithFaults(boardName, res.Injector("boot|"+scope, attempt))
-		if err == nil {
-			dev = d
-			retries += attempt
-			break
-		}
-		pt, transient := fault.PointOf(err)
-		if !transient {
-			return nil, 0, 0, nil, err
-		}
-		lastPt = pt
-		res.RecordRetry(pt)
-		track.Instant("boot retry", obs.Arg{Key: "point", Value: string(pt)},
-			obs.Arg{Key: "attempt", Value: strconv.Itoa(attempt)})
-		track.Advance(res.Backoff("boot|"+scope, attempt).Seconds())
-		res.Pause("boot|"+scope, attempt)
-	}
-	if dev == nil {
+	drop := func(instant string, pt fault.Point) *DroppedBench {
 		if co != nil {
 			co.dropped.Inc()
-			track.Instant("dropped (boot failed)", obs.Arg{Key: "point", Value: string(lastPt)})
+			track.Instant(instant, obs.Arg{Key: "point", Value: string(pt)})
 		}
-		return nil, 0, res.Attempts() - 1, &DroppedBench{Benchmark: b.Name, Point: lastPt}, nil
+		return &DroppedBench{Benchmark: b.Name, Point: pt}
+	}
+	h := driver.Harness{Res: res, Track: track, Cancelled: cancelled}
+	dev, retries, pt, err := h.Boot(ctx, scope, func(in *fault.Injector) (*driver.Device, error) {
+		return driver.OpenBoardWithFaults(boardName, in)
+	})
+	if err != nil {
+		return nil, 0, 0, nil, err
+	}
+	if dev == nil {
+		return nil, 0, retries, drop("dropped (boot failed)", pt), nil
 	}
 	if res.Obs != nil {
 		dev.Observe(res.Obs, track.Name())
 	}
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(b.Name)) // fnv: hash.Hash.Write never errors
-	dev.Seed(seed ^ int64(h.Sum64()))
+	fh := fnv.New64a()
+	_, _ = fh.Write([]byte(b.Name)) // fnv: hash.Hash.Write never errors
+	dev.Seed(seed ^ int64(fh.Sum64()))
 
 	pairs := clock.ValidPairs(dev.Spec())
 	var rows []Observation
@@ -146,85 +133,19 @@ func collectBenchR(ctx context.Context, boardName string, b *workloads.Benchmark
 			return nil, 0, 0, nil, perr
 		}
 
-		// run is one metered pass (optionally profiled) at the given pair
-		// inside the retry loop. The seed tag matches collectBenchmark's
-		// for the same pass, so a successful attempt replays the plain
-		// path's noise exactly; a nil result with a fault point means the
-		// budget ran out.
-		run := func(p clock.Pair, seedTag, passScope string, profiled bool) (*driver.RunResult, fault.Point, error) {
-			retry := func(pt fault.Point, attempt int) {
-				res.RecordRetry(pt)
-				track.Instant("retry", obs.Arg{Key: "point", Value: string(pt)},
-					obs.Arg{Key: "pair", Value: p.String()},
-					obs.Arg{Key: "attempt", Value: strconv.Itoa(attempt)})
-				track.Advance(res.Backoff(passScope, attempt).Seconds())
-				res.Pause(passScope, attempt)
-			}
-			var last fault.Point
-			for attempt := 0; attempt < res.Attempts(); attempt++ {
-				if ctx.Err() != nil {
-					// A cancelled parent must not spin the retry budget —
-					// abort the pass at the attempt boundary.
-					return nil, "", cancelled(ctx)
-				}
-				if attempt > 0 {
-					retries++
-				}
-				dev.AttachFaults(res.Injector(passScope, attempt))
-				dev.SeedScoped(seedTag)
-				if err := dev.SetClocks(p); err != nil {
-					pt, transient := fault.PointOf(err)
-					if !transient {
-						return nil, "", err
-					}
-					last = pt
-					retry(pt, attempt)
-					continue
-				}
-				if profiled {
-					dev.EnableProfiler()
-				}
-				runCtx, cancel := res.LaunchContext(ctx)
-				rr, err := dev.RunMeteredCtx(runCtx, b.Name, kernels, hostGap, MinRunSeconds)
-				cancel()
-				if profiled {
-					dev.DisableProfiler()
-				}
-				if err != nil {
-					pt, transient := fault.PointOf(err)
-					if !transient {
-						return nil, "", err
-					}
-					last = pt
-					if pt == fault.LaunchHang {
-						if rerr := dev.Reflash(); rerr != nil {
-							return nil, "", rerr
-						}
-					}
-					retry(pt, attempt)
-					continue
-				}
-				if rr.Measurement.Degraded() && attempt+1 < res.Attempts() {
-					last = fault.MeterDegraded
-					retry(fault.MeterDegraded, attempt)
-					continue
-				}
-				return rr, "", nil
-			}
-			return nil, last, nil
-		}
-
-		prof, pt, err := run(clock.DefaultPair(), fmt.Sprintf("profile|%g", scale),
-			fmt.Sprintf("%s|profile|%g", scope, scale), true)
+		// The profiling pass collects counters at the default clocks; a
+		// nil run with a fault point means its retry budget ran out.
+		dev.EnableProfiler()
+		prof, attempt, pt, err := dev.RunMeteredRetried(ctx, h, clock.DefaultPair(),
+			fmt.Sprintf("%s|profile|%g", scope, scale), fmt.Sprintf("profile|%g", scale),
+			b.Name, kernels, hostGap, MinRunSeconds)
+		dev.DisableProfiler()
 		if err != nil {
 			return nil, 0, 0, nil, err
 		}
+		retries += attempt
 		if prof == nil {
-			if co != nil {
-				co.dropped.Inc()
-				track.Instant("dropped", obs.Arg{Key: "point", Value: string(pt)})
-			}
-			return nil, 0, retries, &DroppedBench{Benchmark: b.Name, Point: pt}, nil
+			return nil, 0, retries, drop("dropped", pt), nil
 		}
 		perIter := make([]float64, len(prof.Counters))
 		for i, c := range prof.Counters {
@@ -234,17 +155,15 @@ func collectBenchR(ctx context.Context, boardName string, b *workloads.Benchmark
 
 		samples++
 		for _, p := range pairs {
-			rr, pt, err := run(p, fmt.Sprintf("obs|%g|%s", scale, p),
-				fmt.Sprintf("%s|obs|%g|%s", scope, scale, p), false)
+			rr, attempt, pt, err := dev.RunMeteredRetried(ctx, h, p,
+				fmt.Sprintf("%s|obs|%g|%s", scope, scale, p), fmt.Sprintf("obs|%g|%s", scale, p),
+				b.Name, kernels, hostGap, MinRunSeconds)
 			if err != nil {
 				return nil, 0, 0, nil, err
 			}
+			retries += attempt
 			if rr == nil {
-				if co != nil {
-					co.dropped.Inc()
-					track.Instant("dropped", obs.Arg{Key: "point", Value: string(pt)})
-				}
-				return nil, 0, retries, &DroppedBench{Benchmark: b.Name, Point: pt}, nil
+				return nil, 0, retries, drop("dropped", pt), nil
 			}
 			rows = append(rows, Observation{
 				Benchmark: b.Name,

@@ -69,10 +69,6 @@ func CollectStream(ctx context.Context, boardName string, benches []*workloads.B
 	}
 	res.Observe()
 	co := newCollectObs(res.Obs, boardName)
-	workers := opts.Workers
-	if workers < 1 {
-		workers = 1
-	}
 	probe, err := driver.OpenBoard(boardName)
 	if err != nil {
 		return nil, err
@@ -84,54 +80,33 @@ func CollectStream(ctx context.Context, boardName string, benches []*workloads.B
 	}
 
 	type chunk struct {
-		idx     int
 		samples int
 		retries int
 		dropped *DroppedBench
-		err     error
 	}
-	// Buffered to the benchmark count: no goroutine can ever block on
-	// delivery, so the error path leaks nothing. Cancellation is checked
-	// before each job — remaining jobs fail with the wrapped cause while
-	// in-flight ones stop at their own pass boundaries.
-	if workers > len(benches) {
-		workers = len(benches)
-	}
-	jobs := make(chan int, len(benches))
-	for i := range benches {
-		jobs <- i
-	}
-	close(jobs)
-	results := make(chan chunk, len(benches))
-	for w := 0; w < workers; w++ {
-		go func() {
-			for idx := range jobs {
-				if ctx.Err() != nil {
-					results <- chunk{idx: idx, err: cancelled(ctx)}
-					continue
-				}
-				rows, samples, retries, dropped, err := collectBench(ctx, boardName, benches[idx], opts.Seed, res, co)
-				if err == nil && dropped == nil && sink != nil {
-					// Emit at benchmark granularity: a failed or dropped
-					// benchmark discards its partial rows, so nothing may
-					// leave the worker before the benchmark is known good.
-					for i, o := range rows {
-						sink.ConsumeRow(Row{BenchIndex: idx, Seq: i, Obs: o})
-					}
-				}
-				results <- chunk{idx: idx, samples: samples, retries: retries, dropped: dropped, err: err}
-			}
-		}()
-	}
-	ordered := make([]chunk, len(benches))
-	for range benches {
-		c := <-results
-		ordered[c.idx] = c
-	}
-	for _, c := range ordered {
-		if c.err != nil {
-			return nil, c.err
+	// Each job writes only its own slot; Pool returns after every job has
+	// delivered its result, so the reads below are ordered after the writes.
+	chunks := make([]chunk, len(benches))
+	err = driver.Pool(ctx, opts.Workers, len(benches), cancelled, func(idx int) error {
+		rows, samples, retries, dropped, err := collectBench(ctx, boardName, benches[idx], opts.Seed, res, co)
+		if err != nil {
+			return err
 		}
+		if dropped == nil && sink != nil {
+			// Emit at benchmark granularity: a failed or dropped
+			// benchmark discards its partial rows, so nothing may leave
+			// the worker before the benchmark is known good.
+			for i, o := range rows {
+				sink.ConsumeRow(Row{BenchIndex: idx, Seq: i, Obs: o})
+			}
+		}
+		chunks[idx] = chunk{samples: samples, retries: retries, dropped: dropped}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for _, c := range chunks {
 		st.Retries += c.retries
 		if c.dropped != nil {
 			st.Dropped = append(st.Dropped, *c.dropped)

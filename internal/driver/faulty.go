@@ -11,11 +11,12 @@ import (
 	"gpuperf/internal/obs"
 )
 
-// Fault-aware driver surface. A resilient harness attaches a per-attempt
-// injector to the device, opens it through the *WithFaults constructors
-// (which can refuse to boot), and drives launches through the Ctx variants
-// so a watchdog context can kill a hung launch. Everything here is inert —
-// bit-for-bit identical to the plain paths — when no injector is attached.
+// Fault-aware driver surface. The measurement harness (harness.go) attaches
+// a per-attempt injector to the device, opens it through the *WithFaults
+// constructors (which can refuse to boot), drives metered runs through
+// RunMeteredCtx so a watchdog context can kill a hung launch, and reflashes
+// a wedged device. Everything here is inert — bit-for-bit identical to the
+// plain paths — when no injector is attached.
 
 // AttachFaults wires an injector into the device's fault points: the
 // clock-set/reflash path (clockset.fail, bios.bitflip), the launch path

@@ -9,9 +9,10 @@ import (
 )
 
 // TestExperimentsMatchGolden keeps EXPERIMENTS.md honest: the "Measured"
-// cells of the rows below must read what the seed-42 full report (the
-// golden `paper -seed 42` output) prints, so regenerating the golden
-// without correcting the doc fails here and names the row.
+// (or, in the Ablations and Extensions tables, "Result") cells of the
+// rows below must read what the seed-42 full report (the golden
+// `paper -seed 42` output) prints, so regenerating the golden without
+// correcting the doc fails here and names the row.
 func TestExperimentsMatchGolden(t *testing.T) {
 	doc := readText(t, "../../EXPERIMENTS.md")
 	golden := strings.Split(readText(t, "testdata/paper-full-seed42.golden"), "\n")
@@ -57,9 +58,25 @@ func TestExperimentsMatchGolden(t *testing.T) {
 			t.Errorf("EXPERIMENTS.md %q measured = %q, golden says %q", id, got, want)
 		}
 	}
+	// The ablation and extension lines come from single-device sweeps.
+	flat := regexp.MustCompile(`(?m)^voltage-flat GTX 680: backprop best-pair gain ([\d.]+)% → ([\d.]+)%$`).
+		FindStringSubmatch(strings.Join(golden, "\n"))
+	blind := regexp.MustCompile(`(?m)^clock-blind power model: ([\d.]+)% error vs unified ([\d.]+)%$`).
+		FindStringSubmatch(strings.Join(golden, "\n"))
+	radeon := regexp.MustCompile(`(?m)^  backprop +best \S+ +\+([\d.]+)% efficiency`).
+		FindStringSubmatch(strings.Join(golden, "\n"))
+	if flat == nil || blind == nil || radeon == nil {
+		t.Fatal("golden lacks the voltage-flat, clock-blind or Radeon backprop line")
+	}
+
 	contains := map[string][]string{
-		"Fig. 1 (Backprop)": {fmt.Sprintf("GTX 680 gain %s%% at %s%% perf loss", fig1[1], fig1[2])},
-		"Table IV":          nonDefault,
+		"Fig. 1 (Backprop)":              {fmt.Sprintf("GTX 680 gain %s%% at %s%% perf loss", fig1[1], fig1[2])},
+		"Table IV":                       nonDefault,
+		"`BenchmarkAblationVoltageFlat`": {fmt.Sprintf("GTX 680 backprop gain %s%% → %s%%", flat[1], flat[2])},
+		"`BenchmarkAblationNoFreqScaling`": {
+			fmt.Sprintf("unified power err %s%% vs naive (clock-blind) %s%%", blind[2], blind[1])},
+		"`BenchmarkFutureWorkRadeon`": {
+			fmt.Sprintf("Radeon HD 7970 backprop best-pair gain %s%% vs Kepler's %s%%", radeon[1], flat[1])},
 	}
 	for id, wants := range contains {
 		for _, want := range wants {
@@ -80,7 +97,9 @@ func readText(t *testing.T, path string) string {
 }
 
 // measuredCells maps the ID cell of every "| ID | Paper | Measured | … |"
-// Markdown row to its trimmed Measured cell.
+// Markdown row to its trimmed Measured cell, and of every three-column
+// "| Bench | Result | Reading |" row (the Ablations and Extensions
+// tables) to its trimmed Result cell.
 func measuredCells(doc string) map[string]string {
 	out := map[string]string{}
 	for _, line := range strings.Split(doc, "\n") {
@@ -88,7 +107,11 @@ func measuredCells(doc string) map[string]string {
 		if !strings.HasPrefix(line, "| ") || len(cells) < 5 {
 			continue
 		}
-		out[strings.TrimSpace(cells[1])] = strings.TrimSpace(cells[3])
+		col := 3
+		if len(cells) == 5 {
+			col = 2
+		}
+		out[strings.TrimSpace(cells[1])] = strings.TrimSpace(cells[col])
 	}
 	return out
 }

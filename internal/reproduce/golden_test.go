@@ -8,7 +8,10 @@ import (
 	"os"
 	"strings"
 	"testing"
+	"time"
 
+	"gpuperf/internal/fault"
+	"gpuperf/internal/obs"
 	"gpuperf/internal/reproduce"
 	"gpuperf/internal/session"
 )
@@ -32,7 +35,7 @@ func stripElapsed(s string) string {
 // reproduce the pre-refactor byte stream exactly, at the default worker
 // count and at the sequential reference.
 func TestPaperQuickGolden(t *testing.T) {
-	checkGolden(t, "testdata/paper-quick-seed42.golden", reproduce.Quick)
+	checkGolden(t, "testdata/paper-quick-seed42.golden", nil, reproduce.Quick)
 }
 
 // TestPaperFullGolden pins the complete seed-42 report — Section IV's
@@ -40,14 +43,70 @@ func TestPaperQuickGolden(t *testing.T) {
 // self-check, none of which the quick report runs — to the stdout of
 // `paper -seed 42` without its elapsed line.
 func TestPaperFullGolden(t *testing.T) {
-	checkGolden(t, "testdata/paper-full-seed42.golden")
+	checkGolden(t, "testdata/paper-full-seed42.golden", nil)
 }
 
-// checkGolden reproduces the seed-42 report under tweaks at the default
-// worker count, at the sequential reference, and at the sequential
-// reference with launch caching off (every launch compiles its kernel
-// afresh), and requires each to equal the golden file byte for byte.
-func checkGolden(t *testing.T, path string, tweaks ...func(*reproduce.Options)) {
+// faultedProfile is a campaign the 2-retry budget only partly absorbs:
+// boot failures quarantine whole benchmarks and drop them from the
+// modeling set, clock-set failures and bit flips exhaust modeling
+// passes, and corrupt readouts, hangs and meter dropouts are retried
+// away.
+const faultedProfile = "boot.fail:0.3,launch.hang:0.02,clockset.fail:0.05,launch.corrupt:0.05,bios.bitflip:0.02,meter.drop:0.0005"
+
+// faultedOptions is `paper -seed 42 -board "GTX 680" -faults
+// <faultedProfile> -max-retries 2 -launch-timeout 1ms`.
+func faultedOptions(t *testing.T) []session.Option {
+	t.Helper()
+	p, err := fault.ParseProfile(faultedProfile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []session.Option{session.WithBoards("GTX 680"), session.WithFaults(p),
+		session.WithRetryPolicy(2, time.Millisecond)}
+}
+
+// TestPaperFaultedGolden pins the retry accounting of a campaign that
+// only partly recovers — which cells are quarantined after how many
+// retries, which benchmarks the models were trained without, and the
+// harness counters behind them. The report must match at every worker
+// count and cache mode, the metrics exposition at the sequential
+// reference (the pool-width gauge is the one worker-dependent series).
+func TestPaperFaultedGolden(t *testing.T) {
+	opts := faultedOptions(t)
+	checkGolden(t, "testdata/paper-faulted-gtx680-seed42.golden", opts)
+
+	golden, err := os.ReadFile("testdata/paper-faulted-gtx680-seed42.metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := obs.New()
+	s, err := session.New(append(opts, session.WithSeed(42), session.WithWorkers(1),
+		session.WithObs(rec), session.WithCodeVersion("golden"))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = s.Reproduce(context.Background(), &bytes.Buffer{})
+	if cerr := s.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m bytes.Buffer
+	if err := rec.WriteMetrics(&m); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.String(); got != string(golden) {
+		t.Fatalf("metrics diverged from the golden exposition at line %d", firstDiffLine(got, string(golden)))
+	}
+}
+
+// checkGolden reproduces the seed-42 report of the session configured by
+// opts under tweaks at the default worker count, at the sequential
+// reference, and at the sequential reference with launch caching off
+// (every launch compiles its kernel afresh), and requires each to equal
+// the golden file byte for byte.
+func checkGolden(t *testing.T, path string, opts []session.Option, tweaks ...func(*reproduce.Options)) {
 	t.Helper()
 	golden, err := os.ReadFile(path)
 	if err != nil {
@@ -57,7 +116,8 @@ func checkGolden(t *testing.T, path string, tweaks ...func(*reproduce.Options)) 
 		workers int
 		cache   bool
 	}{{0, true}, {1, true}, {1, false}} {
-		s, err := session.New(session.WithSeed(42), session.WithWorkers(run.workers), session.WithCache(run.cache))
+		s, err := session.New(append([]session.Option{session.WithSeed(42),
+			session.WithWorkers(run.workers), session.WithCache(run.cache)}, opts...)...)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -575,7 +575,10 @@ func (s *Session) Model(ctx context.Context, ds *core.Dataset, kind core.Kind) (
 
 // Device opens one board wired with the session's seed, fault campaign
 // and recorder — the factory the interactive front ends (gpusim, sched)
-// use so their measurements share the campaign configuration.
+// use so their measurements share the campaign configuration. Only
+// gpusim's one-shot run draws faults from the attached injector: sched's
+// sweeps measure fault-free (see characterize.SweepBenchmark), so sched
+// rejects -faults.
 func (s *Session) Device(boardName string) (*driver.Device, error) {
 	dev, err := driver.OpenBoardWithFaults(boardName, s.res.Injector("device|"+boardName, 0))
 	if err != nil {

@@ -39,6 +39,7 @@ package bios
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -135,6 +136,9 @@ func FixChecksum(img []byte) {
 	img[len(img)-1] = -sum
 }
 
+// ErrChecksum reports an image whose byte sum is not 0 mod 256.
+var ErrChecksum = errors.New("bios: checksum mismatch")
+
 // ChecksumOK reports whether the image's byte sum is 0 mod 256.
 func ChecksumOK(img []byte) bool {
 	var sum byte
@@ -160,7 +164,7 @@ func Parse(img []byte) (*Image, error) {
 		return nil, fmt.Errorf("bios: size field %d does not match image length %d", size, len(img))
 	}
 	if !ChecksumOK(img) {
-		return nil, fmt.Errorf("bios: checksum mismatch")
+		return nil, ErrChecksum
 	}
 	count := int(img[countOffset])
 	if count != entryCount {
@@ -242,8 +246,17 @@ func PatchBootPair(img []byte, p clock.Pair) error {
 	if !decoded.PairValid(p) {
 		return fmt.Errorf("bios: %s does not expose pair %s", decoded.BoardName, p)
 	}
+	WriteBootPair(img, p)
+	return nil
+}
+
+// WriteBootPair writes p as the image's boot performance level and moves
+// the checksum byte by the same amount the two level bytes moved, so a
+// valid image stays valid and a corrupt one stays detectably corrupt. It
+// validates nothing: PatchBootPair checks the image and the pair first,
+// and a driver checks the pair against the table it decoded at boot.
+func WriteBootPair(img []byte, p clock.Pair) {
+	img[len(img)-1] += img[bootCorePos] + img[bootMemPos] - byte(p.Core) - byte(p.Mem)
 	img[bootCorePos] = byte(p.Core)
 	img[bootMemPos] = byte(p.Mem)
-	FixChecksum(img)
-	return nil
 }

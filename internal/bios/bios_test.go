@@ -64,6 +64,11 @@ func TestImagePairsMatchSpec(t *testing.T) {
 	}
 }
 
+// TestChecksum also pins the invariants the driver's checksum-only reboot
+// rests on, for every board (the four Table I boards and the Radeon HD
+// 7970) and every valid boot pair written in: the patched image keeps a
+// valid checksum, and flipping any one of its bits breaks it. A flip
+// changes the byte sum by ±2^k with k < 8, which is never 0 mod 256.
 func TestChecksum(t *testing.T) {
 	img := Build(arch.GTX680())
 	if !ChecksumOK(img) {
@@ -76,6 +81,33 @@ func TestChecksum(t *testing.T) {
 	FixChecksum(img)
 	if !ChecksumOK(img) {
 		t.Fatal("FixChecksum did not repair the image")
+	}
+
+	for _, spec := range append(arch.AllBoards(), arch.RadeonHD7970()) {
+		for _, p := range clock.ValidPairs(spec) {
+			img := Build(spec)
+			if err := PatchBootPair(img, p); err != nil {
+				t.Fatalf("%s %s: %v", spec.Name, p, err)
+			}
+			// The incremental checksum update writes the bytes a full
+			// recomputation would.
+			want := Build(spec)
+			want[bootCorePos], want[bootMemPos] = byte(p.Core), byte(p.Mem)
+			FixChecksum(want)
+			if !bytes.Equal(img, want) || !ChecksumOK(img) {
+				t.Fatalf("%s %s: patched image differs from a full checksum fix", spec.Name, p)
+			}
+			for bit := 0; bit < len(img)*8; bit++ {
+				img[bit/8] ^= 1 << (bit % 8)
+				if ChecksumOK(img) {
+					t.Errorf("%s %s: flipping bit %d keeps the checksum valid", spec.Name, p, bit)
+				}
+				img[bit/8] ^= 1 << (bit % 8)
+			}
+		}
+	}
+	if ImageSize*8 != 904 {
+		t.Errorf("image has %d bits, want 904", ImageSize*8)
 	}
 }
 

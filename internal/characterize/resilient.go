@@ -75,7 +75,8 @@ type SweepOptions struct {
 	// Boot, when non-nil, replaces the device-open path; the injector may
 	// be nil on a fault-free attempt. The fleet orchestrator boots
 	// jittered per-device specs through this seam. Defaults to
-	// driver.OpenBoardWithFaults.
+	// driver.OpenBoardWithFaults. Each call must return a fresh device:
+	// the engine owns it and releases it when its job ends.
 	Boot func(boardName string, in *fault.Injector) (*driver.Device, error)
 	// SpecOf, when non-nil, resolves a board name to its spec — the
 	// quarantine path needs the pair grid of a device that never booted.
@@ -212,6 +213,7 @@ func sweepBenchR(ctx context.Context, boardName string, b *workloads.Benchmark, 
 	dev.SetPowerFanout(opts.Fanout)
 	dev.Seed(sweepSeed(opts.Seed, b.Name))
 	out, err := sweepDevice(ctx, dev, boardName, scope, b, &opts, h, so)
+	dev.Release() // the engine booted it and nothing keeps it past the job
 	if err != nil {
 		return nil, err
 	}
@@ -231,10 +233,10 @@ func sweepBenchR(ctx context.Context, boardName string, b *workloads.Benchmark, 
 // cells' fault streams. A cell that exhausts its retry budget is
 // quarantined.
 func sweepDevice(ctx context.Context, dev *driver.Device, boardName, scope string, b *workloads.Benchmark, opts *SweepOptions, h driver.Harness, so *sweepObs) (*BenchResult, error) {
-	out := &BenchResult{Benchmark: b.Name, Board: boardName}
 	kernels := b.Kernels(1)
 	hostGap := b.HostGap(1)
 	pairs := clock.ValidPairs(dev.Spec())
+	out := &BenchResult{Benchmark: b.Name, Board: boardName, Pairs: make([]PairResult, len(pairs))}
 
 	// Batched fast path: compile each kernel once and simulate every pair
 	// the sweep will actually launch in one pass, so the per-pair loop
@@ -256,10 +258,10 @@ func sweepDevice(ctx context.Context, dev *driver.Device, boardName, scope strin
 		return nil, err
 	}
 
-	for _, p := range pairs {
+	for i, p := range pairs {
 		if opts.Journal != nil {
 			if cell, ok := opts.Journal.Lookup(boardName, b.Name, opts.Rep, p); ok {
-				out.Pairs = append(out.Pairs, cell)
+				out.Pairs[i] = cell
 				if so != nil {
 					so.journalHits.Inc()
 					h.Track.Instant("journal replay", obs.Arg{Key: "pair", Value: p.String()})
@@ -278,7 +280,7 @@ func sweepDevice(ctx context.Context, dev *driver.Device, boardName, scope strin
 		}
 		cell := pairResult(p, rr, attempt, failPt)
 		driver.ReleaseRunResult(rr) // the cell copied out everything it needs
-		out.Pairs = append(out.Pairs, cell)
+		out.Pairs[i] = cell
 		if so != nil {
 			so.cells.Inc()
 			if cell.Quarantined {

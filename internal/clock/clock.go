@@ -95,14 +95,53 @@ func ValidPairs(s *arch.Spec) []Pair {
 
 // State is the programmed DVFS state of one device. The zero value is not
 // usable; construct with NewState.
+//
+// The voltage of each level, and the power scales derived from it, depend
+// only on the spec and the level, so NewState computes them once per
+// domain and level and the accessors index those tables. A spec must
+// therefore not change once a state is built on it. Nothing mutates a
+// spec after boot: fleet jitter is applied to a private copy of the base
+// board before driver.OpenSpecWithFaults boots it, and the ablations
+// build their modified specs before booting too.
 type State struct {
-	spec *arch.Spec
-	pair Pair
+	spec      *arch.Spec
+	pair      Pair
+	core, mem levelTable
+}
+
+// levelTable holds one clock domain's per-level values, indexed by
+// arch.FreqLevel.
+type levelTable struct {
+	volt   [3]float64 // V
+	energy [3]float64 // (V/VH)²
+	leak   [3]float64 // (V/VH)³
+	idle   [3]float64 // (f/fH)·(V/VH)²
+}
+
+// newLevelTable evaluates one domain's table. Every entry uses the
+// expression, in the evaluation order, that the scales were defined by,
+// so each value is bit-identical to computing it on demand.
+func newLevelTable(freqs [3]float64, voltage func(arch.FreqLevel) float64, vHigh float64) levelTable {
+	var t levelTable
+	for _, l := range arch.Levels() {
+		v := voltage(l)
+		r := v / vHigh
+		t.volt[l] = v
+		t.energy[l] = r * r
+		t.leak[l] = math.Pow(r, 3)
+		t.idle[l] = freqs[l] * 1e6 / (freqs[arch.FreqHigh] * 1e6) * t.energy[l]
+	}
+	return t
 }
 
 // NewState returns a state for the given board set to the default (H-H) pair.
 func NewState(spec *arch.Spec) *State {
-	return &State{spec: spec, pair: DefaultPair()}
+	return &State{
+		spec: spec,
+		pair: DefaultPair(),
+		core: newLevelTable(spec.CoreFreqsMHz, spec.CoreVoltage, spec.CoreVoltHigh),
+		mem:  newLevelTable(spec.MemFreqsMHz, spec.MemVoltage, spec.MemVoltHigh),
+	}
 }
 
 // Spec returns the board this state belongs to.
@@ -128,10 +167,10 @@ func (st *State) CoreHz() float64 { return st.spec.CoreFreqMHz(st.pair.Core) * 1
 func (st *State) MemHz() float64 { return st.spec.MemFreqMHz(st.pair.Mem) * 1e6 }
 
 // CoreVolt returns the core-domain voltage implied by the programmed pair.
-func (st *State) CoreVolt() float64 { return st.spec.CoreVoltage(st.pair.Core) }
+func (st *State) CoreVolt() float64 { return st.core.volt[st.pair.Core] }
 
 // MemVolt returns the memory-domain voltage implied by the programmed pair.
-func (st *State) MemVolt() float64 { return st.spec.MemVoltage(st.pair.Mem) }
+func (st *State) MemVolt() float64 { return st.mem.volt[st.pair.Mem] }
 
 // MemBandwidthBytesPerSec returns the peak DRAM bandwidth at the programmed
 // memory frequency, in bytes per second.
@@ -158,35 +197,21 @@ func (st *State) DRAMLatencySec() float64 {
 
 // CoreEnergyScale returns (Vcore/VcoreHigh)², the per-event energy scale of
 // the core domain at the programmed pair.
-func (st *State) CoreEnergyScale() float64 {
-	r := st.CoreVolt() / st.spec.CoreVoltHigh
-	return r * r
-}
+func (st *State) CoreEnergyScale() float64 { return st.core.energy[st.pair.Core] }
 
 // MemEnergyScale returns (Vmem/VmemHigh)² for the memory domain.
-func (st *State) MemEnergyScale() float64 {
-	r := st.MemVolt() / st.spec.MemVoltHigh
-	return r * r
-}
+func (st *State) MemEnergyScale() float64 { return st.mem.energy[st.pair.Mem] }
 
 // CoreLeakScale returns the leakage scale of the core domain. Subthreshold
 // leakage is strongly voltage dependent; we model it as (V/VH)³.
-func (st *State) CoreLeakScale() float64 {
-	return math.Pow(st.CoreVolt()/st.spec.CoreVoltHigh, 3)
-}
+func (st *State) CoreLeakScale() float64 { return st.core.leak[st.pair.Core] }
 
 // MemLeakScale returns the leakage scale of the memory domain, (V/VH)³.
-func (st *State) MemLeakScale() float64 {
-	return math.Pow(st.MemVolt()/st.spec.MemVoltHigh, 3)
-}
+func (st *State) MemLeakScale() float64 { return st.mem.leak[st.pair.Mem] }
 
 // CoreIdleScale returns the clock-tree/idle dynamic power scale of the core
 // domain: (f/fH)·(V/VH)².
-func (st *State) CoreIdleScale() float64 {
-	return st.CoreHz() / (st.spec.CoreFreqMHz(arch.FreqHigh) * 1e6) * st.CoreEnergyScale()
-}
+func (st *State) CoreIdleScale() float64 { return st.core.idle[st.pair.Core] }
 
 // MemIdleScale returns the DRAM background power scale: (f/fH)·(V/VH)².
-func (st *State) MemIdleScale() float64 {
-	return st.MemHz() / (st.spec.MemFreqMHz(arch.FreqHigh) * 1e6) * st.MemEnergyScale()
-}
+func (st *State) MemIdleScale() float64 { return st.mem.idle[st.pair.Mem] }

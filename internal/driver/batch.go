@@ -20,9 +20,10 @@ import (
 // stored: RunPairs and Sim.RunKernel evaluate the same compiled kernel (a
 // property test in internal/gpu holds both to the frozen reference model),
 // and both paths build the payload with newCachedLaunch, here on a
-// scratch clock programmed to each pair. The device's
-// own clock, noise stream and fault state are never touched — precompute
-// is invisible to everything but the cache and the miss counter.
+// scratch copy of the device's clock, per-level tables included,
+// programmed to each pair. The device's own clock, noise stream and fault
+// state are never touched — precompute is invisible to everything but the
+// cache and the miss counter.
 //
 // Returns the number of entries newly simulated; zero when launch caching
 // is disabled on this device, in which case nothing happens at all.
@@ -31,7 +32,7 @@ func (d *Device) PrecomputePairs(ks []*gpu.KernelDesc, pairs []clock.Pair) (int,
 		return 0, nil
 	}
 	o := d.obs
-	scratch := clock.NewState(d.spec)
+	scratch := *d.clk
 	simulated := 0
 	var missing []clock.Pair
 	for _, k := range ks {
@@ -57,7 +58,7 @@ func (d *Device) PrecomputePairs(ks []*gpu.KernelDesc, pairs []clock.Pair) (int,
 			if err := scratch.SetPair(missing[mi]); err != nil {
 				return simulated, fmt.Errorf("driver: precompute %q: %w", k.Name, err)
 			}
-			d.cache[launchKey{pair: missing[mi], kernel: kfp}] = d.newCachedLaunch(res, scratch)
+			d.cache[launchKey{pair: missing[mi], kernel: kfp}] = d.newCachedLaunch(res, &scratch)
 			simulated++
 			if o != nil {
 				o.misses.Inc()

@@ -47,8 +47,10 @@ func TestOpenSpecAllocs(t *testing.T) {
 	}
 }
 
-// TestCellReseedAllocs pins the per-cell reseed the sweeps make before
-// every metered pair: formatting the pair and reseeding allocate nothing.
+// TestCellReseedAllocs pins the per-cell work the sweeps do before every
+// metered pair: formatting the pair, reseeding and, with no injector
+// attached, the clock change — VBIOS patch and checksum reboot — allocate
+// nothing.
 func TestCellReseedAllocs(t *testing.T) {
 	d, err := OpenSpec(jittered(arch.GTX680(), 1.01))
 	if err != nil {
@@ -63,9 +65,21 @@ func TestCellReseedAllocs(t *testing.T) {
 	if n != 0 {
 		t.Errorf("per-cell reseed allocates %v objects per sweep, want 0", n)
 	}
+	n = testing.AllocsPerRun(100, func() {
+		for _, p := range pairs {
+			if err := d.SetClocks(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if n != 0 {
+		t.Errorf("SetClocks allocates %v objects per sweep, want 0", n)
+	}
 }
 
-// BenchmarkOpenSpec measures one device boot from a jittered spec.
+// BenchmarkOpenSpec measures one device boot from a jittered spec. The
+// release sub-benchmarks hand each device's noise source back, the way
+// the campaign engines do, so the next boot reuses it.
 func BenchmarkOpenSpec(b *testing.B) {
 	for _, base := range bootBoards() {
 		spec := jittered(base, 1.01)
@@ -75,6 +89,16 @@ func BenchmarkOpenSpec(b *testing.B) {
 				if _, err := OpenSpec(spec); err != nil {
 					b.Fatal(err)
 				}
+			}
+		})
+		b.Run(base.Generation.String()+"/release", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				d, err := OpenSpec(spec)
+				if err != nil {
+					b.Fatal(err)
+				}
+				d.Release()
 			}
 		})
 	}

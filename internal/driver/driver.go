@@ -6,14 +6,16 @@
 // The clock-control path is deliberately faithful to the paper's method
 // (Section II-B): SetClocks does not poke the simulator directly — it
 // patches the boot performance level inside the device's VBIOS image,
-// fixes the checksum, and reboots the device from the patched image.
+// fixes the checksum, and reboots the device from the patched image. The
+// image is decoded once, at boot: the pairs it exposes are that decoded
+// table, and a reboot verifies the patched image's checksum, which any
+// single bit flip breaks.
 package driver
 
 import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"math/rand"
 	"strconv"
 
 	"gpuperf/internal/arch"
@@ -38,14 +40,21 @@ type Device struct {
 	set  *counters.Set
 	inst *meter.Meter
 
+	// vbios is img as decoded at boot. Its performance table is the set
+	// of pairs SetClocks accepts. After boot only the driver writes img:
+	// the boot-level bytes, and a fault campaign's bit flips, each
+	// repaired within the call that made it.
+	vbios *bios.Image
+
 	profiling bool
-	// The noise source: src is reseeded in place (Seed/SeedScoped run once
+	// The noise source: it is reseeded in place (Seed/SeedScoped run once
 	// per measurement cell — the fastrng package exists to make that
-	// allocation-free and to seed only the state the cell draws), rng is
-	// the long-lived adapter the meter and profiler draw through. The pair's stream is bit-identical to
-	// rand.New(rand.NewSource(seed)) for every seed.
-	src      *fastrng.Source
-	rng      *rand.Rand
+	// allocation-free and to seed only the state the cell draws), and its
+	// Rand is the long-lived adapter the meter and profiler draw through.
+	// The stream is bit-identical to rand.New(rand.NewSource(seed)) for
+	// every seed. Boots take it from fastrng's pool and Release returns
+	// it; nil once released.
+	noise    *fastrng.Stream
 	baseSeed int64 // seed SeedScoped derives per-unit streams from
 
 	// Fault injection (see faulty.go). pristine is an untouched copy of
@@ -118,27 +127,30 @@ func Open(img []byte) (*Device, error) {
 		}
 	}
 
+	return boot(spec, append([]byte(nil), img...), decoded)
+}
+
+// boot brings a device up on spec from its own VBIOS image, decoded as
+// vbios, at the image's boot pair.
+func boot(spec *arch.Spec, img []byte, vbios *bios.Image) (*Device, error) {
 	clk := clock.NewState(spec)
-	if err := clk.SetPair(decoded.Boot); err != nil {
+	if err := clk.SetPair(vbios.Boot); err != nil {
 		return nil, fmt.Errorf("driver: boot clocks: %w", err)
 	}
-
-	own := append([]byte(nil), img...)
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(spec.Name)) // fnv: hash.Hash.Write never errors
 	seed := int64(h.Sum64())
-	src, rng := fastrng.NewRand(seed)
 	d := &Device{
 		spec:     spec,
-		img:      own,
+		img:      img,
+		vbios:    vbios,
 		pristine: append([]byte(nil), img...),
 		clk:      clk,
 		sim:      gpu.New(spec, clk),
 		pm:       power.NewModel(spec),
 		set:      counters.ForGeneration(spec.Generation),
 		inst:     meter.New(),
-		src:      src,
-		rng:      rng,
+		noise:    fastrng.Get(seed),
 		baseSeed: seed,
 	}
 	d.initCaches()
@@ -167,29 +179,7 @@ func OpenSpec(spec *arch.Spec) (*Device, error) {
 	if err != nil {
 		return nil, fmt.Errorf("driver: boot failed: %w", err)
 	}
-	clk := clock.NewState(spec)
-	if err := clk.SetPair(decoded.Boot); err != nil {
-		return nil, fmt.Errorf("driver: boot clocks: %w", err)
-	}
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(spec.Name)) // fnv: hash.Hash.Write never errors
-	seed := int64(h.Sum64())
-	src, rng := fastrng.NewRand(seed)
-	d := &Device{
-		spec:     spec,
-		img:      img,
-		pristine: append([]byte(nil), img...),
-		clk:      clk,
-		sim:      gpu.New(spec, clk),
-		pm:       power.NewModel(spec),
-		set:      counters.ForGeneration(spec.Generation),
-		inst:     meter.New(),
-		src:      src,
-		rng:      rng,
-		baseSeed: seed,
-	}
-	d.initCaches()
-	return d, nil
+	return boot(spec, img, decoded)
 }
 
 // Spec returns the booted board's description.
@@ -213,39 +203,42 @@ func (d *Device) Meter() *meter.Meter { return d.inst }
 // VBIOS image and rebooting, as the paper does. Invalid pairs (Table III)
 // are rejected and leave the device untouched.
 //
+// The pair is checked against the performance table decoded at boot, the
+// two boot-level bytes are written with the checksum fixed, and the
+// reboot verifies the checksum. The image is valid on entry: boot parsed
+// it and every corruption is repaired within the call that caused it.
+//
 // Under a fault campaign the reflash can fail transiently (the clock-set
 // interface refuses the request) or corrupt the image with a single bit
-// flip. A flip always breaks the image checksum, so the reboot's Parse
-// detects it; the driver then restores the golden image and reports a
-// transient fault for the harness to retry.
+// flip. A flip changes the byte sum by ±2^k with k < 8, never 0 mod 256,
+// so the reboot's checksum always detects it; the driver then restores
+// the golden image and reports a transient fault for the harness to
+// retry.
 func (d *Device) SetClocks(p clock.Pair) error {
 	if err := d.faults.Fail(fault.ClockSetFail, d.spec.Name); err != nil {
 		return fmt.Errorf("driver: %w", err)
 	}
-	if err := bios.PatchBootPair(d.img, p); err != nil {
-		return fmt.Errorf("driver: %w", err)
+	if !d.vbios.PairValid(p) {
+		return fmt.Errorf("driver: bios: %s does not expose pair %s", d.vbios.BoardName, p)
 	}
+	bios.WriteBootPair(d.img, p)
 	flipped := false
 	if d.faults.Hit(fault.BiosBitFlip) {
 		bit := d.faults.Intn(fault.BiosBitFlip, len(d.img)*8)
 		d.img[bit/8] ^= 1 << (bit % 8)
 		flipped = true
 	}
-	decoded, err := bios.Parse(d.img)
-	if err != nil {
+	if !bios.ChecksumOK(d.img) {
 		if flipped {
 			// Reflash from the golden image (re-applying the requested
 			// pair so the retry starts from a consistent state).
-			copy(d.img, d.pristine)
-			if perr := bios.PatchBootPair(d.img, p); perr != nil {
-				return fmt.Errorf("driver: recovery reflash: %w", perr)
-			}
+			d.reflash(p)
 			return fmt.Errorf("driver: %w",
-				&fault.Error{Point: fault.BiosBitFlip, Scope: d.spec.Name, Err: err})
+				&fault.Error{Point: fault.BiosBitFlip, Scope: d.spec.Name, Err: bios.ErrChecksum})
 		}
-		return fmt.Errorf("driver: reboot failed: %w", err)
+		return fmt.Errorf("driver: reboot failed: %w", bios.ErrChecksum)
 	}
-	if err := d.clk.SetPair(decoded.Boot); err != nil {
+	if err := d.clk.SetPair(p); err != nil {
 		return err
 	}
 	if o := d.obs; o != nil {
@@ -255,13 +248,19 @@ func (d *Device) SetClocks(p clock.Pair) error {
 	return nil
 }
 
+// reflash restores the golden image and writes p as its boot pair.
+func (d *Device) reflash(p clock.Pair) {
+	copy(d.img, d.pristine)
+	bios.WriteBootPair(d.img, p)
+}
+
 // Seed reseeds the device's noise sources (profiler jitter, meter noise)
 // and sets the base seed SeedScoped derives from. The source is reseeded
 // in place — the stream is bit-identical to a freshly built
 // rand.New(rand.NewSource(seed)) at zero allocations.
 func (d *Device) Seed(seed int64) {
 	d.baseSeed = seed
-	d.src.Seed(seed)
+	d.noise.Seed(seed)
 }
 
 // SeedScoped reseeds the noise sources to a stream derived from the base
@@ -276,7 +275,7 @@ func (d *Device) Seed(seed int64) {
 func (d *Device) SeedScoped(tag string) {
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(tag)) // fnv: hash.Hash.Write never errors
-	d.src.Seed(d.baseSeed ^ int64(h.Sum64()))
+	d.noise.Seed(d.baseSeed ^ int64(h.Sum64()))
 }
 
 // EnableProfiler turns on counter collection for subsequent launches,
@@ -309,7 +308,7 @@ func (d *Device) MicroSim(k *gpu.KernelDesc) (*gpu.MicroResult, error) {
 
 // launch returns the noiseless outcome of running k at the current
 // clocks, consulting the device's launch cache before the simulator. The
-// returned value is shared and immutable; it never touches d.rng, so the
+// returned value is shared and immutable; it never touches d.noise, so the
 // device's noise stream is identical on hits and misses.
 func (d *Device) launch(k *gpu.KernelDesc) (*cachedLaunch, error) {
 	key := launchKey{pair: d.clk.Pair(), kernel: k.Fingerprint()}
@@ -354,7 +353,7 @@ func (d *Device) Launch(k *gpu.KernelDesc) (*LaunchResult, error) {
 		Activities: cl.acts,
 	}
 	if d.profiling {
-		out.Counters = d.set.Collect(&out.Activities, d.rng)
+		out.Counters = d.set.Collect(&out.Activities, d.noise.Rand)
 	}
 	return out, nil
 }
@@ -465,7 +464,7 @@ func (d *Device) RunMetered(name string, ks []*gpu.KernelDesc, hostGapSeconds, m
 	iterActs.Scale(float64(iters))
 	out.Activities = iterActs
 	if d.profiling {
-		out.Counters = d.set.Collect(&out.Activities, d.rng)
+		out.Counters = d.set.Collect(&out.Activities, d.noise.Rand)
 	}
 	// Lay the run out on the virtual timeline: the whole-run parent slice
 	// first (so trace viewers nest the children under it), then the first
@@ -504,7 +503,7 @@ func (d *Device) RunMetered(name string, ks []*gpu.KernelDesc, hostGapSeconds, m
 		}
 		defer func() { d.inst.Fanout = nil }()
 	}
-	m, err := d.inst.MeasurePeriodic(out.Trace, d.rng)
+	m, err := d.inst.MeasurePeriodic(out.Trace, d.noise.Rand)
 	if err != nil {
 		return nil, fmt.Errorf("driver: workload %q: %w", name, err)
 	}

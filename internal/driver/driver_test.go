@@ -1,12 +1,15 @@
 package driver
 
 import (
+	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
 	"gpuperf/internal/arch"
 	"gpuperf/internal/bios"
 	"gpuperf/internal/clock"
+	"gpuperf/internal/fault"
 	"gpuperf/internal/gpu"
 )
 
@@ -111,12 +114,69 @@ func TestSetClocksRejectsInvalidPair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.SetClocks(clock.Pair{Core: arch.FreqLow, Mem: arch.FreqLow}); err == nil {
-		t.Error("SetClocks accepted (L-L) on GTX 680")
+	before := append([]byte(nil), d.img...)
+	err = d.SetClocks(clock.Pair{Core: arch.FreqLow, Mem: arch.FreqLow})
+	if err == nil {
+		t.Fatal("SetClocks accepted (L-L) on GTX 680")
 	}
-	if d.Clocks() != clock.DefaultPair() {
+	if want := "driver: bios: GTX 680 does not expose pair (L-L)"; err.Error() != want {
+		t.Errorf("error %q, want %q", err, want)
+	}
+	if d.Clocks() != clock.DefaultPair() || !bytes.Equal(d.img, before) {
 		t.Error("failed SetClocks changed device state")
 	}
+}
+
+// TestSetClocksRebootVerifiesChecksum: the reboot checks the image's
+// checksum, so an image corrupted outside a fault campaign fails the
+// reboot with a non-transient error.
+func TestSetClocksRebootVerifiesChecksum(t *testing.T) {
+	d, err := OpenBoard("GTX 680")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.img[20]++
+	err = d.SetClocks(clock.Pair{Core: arch.FreqMid, Mem: arch.FreqHigh})
+	if err == nil || !errors.Is(err, bios.ErrChecksum) || err.Error() != "driver: reboot failed: bios: checksum mismatch" {
+		t.Fatalf("SetClocks on a corrupt image: %v", err)
+	}
+	if _, transient := fault.PointOf(err); transient {
+		t.Error("a corrupt image without an injected flip is reported as transient")
+	}
+	if d.Clocks() != clock.DefaultPair() {
+		t.Errorf("clocks = %s after a failed reboot, want (H-H)", d.Clocks())
+	}
+}
+
+// TestReleaseDropsNoiseSource: a released device gives its source back
+// and fails loudly if it is used again; releasing twice is a no-op.
+func TestReleaseDropsNoiseSource(t *testing.T) {
+	a, err := OpenBoard("GTX 480")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Release()
+	a.Release()
+	if a.noise != nil {
+		t.Fatal("released device keeps its noise source")
+	}
+	b, err := OpenBoard("GTX 480")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := OpenBoard("GTX 480")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.noise == c.noise {
+		t.Fatal("two live devices share a noise source")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("seeding a released device did not panic")
+		}
+	}()
+	a.Seed(1)
 }
 
 func TestLaunchProducesTraceAndTime(t *testing.T) {

@@ -2,10 +2,12 @@ package driver
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"time"
 
 	"gpuperf/internal/arch"
+	"gpuperf/internal/bios"
 	"gpuperf/internal/clock"
 	"gpuperf/internal/fault"
 	"gpuperf/internal/gpu"
@@ -83,6 +85,12 @@ func TestBiosBitFlipDetectedAndRecovered(t *testing.T) {
 	}
 	if pt, ok := fault.PointOf(err); !ok || pt != fault.BiosBitFlip {
 		t.Fatalf("flip classified as %v, %v: %v", pt, ok, err)
+	}
+	if !errors.Is(err, bios.ErrChecksum) {
+		t.Errorf("flip not reported as a checksum mismatch: %v", err)
+	}
+	if !bios.ChecksumOK(d.img) {
+		t.Error("image still corrupt after the recovery reflash")
 	}
 	// Recovery reflashed the golden image: with faults detached the same
 	// request must now succeed and the device must still launch kernels.
@@ -201,8 +209,8 @@ func TestSeedScopedStreams(t *testing.T) {
 	// restores it exactly (the property retries rely on).
 	c := measure(func(d *Device) {
 		d.SeedScoped("pair|(L-L)")
-		d.rng.Float64()
-		d.rng.Float64()
+		d.noise.Rand.Float64()
+		d.noise.Rand.Float64()
 		d.SeedScoped("pair|(H-L)")
 	})
 	if a != c {

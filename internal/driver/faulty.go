@@ -57,20 +57,14 @@ func OpenSpecWithFaults(spec *arch.Spec, in *fault.Injector) (*Device, error) {
 
 // Reflash reboots the device from its golden VBIOS image at the current
 // clock pair — the recovery a resilient harness performs after killing a
-// hung launch. It bypasses the fault points: recovery itself is assumed
-// reliable (the next metered attempt draws fresh faults).
+// hung launch. It writes the image the way SetClocks does, bypassing the
+// fault points: recovery itself is assumed reliable (the next metered
+// attempt draws fresh faults).
 func (d *Device) Reflash() error {
-	copy(d.img, d.pristine)
 	pair := d.clk.Pair()
-	if err := bios.PatchBootPair(d.img, pair); err != nil {
-		return fmt.Errorf("driver: reflash: %w", err)
-	}
-	decoded, err := bios.Parse(d.img)
-	if err != nil {
-		return fmt.Errorf("driver: reflash: %w", err)
-	}
-	if err := d.clk.SetPair(decoded.Boot); err != nil {
-		return err
+	d.reflash(pair)
+	if !bios.ChecksumOK(d.img) {
+		return fmt.Errorf("driver: reflash: %w", bios.ErrChecksum)
 	}
 	if o := d.obs; o != nil {
 		o.reboots.Inc()

@@ -3,6 +3,7 @@ package driver
 import (
 	"sync"
 
+	"gpuperf/internal/fastrng"
 	"gpuperf/internal/meter"
 )
 
@@ -36,4 +37,19 @@ func ReleaseRunResult(r *RunResult) {
 	meter.ReleaseMeasurement(r.Measurement)
 	r.Measurement = nil
 	runResultPool.Put(r)
+}
+
+// Release returns the device's 4.9 KB noise source to the pool the next
+// boot takes it from. Only the sole owner may call it, once it is done
+// with the device: a released device has no noise source, so a later
+// seed or metered run panics instead of drawing from a stream another
+// device now owns. Releasing is optional; an unreleased device is
+// ordinary garbage. The campaign engines release the devices they boot;
+// a device handed to a caller is the caller's to release.
+func (d *Device) Release() {
+	if d.noise == nil {
+		return
+	}
+	fastrng.Put(d.noise)
+	d.noise = nil
 }

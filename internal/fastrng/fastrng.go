@@ -52,7 +52,10 @@
 // Nothing in this repository uses Read; new code must not start.
 package fastrng
 
-import "math/rand"
+import (
+	"math/rand"
+	"sync"
+)
 
 const (
 	rngLen  = 607 // degree of the lagged-Fibonacci recurrence
@@ -174,13 +177,35 @@ func New(seed int64) *Source {
 	return s
 }
 
-// NewRand returns a seeded Source and a rand.Rand drawing from it.
-// Reseed through the Source to reuse both allocations; see the package
-// comment for the rand.Rand.Read caveat.
-func NewRand(seed int64) (*Source, *rand.Rand) {
-	s := New(seed)
-	return s, rand.New(s)
+// Stream is a Source together with the rand.Rand that draws from it,
+// allocated as one unit so a pool can recycle both (see Get and Put).
+// Reseed through the Source to reuse both; see the package comment for
+// the rand.Rand.Read caveat.
+type Stream struct {
+	Source
+	Rand *rand.Rand
 }
+
+// streams recycles the 4.9 KB Streams of short-lived owners: a fleet
+// device's jitter draws and a released driver device's noise.
+var streams = sync.Pool{New: func() any {
+	s := new(Stream)
+	s.Rand = rand.New(&s.Source)
+	return s
+}}
+
+// Get returns a pooled Stream seeded with seed. Seed resets a recycled
+// source to the exact state rand.NewSource(seed) starts in, so its
+// stream is bit-identical to a fresh one's.
+func Get(seed int64) *Stream {
+	s := streams.Get().(*Stream)
+	s.Seed(seed)
+	return s
+}
+
+// Put returns a Stream to the pool. Only its sole owner may call it, and
+// neither the Stream nor its Rand may be used afterwards.
+func Put(s *Stream) { streams.Put(s) }
 
 // Seed resets the source to the exact state rand.NewSource(seed) starts
 // in, reusing the receiver's storage. It only records the normalized

@@ -43,7 +43,8 @@ func TestRawStreamMatchesMathRand(t *testing.T) {
 func TestRandDrawsMatchMathRand(t *testing.T) {
 	for _, seed := range testSeeds() {
 		ref := rand.New(rand.NewSource(seed))
-		_, got := NewRand(seed)
+		st := Get(seed) // usually the stream the previous seed put back
+		got := st.Rand
 		for i := 0; i < 1000; i++ {
 			if g, w := got.NormFloat64(), ref.NormFloat64(); g != w {
 				t.Fatalf("seed %d draw %d: NormFloat64 = %v, want %v", seed, i, g, w)
@@ -55,6 +56,7 @@ func TestRandDrawsMatchMathRand(t *testing.T) {
 				t.Fatalf("seed %d draw %d: Intn = %d, want %d", seed, i, g, w)
 			}
 		}
+		Put(st)
 	}
 }
 
@@ -62,7 +64,8 @@ func TestRandDrawsMatchMathRand(t *testing.T) {
 // in-place Seed on a used source must restore the exact fresh-source
 // stream, including after partial draws and under a live rand.Rand.
 func TestReseedMatchesFreshSource(t *testing.T) {
-	src, r := NewRand(1)
+	st := Get(1)
+	src, r := &st.Source, st.Rand
 	for _, seed := range testSeeds() {
 		// Desynchronize deliberately before reseeding.
 		for i := 0; i < 17; i++ {
@@ -148,7 +151,8 @@ func BenchmarkSeedInPlace(b *testing.B) {
 func BenchmarkReseedCell(b *testing.B) {
 	for _, draws := range []int{17, rngLen} {
 		b.Run(strconv.Itoa(draws), func(b *testing.B) {
-			src, r := NewRand(1)
+			st := Get(1)
+			src, r := &st.Source, st.Rand
 			var sink int64
 			for i := 0; i < b.N; i++ {
 				src.Seed(int64(i))
@@ -167,7 +171,7 @@ func BenchmarkReseedCell(b *testing.B) {
 // run past the lazy-seeding window before the timer starts, so no draw
 // pays for seeding.
 func BenchmarkDraws(b *testing.B) {
-	_, r := NewRand(1)
+	r := Get(1).Rand
 	for i := 0; i < 2*rngLen; i++ {
 		r.Int63()
 	}

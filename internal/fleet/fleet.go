@@ -102,7 +102,9 @@ func DeviceIndex(name string) (int, bool) {
 // mutually independent and independent of measurement noise. The draw
 // order (corevolt, memvolt, vexp, leak, meter) is part of the
 // determinism contract: a Device is byte-identical across shard layouts
-// and resumes because nothing but (seed, index) feeds it.
+// and resumes because nothing but (seed, index) feeds it. The generator
+// is a pooled stream, reseeded for the device and returned after the
+// five draws.
 //
 // Voltage spreads scale both curve endpoints by one factor, preserving
 // the Validate ordering invariants; frequencies are never jittered (the
@@ -113,14 +115,15 @@ func (f *Fleet) Device(i int) Device {
 	}
 	base := f.bases[i%len(f.bases)]
 	spec := *base // Spec is all value fields; a copy is deep
-	_, rng := fastrng.NewRand(f.seed ^ int64(fnvHash("fleet|device|"+strconv.Itoa(i))))
-	sym := func() float64 { return 2*rng.Float64() - 1 }
+	st := fastrng.Get(f.seed ^ int64(fnvHash("fleet|device|"+strconv.Itoa(i))))
+	sym := func() float64 { return 2*st.Rand.Float64() - 1 }
 
 	cv := 1 + f.jitter.CoreVolt*sym()
 	mv := 1 + f.jitter.MemVolt*sym()
 	ve := 1 + f.jitter.VExp*sym()
 	lk := 1 + f.jitter.Leak*sym()
 	gain := 1 + f.jitter.Meter*sym()
+	fastrng.Put(st)
 
 	spec.CoreVoltHigh *= cv
 	spec.CoreVoltLow *= cv

@@ -132,6 +132,28 @@ func TestFleetDeviceDeterminism(t *testing.T) {
 	}
 }
 
+// TestFleetDeviceAllocs caps what generating one fleet member allocates:
+// the spec copy, the device name and the tag its seed hashes. The jitter
+// generator is a pooled stream, not a fresh 4.9 KB source per device.
+func TestFleetDeviceAllocs(t *testing.T) {
+	const maxAllocs = 3
+	if raceEnabled {
+		t.Skip("under -race, sync.Pool drops a random share of what it is given, so the stream is not always reused")
+	}
+	fl, err := New(42, nil, 1000, DefaultJitter())
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := 0
+	n := testing.AllocsPerRun(200, func() {
+		_ = fl.Device(i % fl.Size())
+		i++
+	})
+	if n > maxAllocs {
+		t.Errorf("Fleet.Device allocates %v objects, want ≤ %d", n, maxAllocs)
+	}
+}
+
 func TestZeroJitterMatchesBase(t *testing.T) {
 	fl, err := New(42, []string{"GTX 680"}, 4, JitterProfile{})
 	if err != nil {

@@ -194,18 +194,31 @@ func Run(ctx context.Context, opts Options) (*Report, error) {
 }
 
 // planShards charges each shard's planned device and cell counts before
-// any work starts. Cell counts derive from the base boards' pair grids
-// (jitter never touches the ValidPairs matrix).
+// any work starts. Shards are clamped to the fleet size, so every shard
+// owns at least one device.
 func planShards(t *Tracker, fl *Fleet, shards, nBenches int) {
-	pairsPerBase := make([]int64, len(fl.bases))
-	for i, base := range fl.bases {
-		pairsPerBase[i] = int64(len(clock.ValidPairs(base)))
+	for s, cells := range PlannedCells(fl.bases, fl.size, shards, nBenches) {
+		c := &t.shards[s]
+		c.devicesPlanned.Add(int64((fl.size - s + shards - 1) / shards)) // devices i ≡ s (mod shards)
+		c.cellsPlanned.Add(cells)
 	}
-	for i := 0; i < fl.size; i++ {
-		c := &t.shards[i%shards]
-		c.devicesPlanned.Add(1)
-		c.cellsPlanned.Add(pairsPerBase[i%len(fl.bases)] * int64(nBenches))
+}
+
+// PlannedCells returns each shard's cell count for a fleet of size
+// devices over bases (round robin) sweeping nBenches benchmarks, where
+// device i belongs to shard i%shards. Jitter never touches the ValidPairs
+// matrix, so every device sweeps its base board's pair grid, and each
+// grid is counted once.
+func PlannedCells(bases []*arch.Spec, size, shards, nBenches int) []int64 {
+	perDevice := make([]int64, len(bases))
+	for i, base := range bases {
+		perDevice[i] = int64(len(clock.ValidPairs(base)) * nBenches)
 	}
+	out := make([]int64, shards)
+	for i := 0; i < size; i++ {
+		out[i%shards] += perDevice[i%len(bases)]
+	}
+	return out
 }
 
 // openShardJournals pools any existing shard journals, opens one fresh

@@ -364,21 +364,22 @@ func (ck *CompiledKernel) eval(clk *clock.State) *KernelResult {
 
 // RunPairs evaluates a compiled kernel at every given frequency pair in
 // one pass, returning results aligned with pairs. The simulator's own
-// clock state is untouched — the evaluation runs on a scratch state — so
-// a sweep can be precomputed without reprogramming the device. Each
-// result is bit-identical to RunKernel run at that pair.
+// clock state is untouched — the evaluation runs on a scratch copy of it,
+// per-level tables included — so a sweep can be precomputed without
+// reprogramming the device. Each result is bit-identical to RunKernel run
+// at that pair.
 func (s *Sim) RunPairs(ck *CompiledKernel, pairs []clock.Pair) ([]*KernelResult, error) {
 	if ck.spec != s.spec {
 		return nil, fmt.Errorf("gpu: kernel %q compiled for %s, simulator runs %s",
 			ck.name, ck.spec.Name, s.spec.Name)
 	}
-	scratch := clock.NewState(s.spec)
+	scratch := *s.clk
 	out := make([]*KernelResult, len(pairs))
 	for i, p := range pairs {
 		if err := scratch.SetPair(p); err != nil {
 			return nil, err
 		}
-		out[i] = ck.eval(scratch)
+		out[i] = ck.eval(&scratch)
 	}
 	return out, nil
 }

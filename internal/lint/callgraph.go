@@ -144,7 +144,7 @@ var randConstructors = map[string]bool{
 }
 
 // seededSplit reports whether fn is one of the module's seeded RNG
-// constructors: internal/fastrng's New/NewRand (the splitmix chain every
+// constructors: internal/fastrng's New (the splitmix chain every
 // campaign generator derives from) and the fleet's per-device split
 // (Device/DeviceName derive a generator from seed ^ hash(index), a pure
 // function of the cohort). These are deterministic by construction, so

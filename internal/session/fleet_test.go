@@ -24,48 +24,63 @@ func TestOpenRejectsBadFleetConfig(t *testing.T) {
 	}
 }
 
+// TestSessionFleetCampaign runs a small fleet through a session over one,
+// three and four base boards (GTX 285 exposes 8 pairs, the others 7), so
+// the planned cell count must follow each device's base-board grid.
 func TestSessionFleetCampaign(t *testing.T) {
 	bench := workloads.ByName("backprop")
 	if bench == nil {
 		t.Fatal("backprop not registered")
 	}
-	var want []byte
-	for _, shards := range []int{1, 3} {
-		s, err := New(WithBoards("GTX 680"), WithWorkers(2), WithFleet(6, shards, "tight"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := s.Fleet(context.Background(), []*workloads.Benchmark{bench})
-		if err != nil {
-			t.Fatal(err)
-		}
-		prog := s.Progress()
-		if prog.Done != rep.Cells || prog.Planned != rep.Cells {
-			t.Errorf("shards=%d: progress done=%d planned=%d, report cells=%d",
-				shards, prog.Done, prog.Planned, rep.Cells)
-		}
-		shardProg, ok := s.FleetProgress()
-		if !ok || len(shardProg) != shards {
-			t.Fatalf("shards=%d: FleetProgress = %v, %v", shards, shardProg, ok)
-		}
-		var cells int64
-		for _, sp := range shardProg {
-			cells += sp.CellsDone
-		}
-		if cells != rep.Cells {
-			t.Errorf("shards=%d: shard cells %d != report cells %d", shards, cells, rep.Cells)
-		}
-		got, err := json.Marshal(rep)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want == nil {
-			want = got
-		} else if !bytes.Equal(got, want) {
-			t.Errorf("shards=%d: session fleet report differs from shards=1", shards)
-		}
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
+	for _, boards := range [][]string{
+		{"GTX 680"},
+		{"GTX 285", "GTX 480", "GTX 680"},
+		{"GTX 285", "GTX 460", "GTX 480", "GTX 680"},
+	} {
+		var want []byte
+		for _, shards := range []int{1, 3} {
+			s, err := New(WithBoards(boards...), WithWorkers(2), WithFleet(6, shards, "tight"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := s.Fleet(context.Background(), []*workloads.Benchmark{bench})
+			if err != nil {
+				t.Fatal(err)
+			}
+			prog := s.Progress()
+			if prog.Done != rep.Cells || prog.Planned != rep.Cells {
+				t.Errorf("%v shards=%d: progress done=%d planned=%d, report cells=%d",
+					boards, shards, prog.Done, prog.Planned, rep.Cells)
+			}
+			shardProg, ok := s.FleetProgress()
+			if !ok || len(shardProg) != shards {
+				t.Fatalf("%v shards=%d: FleetProgress = %v, %v", boards, shards, shardProg, ok)
+			}
+			var cells, planned int64
+			for _, sp := range shardProg {
+				cells += sp.CellsDone
+				planned += sp.CellsPlanned
+				if sp.DevicesDone != sp.DevicesPlanned {
+					t.Errorf("%v shards=%d: shard %d finished %d devices of %d planned",
+						boards, shards, sp.Shard, sp.DevicesDone, sp.DevicesPlanned)
+				}
+			}
+			if cells != rep.Cells || planned != rep.Cells {
+				t.Errorf("%v shards=%d: shard cells done %d, planned %d, report cells %d",
+					boards, shards, cells, planned, rep.Cells)
+			}
+			got, err := json.Marshal(rep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want == nil {
+				want = got
+			} else if !bytes.Equal(got, want) {
+				t.Errorf("%v shards=%d: session fleet report differs from shards=1", boards, shards)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 

@@ -525,17 +525,9 @@ func (s *Session) Fleet(ctx context.Context, benches []*workloads.Benchmark) (*f
 }
 
 // planFleet accounts the fleet campaign's cell total into the session
-// progress counters (jitter never changes a device's pair grid, so the
-// base boards' grids are the per-device cell counts).
+// progress counters.
 func (s *Session) planFleet(nBenches int) {
-	names := s.BoardNames()
-	var cells int64
-	for i := 0; i < s.cfg.FleetSize; i++ {
-		if spec := arch.BoardByName(names[i%len(names)]); spec != nil {
-			cells += int64(len(clock.ValidPairs(spec)))
-		}
-	}
-	s.planned.Add(cells * int64(nBenches))
+	s.planned.Add(fleet.PlannedCells(s.boards, s.cfg.FleetSize, 1, nBenches)[0])
 }
 
 // FleetProgress reports the per-shard progress of the session's fleet

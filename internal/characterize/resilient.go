@@ -59,18 +59,13 @@ type SweepOptions struct {
 	// never changes measurements or artifacts. It is called from every
 	// sweep worker, so it must be safe for concurrent use.
 	Fanout driver.PowerFanout
-	// OnCell, when non-nil, is called after every cell is resolved —
-	// measured, replayed from the journal (replayed=true), or quarantined —
-	// with the cell's result. Called from every sweep worker; must be safe
-	// for concurrent use. Progress introspection only: it must not mutate
-	// the result.
-	OnCell func(board, bench string, pr PairResult, replayed bool)
 	// Sink, when non-nil, receives the sweep as a row stream: one
-	// ConsumeRow per resolved cell (the OnCell contract) and one
-	// ConsumeBench per completed (board, benchmark) job. Called from
-	// every sweep worker; must be safe for concurrent use. This is how
-	// SweepStream consumers — the fleet aggregator — fold a campaign
-	// without materializing it.
+	// ConsumeRow per resolved cell — measured, replayed from the journal
+	// (Row.Replayed) or quarantined — and one ConsumeBench per completed
+	// (board, benchmark) job. Called from every sweep worker; must be safe
+	// for concurrent use, and must not mutate a row's result. This is how
+	// the fleet aggregator folds a campaign without materializing it and
+	// how a session counts its progress (session.Progress).
 	Sink RowSink
 	// Boot, when non-nil, replaces the device-open path; the injector may
 	// be nil on a fault-free attempt. The fleet orchestrator boots
@@ -91,13 +86,10 @@ func (o *SweepOptions) specOf(boardName string) *arch.Spec {
 	return arch.BoardByName(boardName)
 }
 
-// emitCell fans one resolved cell out to both progress hooks — the
-// single emission point every resolution path (measure, journal replay,
-// boot quarantine) goes through.
+// emitCell streams one resolved cell to the sink — the single emission
+// point every resolution path (measure, journal replay, boot quarantine)
+// goes through.
 func (o *SweepOptions) emitCell(board, bench string, pr PairResult, replayed bool) {
-	if o.OnCell != nil {
-		o.OnCell(board, bench, pr, replayed)
-	}
 	if o.Sink != nil {
 		o.Sink.ConsumeRow(Row{Board: board, Bench: bench, Rep: o.Rep, Replayed: replayed, Result: pr})
 	}
@@ -229,7 +221,7 @@ func sweepBenchR(ctx context.Context, boardName string, b *workloads.Benchmark, 
 // benchmark at every valid pair of the device through the harness's
 // metered-pass loop, replays the cells the journal already holds, and
 // parks the device at the default pair with faults detached. boardName
-// keys the result, the journal and the progress hooks; scope roots the
+// keys the result, the journal and the sink's rows; scope roots the
 // cells' fault streams. A cell that exhausts its retry budget is
 // quarantined.
 func sweepDevice(ctx context.Context, dev *driver.Device, boardName, scope string, b *workloads.Benchmark, opts *SweepOptions, h driver.Harness, so *sweepObs) (*BenchResult, error) {

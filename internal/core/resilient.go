@@ -58,14 +58,57 @@ func cancelled(ctx context.Context) error {
 // a cancel aborts the collection within one in-flight pass per worker and
 // returns the cause wrapped in the error.
 func CollectCtx(ctx context.Context, boardName string, benches []*workloads.Benchmark, opts CollectOptions) (*Dataset, error) {
-	// The materialized dataset is one fold over the row stream; the
-	// engine itself lives in CollectStream.
-	fold := NewDatasetFold(len(benches))
-	st, err := CollectStream(ctx, boardName, benches, opts, fold)
+	res := opts.Res
+	if res == nil {
+		res = &fault.Resilience{}
+	}
+	res.Observe()
+	co := newCollectObs(res.Obs, boardName)
+	probe, err := driver.OpenBoard(boardName)
 	if err != nil {
 		return nil, err
 	}
-	return fold.Dataset(st), nil
+
+	type slot struct {
+		rows    []Observation
+		samples int
+		retries int
+		dropped *DroppedBench
+	}
+	// Each job writes only its own slot; Pool returns after every job has
+	// delivered its result, so the reads below are ordered after the writes.
+	slots := make([]slot, len(benches))
+	err = driver.Pool(ctx, opts.Workers, len(benches), cancelled, func(idx int) error {
+		s := &slots[idx]
+		var err error
+		s.rows, s.samples, s.retries, s.dropped, err = collectBench(ctx, boardName, benches[idx], opts.Seed, res, co)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	// Concatenating the slots in benchmark order gives the same rows at
+	// any worker count. A dropped benchmark contributes its retries and
+	// nothing else.
+	ds := &Dataset{Board: boardName, Spec: probe.Spec(), Set: probe.CounterSet()}
+	n := 0
+	for _, s := range slots {
+		if s.dropped == nil {
+			n += len(s.rows)
+		}
+	}
+	ds.Rows = make([]Observation, 0, n)
+	for _, s := range slots {
+		ds.Retries += s.retries
+		if s.dropped != nil {
+			ds.Dropped = append(ds.Dropped, *s.dropped)
+			continue
+		}
+		ds.Samples += s.samples
+		ds.Rows = append(ds.Rows, s.rows...)
+	}
+	return ds, nil
 }
 
 // collectBench is the per-benchmark collector the pool workers call; a

@@ -50,7 +50,8 @@ const (
 // CampaignRequest is the POST /api/v1/campaigns body. The zero value of
 // every optional field means the engine default.
 type CampaignRequest struct {
-	// Kind selects the campaign engine: "sweep" (default) or "model".
+	// Kind selects the campaign engine: "sweep" (default), "model" or
+	// "fleet".
 	Kind string `json:"kind,omitempty"`
 	// Seed drives every noise and fault stream; campaigns are a pure
 	// function of it (0 is a valid seed and is used as-is).
@@ -70,8 +71,10 @@ type CampaignRequest struct {
 	// (0: engine defaults).
 	MaxRetries      int   `json:"max_retries,omitempty"`
 	LaunchTimeoutMS int64 `json:"launch_timeout_ms,omitempty"`
-	// Repetitions / MinValid configure the repetition cohort and its
-	// publishability floor (0: single run / all-valid).
+	// Repetitions / MinValid configure a sweep's repetition cohort and its
+	// publishability floor (0: single run / all-valid). MinValid may not
+	// exceed the repetitions. Model and fleet campaigns run once and take
+	// neither.
 	Repetitions int `json:"repetitions,omitempty"`
 	MinValid    int `json:"min_valid,omitempty"`
 	// NoCache is rejected: launch caching is a process-wide switch, so a
@@ -222,9 +225,6 @@ func (s *Server) Submit(req CampaignRequest) (*Campaign, error) {
 		if _, err := fleet.ParseJitterProfile(req.JitterProfile); err != nil {
 			return nil, reqErrf("jitter_profile: %v", err)
 		}
-		if req.Repetitions > 1 {
-			return nil, reqErrf("fleet campaigns do not take repetitions")
-		}
 	} else if req.FleetSize != 0 || req.Shards != 0 || req.JitterProfile != "" {
 		return nil, reqErrf(`fleet_size/shards/jitter_profile require kind "fleet"`)
 	}
@@ -256,6 +256,14 @@ func (s *Server) Submit(req CampaignRequest) (*Campaign, error) {
 	}
 	if req.Repetitions > MaxRepetitions {
 		return nil, reqErrf("repetitions %d exceeds the limit of %d", req.Repetitions, MaxRepetitions)
+	}
+	// Only sweeps repeat and triage: a model or fleet campaign runs once,
+	// so it would silently ignore either knob.
+	if req.Kind != KindSweep && (req.Repetitions > 1 || req.MinValid != 0) {
+		return nil, reqErrf("%s campaigns take neither repetitions nor min_valid", req.Kind)
+	}
+	if runs := max(req.Repetitions, 1); req.MinValid > runs {
+		return nil, reqErrf("min_valid %d exceeds the %d repetitions", req.MinValid, runs)
 	}
 
 	s.mu.Lock()
@@ -448,29 +456,19 @@ func (s *Server) pollFleet(sess *session.Session) (stop func()) {
 			if !ok {
 				return
 			}
-			var planned, devDone, rows int64
-			var minC, maxC int64
-			for i, p := range sp {
-				planned += p.DevicesPlanned
-				devDone += p.DevicesDone
-				rows += p.RowsFolded
-				if i == 0 || p.CellsDone < minC {
-					minC = p.CellsDone
-				}
-				if i == 0 || p.CellsDone > maxC {
-					maxC = p.CellsDone
-				}
+			for _, p := range sp {
 				if d := p.CellsDone - prevCells[p.Shard]; d > 0 {
 					s.fleetM.shardCells.With(strconv.Itoa(p.Shard)).Add(d)
 					prevCells[p.Shard] = p.CellsDone
 				}
 			}
-			s.fleetM.devicesPlanned.Set(planned)
-			s.fleetM.devicesDone.Set(devDone)
-			s.fleetM.shardLag.Set(maxC - minC)
-			if d := rows - prevRows; d > 0 {
+			total, lag := fleet.Sum(sp)
+			s.fleetM.devicesPlanned.Set(total.DevicesPlanned)
+			s.fleetM.devicesDone.Set(total.DevicesDone)
+			s.fleetM.shardLag.Set(lag)
+			if d := total.RowsFolded - prevRows; d > 0 {
 				s.fleetM.rowsFolded.Add(d)
-				prevRows = rows
+				prevRows = total.RowsFolded
 			}
 		}
 		t := time.NewTicker(250 * time.Millisecond)

@@ -263,6 +263,10 @@ func TestDaemonRejectsBadRequests(t *testing.T) {
 		{Boards: []string{"GTX 480", "GTX 480"}},
 		{Kind: "explode"},
 		{Faults: "bogus:spec"},
+		{MinValid: 2},                     // more valid runs than one repetition
+		{Repetitions: 2, MinValid: 3},     // more valid runs than repetitions
+		{Kind: KindModel, Repetitions: 4}, // models run once
+		{Kind: KindModel, MinValid: 1},    // models are not triaged
 	}
 	for _, req := range cases {
 		if code, _, body := postCampaign(t, ts.URL, req); code != http.StatusBadRequest {

@@ -87,6 +87,7 @@ func TestDaemonRejectsBadFleetRequests(t *testing.T) {
 		{Kind: KindFleet, FleetSize: 4, JitterProfile: "bogus:0.1"}, // unknown jitter key
 		{Kind: KindFleet, FleetSize: 4, JitterProfile: "meter:1.5"}, // out of [0, 1]
 		{Kind: KindFleet, FleetSize: 4, Repetitions: 3},             // fleets don't repeat
+		{Kind: KindFleet, FleetSize: 2, MinValid: 1},                // fleets are not triaged
 		{Kind: KindSweep, FleetSize: 4},                             // fleet knob on sweep
 		{Kind: KindModel, Shards: 2},                                // fleet knob on model
 		{JitterProfile: "tight"},                                    // fleet knob on default kind

@@ -72,19 +72,16 @@ func (d *Device) newCachedLaunch(res *gpu.KernelResult, clk *clock.State) *cache
 // and written only by setup code (cmd flags, tests), hence the atomic.
 var launchCachingOff atomic.Bool // zero value: caching enabled
 
-// SetLaunchCachingEnabled globally enables or disables launch memoization
-// for devices opened afterwards (the uncached reference mode of cmd/paper
-// -nocache). Cached and uncached runs are byte-identical by construction;
-// the switch exists so that claim stays checkable.
-func SetLaunchCachingEnabled(on bool) { launchCachingOff.Store(!on) }
-
 // LaunchCachingEnabled reports the global switch.
 func LaunchCachingEnabled() bool { return !launchCachingOff.Load() }
 
-// PushLaunchCachingEnabled flips the global caching switch and returns a
-// restore function that puts the previous state back — the save/restore
-// idiom tests must use so a failing test cannot leak a flipped switch
-// into the rest of the suite:
+// PushLaunchCachingEnabled globally enables or disables launch
+// memoization for devices opened afterwards (the uncached reference mode
+// of cmd/paper -nocache) and returns a restore function that puts the
+// previous state back. Cached and uncached runs are byte-identical by
+// construction; the switch exists so that claim stays checkable. It is
+// the switch's one setter, so a failing test cannot leak a flipped
+// switch into the rest of the suite:
 //
 //	defer driver.PushLaunchCachingEnabled(false)()
 func PushLaunchCachingEnabled(on bool) (restore func()) {

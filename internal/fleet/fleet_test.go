@@ -52,6 +52,7 @@ func TestParseJitterProfile(t *testing.T) {
 		{in: "none", want: JitterProfile{}.String()},
 		{in: "corevolt:0.1,leak:0.2", want: "corevolt:0.1,memvolt:0,vexp:0,leak:0.2,meter:0"},
 		{in: "bogus:0.1", wantErr: "unknown"},
+		{in: "tigth", wantErr: `unknown preset (have default, loose, none, tight)`},
 		{in: "corevolt:0.1,corevolt:0.2", wantErr: "duplicate"},
 		{in: "corevolt:nope", wantErr: "corevolt"},
 		{in: "corevolt:1.5", wantErr: "[0, 1]"},
@@ -462,13 +463,16 @@ func TestTrackerTotals(t *testing.T) {
 	tr.shards[2].cellsDone.Store(7)
 	tr.shards[0].devicesPlanned.Store(5)
 	tr.shards[1].rowsFolded.Store(4)
-	planned, done, cells, rows, lag := tr.Totals()
-	if planned != 5 || done != 0 || cells != 21 || rows != 4 || lag != 6 {
-		t.Fatalf("Totals() = %d %d %d %d %d", planned, done, cells, rows, lag)
-	}
 	snap := tr.Snapshot()
 	if len(snap) != 3 || snap[2].CellsDone != 7 || snap[1].Shard != 1 {
 		t.Fatalf("Snapshot() = %+v", snap)
+	}
+	total, lag := Sum(snap)
+	if total.DevicesPlanned != 5 || total.DevicesDone != 0 || total.CellsDone != 21 || total.RowsFolded != 4 || lag != 6 {
+		t.Fatalf("Sum() = %+v, lag %d", total, lag)
+	}
+	if total, lag := Sum(nil); total != (ShardProgress{}) || lag != 0 {
+		t.Fatalf("Sum(nil) = %+v, lag %d", total, lag)
 	}
 }
 

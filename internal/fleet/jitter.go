@@ -83,6 +83,9 @@ func ParseJitterProfile(s string) (JitterProfile, error) {
 	if p, ok := jitterPresets[strings.TrimSpace(s)]; ok {
 		return p, nil
 	}
+	if !strings.Contains(s, ":") {
+		return JitterProfile{}, fmt.Errorf("fleet: jitter %q: unknown preset (have %s)", s, strings.Join(PresetNames(), ", "))
+	}
 	var p JitterProfile
 	seen := map[string]bool{}
 	for _, part := range strings.Split(s, ",") {

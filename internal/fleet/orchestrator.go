@@ -68,10 +68,6 @@ type Options struct {
 	// been built with NewTracker(ClampShards(Shards, Size)). nil gets a
 	// private tracker.
 	Tracker *Tracker
-	// OnCell, when non-nil, observes every resolved cell with its shard
-	// index. Called from every shard's workers; must be safe for
-	// concurrent use.
-	OnCell func(shard int, row characterize.Row)
 	// Warn receives human-readable salvage notes from the journal merge.
 	// nil logs to stderr.
 	Warn func(format string, args ...any)
@@ -197,19 +193,19 @@ func Run(ctx context.Context, opts Options) (*Report, error) {
 // any work starts. Shards are clamped to the fleet size, so every shard
 // owns at least one device.
 func planShards(t *Tracker, fl *Fleet, shards, nBenches int) {
-	for s, cells := range PlannedCells(fl.bases, fl.size, shards, nBenches) {
+	for s, cells := range plannedCells(fl.bases, fl.size, shards, nBenches) {
 		c := &t.shards[s]
 		c.devicesPlanned.Add(int64((fl.size - s + shards - 1) / shards)) // devices i ≡ s (mod shards)
 		c.cellsPlanned.Add(cells)
 	}
 }
 
-// PlannedCells returns each shard's cell count for a fleet of size
+// plannedCells returns each shard's cell count for a fleet of size
 // devices over bases (round robin) sweeping nBenches benchmarks, where
 // device i belongs to shard i%shards. Jitter never touches the ValidPairs
 // matrix, so every device sweeps its base board's pair grid, and each
 // grid is counted once.
-func PlannedCells(bases []*arch.Spec, size, shards, nBenches int) []int64 {
+func plannedCells(bases []*arch.Spec, size, shards, nBenches int) []int64 {
 	perDevice := make([]int64, len(bases))
 	for i, base := range bases {
 		perDevice[i] = int64(len(clock.ValidPairs(base)) * nBenches)
@@ -275,7 +271,6 @@ type shardSink struct {
 	tr     *Tracker
 	shard  int
 	nBench int
-	onCell func(int, characterize.Row)
 
 	mu        sync.Mutex
 	benchDone map[string]int
@@ -291,9 +286,6 @@ func (s *shardSink) ConsumeRow(r characterize.Row) {
 	}
 	if r.Result.Quarantined {
 		c.quarantined.Add(1)
-	}
-	if s.onCell != nil {
-		s.onCell(s.shard, r)
 	}
 }
 
@@ -317,8 +309,7 @@ func (s *shardSink) ConsumeBench(b *characterize.BenchResult) {
 func runShard(ctx context.Context, shard, shards, workers int, fl *Fleet, journal *characterize.Journal, res *fault.Resilience, tracker *Tracker, opts *Options) (*Aggregate, error) {
 	agg := NewAggregate()
 	sink := &shardSink{
-		agg: agg, tr: tracker, shard: shard,
-		nBench: len(opts.Benches), onCell: opts.OnCell,
+		agg: agg, tr: tracker, shard: shard, nBench: len(opts.Benches),
 		benchDone: make(map[string]int),
 	}
 	prefix := opts.TrackPrefix

@@ -62,26 +62,25 @@ func (t *Tracker) Snapshot() []ShardProgress {
 	return out
 }
 
-// Totals folds the snapshot into fleet-wide counters plus the shard lag
-// (max − min cells done across shards — how far the slowest shard
-// trails the fastest).
-func (t *Tracker) Totals() (devicesPlanned, devicesDone, cellsDone, rowsFolded, lag int64) {
-	first := true
+// Sum folds a snapshot into fleet-wide counters (Shard is zero in the
+// total) plus the shard lag: max − min cells done across shards, how far
+// the slowest shard trails the fastest.
+func Sum(snap []ShardProgress) (total ShardProgress, lag int64) {
 	var minC, maxC int64
-	for i := range t.shards {
-		c := &t.shards[i]
-		devicesPlanned += c.devicesPlanned.Load()
-		devicesDone += c.devicesDone.Load()
-		done := c.cellsDone.Load()
-		cellsDone += done
-		rowsFolded += c.rowsFolded.Load()
-		if first || done < minC {
-			minC = done
+	for i, p := range snap {
+		total.DevicesPlanned += p.DevicesPlanned
+		total.DevicesDone += p.DevicesDone
+		total.CellsPlanned += p.CellsPlanned
+		total.CellsDone += p.CellsDone
+		total.Replayed += p.Replayed
+		total.Quarantined += p.Quarantined
+		total.RowsFolded += p.RowsFolded
+		if i == 0 || p.CellsDone < minC {
+			minC = p.CellsDone
 		}
-		if first || done > maxC {
-			maxC = done
+		if i == 0 || p.CellsDone > maxC {
+			maxC = p.CellsDone
 		}
-		first = false
 	}
-	return devicesPlanned, devicesDone, cellsDone, rowsFolded, maxC - minC
+	return total, maxC - minC
 }

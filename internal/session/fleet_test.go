@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"path/filepath"
 	"testing"
 
 	"gpuperf/internal/workloads"
@@ -81,6 +82,40 @@ func TestSessionFleetCampaign(t *testing.T) {
 			if err := s.Close(); err != nil {
 				t.Fatal(err)
 			}
+		}
+	}
+
+	// A checkpointed fleet rerun at another shard count replays every
+	// cell from the pooled shard journals, and the session's progress
+	// counts each replay once.
+	ckpt := filepath.Join(t.TempDir(), "fleet.journal")
+	for _, shards := range []int{3, 1} {
+		s, err := New(WithBoards("GTX 480", "GTX 680"), WithWorkers(2),
+			WithFleet(6, shards, "tight"), WithCheckpoint(ckpt))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := s.Fleet(context.Background(), []*workloads.Benchmark{bench})
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog := s.Progress()
+		shardProg, _ := s.FleetProgress()
+		var replayed int64
+		for _, sp := range shardProg {
+			replayed += sp.Replayed
+		}
+		wantReplayed := int64(0)
+		if shards == 1 {
+			wantReplayed = prog.Planned
+		}
+		if prog.Planned != rep.Cells || prog.Done != rep.Cells ||
+			prog.Replayed != wantReplayed || replayed != wantReplayed {
+			t.Errorf("checkpointed shards=%d: progress %+v, shard replays %d, report cells %d, want %d replayed",
+				shards, prog, replayed, rep.Cells, wantReplayed)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 

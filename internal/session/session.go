@@ -243,8 +243,9 @@ type Session struct {
 	closed       bool
 
 	// Progress introspection (see Progress): planned is accumulated when a
-	// sweep starts, the others by the engine's per-cell hook. Atomics so a
-	// serving layer can poll them while the campaign runs.
+	// classic sweep starts, the others by the sweeps' row sink (countCell).
+	// Atomics so a serving layer can poll them while the campaign runs.
+	// Fleet cells are counted by fleetTracker instead.
 	planned     atomic.Int64
 	done        atomic.Int64
 	replayed    atomic.Int64
@@ -265,24 +266,33 @@ type Progress struct {
 	Quarantined int64 `json:"quarantined"`
 }
 
-// Progress returns the session's current sweep progress. Safe to call
-// from any goroutine while campaigns run.
+// Progress returns the session's current sweep progress: its classic
+// sweeps' cells plus, in a fleet session, the fleet's cells summed over
+// its shards. Safe to call from any goroutine while campaigns run.
 func (s *Session) Progress() Progress {
-	return Progress{
+	p := Progress{
 		Planned:     s.planned.Load(),
 		Done:        s.done.Load(),
 		Replayed:    s.replayed.Load(),
 		Quarantined: s.quarantined.Load(),
 	}
+	if s.fleetTracker != nil {
+		f, _ := fleet.Sum(s.fleetTracker.Snapshot())
+		p.Planned += f.CellsPlanned
+		p.Done += f.CellsDone
+		p.Replayed += f.Replayed
+		p.Quarantined += f.Quarantined
+	}
+	return p
 }
 
-// onCell is the engine hook feeding the progress counters.
-func (s *Session) onCell(_, _ string, pr characterize.PairResult, replayed bool) {
+// countCell is the sweeps' row sink feeding the progress counters.
+func (s *Session) countCell(r characterize.Row) {
 	s.done.Add(1)
-	if replayed {
+	if r.Replayed {
 		s.replayed.Add(1)
 	}
-	if pr.Quarantined {
+	if r.Result.Quarantined {
 		s.quarantined.Add(1)
 	}
 }
@@ -461,7 +471,7 @@ func (s *Session) sweepOptions(trackPrefix string) characterize.SweepOptions {
 		Obs:         s.cfg.Obs,
 		TrackPrefix: trackPrefix,
 		Fanout:      s.cfg.PowerFanout,
-		OnCell:      s.onCell,
+		Sink:        characterize.SinkFuncs{Row: s.countCell},
 	}
 }
 
@@ -498,7 +508,6 @@ func (s *Session) Fleet(ctx context.Context, benches []*workloads.Benchmark) (*f
 	if s.cfg.FleetSize < 1 {
 		return nil, fmt.Errorf("session: Fleet called without a fleet size (WithFleet)")
 	}
-	s.planFleet(len(benches))
 	faultSpec := ""
 	if s.cfg.Faults != nil {
 		faultSpec = s.cfg.Faults.String()
@@ -518,16 +527,7 @@ func (s *Session) Fleet(ctx context.Context, benches []*workloads.Benchmark) (*f
 		TrackPrefix:  s.cfg.TrackPrefix,
 		CodeVersion:  s.cfg.CodeVersion,
 		Tracker:      s.fleetTracker,
-		OnCell: func(_ int, row characterize.Row) {
-			s.onCell(row.Board, row.Bench, row.Result, row.Replayed)
-		},
 	})
-}
-
-// planFleet accounts the fleet campaign's cell total into the session
-// progress counters.
-func (s *Session) planFleet(nBenches int) {
-	s.planned.Add(fleet.PlannedCells(s.boards, s.cfg.FleetSize, 1, nBenches)[0])
 }
 
 // FleetProgress reports the per-shard progress of the session's fleet

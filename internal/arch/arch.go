@@ -77,13 +77,64 @@ func Levels() []FreqLevel { return []FreqLevel{FreqLow, FreqMid, FreqHigh} }
 // Spec is the full static description of one GPU board. Frequencies are in
 // MHz, sizes in bytes, bandwidth in GB/s, power in watts, energies in
 // nanojoules per event.
+//
+// The embedded Timing is everything execution time depends on; the fields
+// Spec adds move only power (the voltage curve, per-event energies and
+// static power) or are informational. Fleet jitter perturbs only the
+// latter, so every jittered device of one base board shares its Timing.
 type Spec struct {
 	Name       string
 	Generation Generation
 
+	Timing
+
+	CoresPerSM int // scalar CUDA cores per SM
+
+	// Table I headline figures (informational; bandwidth is also derived
+	// from the bus parameters and must agree with this to within a few %).
+	PeakGFLOPS      float64
+	MemBandwidthGBs float64
+	TDPWatts        float64
+
+	// Voltage model: domain voltage at FreqHigh and at FreqLow. Levels in
+	// between interpolate as V = Vlow + (Vhigh-Vlow)·t^VoltExponent with
+	// t the normalized frequency, so an exponent > 1 makes the top
+	// frequency bin pay a disproportionate voltage premium (Kepler boost
+	// binning). The width and shape of this curve is the generation's
+	// DVFS headroom and is the mechanism behind the paper's headline
+	// "Kepler saves far more than Tesla" result.
+	CoreVoltHigh, CoreVoltLow float64
+	MemVoltHigh, MemVoltLow   float64
+	VoltExponent              float64 // ≥ 1; 0 means 1 (linear)
+
+	// Energy model: nanojoules per event at FreqHigh voltage, and static
+	// power in watts at FreqHigh voltage. See internal/power.
+	EnergyPerWarpInst  float64 // issue + operand collection, per warp inst
+	EnergyPerALU       float64 // per warp ALU instruction
+	EnergyPerSFU       float64
+	EnergyPerDP        float64
+	EnergyPerLSU       float64 // address generation, per warp mem inst
+	EnergyPerSharedAcc float64 // per shared-memory warp access
+	EnergyPerL1Access  float64 // per L1 transaction
+	EnergyPerL2Access  float64 // per L2 transaction
+	EnergyPerDRAMTxn   float64 // per DRAM transaction (memory domain)
+	CoreLeakWatts      float64 // core-domain leakage at CoreVoltHigh
+	MemLeakWatts       float64 // memory-domain static power at MemVoltHigh
+	CoreIdleWatts      float64 // clock-tree/idle dynamic at FreqHigh
+	MemIdleWatts       float64 // DRAM background at FreqHigh
+}
+
+// Timing is the half of a Spec that execution time depends on: the SM
+// topology and occupancy limits, the unit throughputs, the memory
+// hierarchy, the DRAM interface, the frequency tables and the pairs the
+// BIOS exposes. The timing simulator (internal/gpu) and the frequency,
+// bandwidth and latency accessors of clock.State read nothing else, so
+// two boards with equal Timing values run every kernel in the same time
+// at every pair. Timing is all value fields: == compares every field,
+// and a copy is deep.
+type Timing struct {
 	// SM topology.
 	SMCount         int // streaming multiprocessors
-	CoresPerSM      int // scalar CUDA cores per SM
 	WarpSize        int // threads per warp (32 on all generations)
 	MaxWarpsPerSM   int // resident-warp limit
 	MaxBlocksPerSM  int // resident-block limit
@@ -113,12 +164,6 @@ type Spec struct {
 	MemBusWidthBits int     // aggregate bus width
 	MemDataRate     float64 // transfers per memory-clock cycle (GDDR3=2, GDDR5=4)
 
-	// Table I headline figures (informational; bandwidth is also derived
-	// from the bus parameters and must agree with this to within a few %).
-	PeakGFLOPS      float64
-	MemBandwidthGBs float64
-	TDPWatts        float64
-
 	// Vendor-defined frequency levels, MHz, indexed by FreqLevel.
 	CoreFreqsMHz [3]float64
 	MemFreqsMHz  [3]float64
@@ -126,33 +171,6 @@ type Spec struct {
 	// ValidPairs marks which (core level, mem level) combinations the
 	// BIOS exposes (Table III). Indexed [core][mem].
 	ValidPairs [3][3]bool
-
-	// Voltage model: domain voltage at FreqHigh and at FreqLow. Levels in
-	// between interpolate as V = Vlow + (Vhigh-Vlow)·t^VoltExponent with
-	// t the normalized frequency, so an exponent > 1 makes the top
-	// frequency bin pay a disproportionate voltage premium (Kepler boost
-	// binning). The width and shape of this curve is the generation's
-	// DVFS headroom and is the mechanism behind the paper's headline
-	// "Kepler saves far more than Tesla" result.
-	CoreVoltHigh, CoreVoltLow float64
-	MemVoltHigh, MemVoltLow   float64
-	VoltExponent              float64 // ≥ 1; 0 means 1 (linear)
-
-	// Energy model: nanojoules per event at FreqHigh voltage, and static
-	// power in watts at FreqHigh voltage. See internal/power.
-	EnergyPerWarpInst  float64 // issue + operand collection, per warp inst
-	EnergyPerALU       float64 // per warp ALU instruction
-	EnergyPerSFU       float64
-	EnergyPerDP        float64
-	EnergyPerLSU       float64 // address generation, per warp mem inst
-	EnergyPerSharedAcc float64 // per shared-memory warp access
-	EnergyPerL1Access  float64 // per L1 transaction
-	EnergyPerL2Access  float64 // per L2 transaction
-	EnergyPerDRAMTxn   float64 // per DRAM transaction (memory domain)
-	CoreLeakWatts      float64 // core-domain leakage at CoreVoltHigh
-	MemLeakWatts       float64 // memory-domain static power at MemVoltHigh
-	CoreIdleWatts      float64 // clock-tree/idle dynamic at FreqHigh
-	MemIdleWatts       float64 // DRAM background at FreqHigh
 
 	// TimingIrregularity is the relative magnitude of workload- and
 	// clock-dependent execution-time deviations that performance counters

@@ -18,45 +18,50 @@ func GTX285() *Spec {
 		Name:       "GTX 285",
 		Generation: Tesla,
 
-		SMCount:         30,
-		CoresPerSM:      8,
-		WarpSize:        32,
-		MaxWarpsPerSM:   32,
-		MaxBlocksPerSM:  8,
-		SchedulersPerSM: 1,
-		IssuePerSched:   1,
+		Timing: Timing{
+			SMCount:         30,
+			WarpSize:        32,
+			MaxWarpsPerSM:   32,
+			MaxBlocksPerSM:  8,
+			SchedulersPerSM: 1,
+			IssuePerSched:   1,
 
-		SharedMemPerSM: 16 << 10,
-		RegistersPerSM: 16384,
+			SharedMemPerSM: 16 << 10,
+			RegistersPerSM: 16384,
 
-		// Throughputs are relative to the listed (shader) clock.
-		ALUThroughput: 8.0 / 32,
-		SFUThroughput: 2.0 / 32,
-		DPThroughput:  1.0 / 32,
-		LSUThroughput: 8.0 / 32,
+			// Throughputs are relative to the listed (shader) clock.
+			ALUThroughput: 8.0 / 32,
+			SFUThroughput: 2.0 / 32,
+			DPThroughput:  1.0 / 32,
+			LSUThroughput: 8.0 / 32,
 
-		L1PerSM:       0, // Tesla has no L1 data cache
-		L2Size:        0, // nor a unified L2
-		L1LatencyCyc:  0,
-		L2LatencyCyc:  0,
-		DRAMLatencyNS: 330,
-		LineSize:      128,
+			L1PerSM:       0, // Tesla has no L1 data cache
+			L2Size:        0, // nor a unified L2
+			L1LatencyCyc:  0,
+			L2LatencyCyc:  0,
+			DRAMLatencyNS: 330,
+			LineSize:      128,
 
-		MemBusWidthBits: 512,
-		MemDataRate:     2, // GDDR3
+			MemBusWidthBits: 512,
+			MemDataRate:     2, // GDDR3
+
+			CoreFreqsMHz: [3]float64{600, 800, 1296},
+			MemFreqsMHz:  [3]float64{100, 300, 1284},
+			// Table III: every pair except (L-L).
+			ValidPairs: [3][3]bool{
+				FreqLow:  {FreqLow: false, FreqMid: true, FreqHigh: true},
+				FreqMid:  {FreqLow: true, FreqMid: true, FreqHigh: true},
+				FreqHigh: {FreqLow: true, FreqMid: true, FreqHigh: true},
+			},
+
+			TimingIrregularity: 0.55, // GT200: partition camping, serialization quirks
+		},
+
+		CoresPerSM: 8,
 
 		PeakGFLOPS:      933,
 		MemBandwidthGBs: 159.0,
 		TDPWatts:        183,
-
-		CoreFreqsMHz: [3]float64{600, 800, 1296},
-		MemFreqsMHz:  [3]float64{100, 300, 1284},
-		// Table III: every pair except (L-L).
-		ValidPairs: [3][3]bool{
-			FreqLow:  {FreqLow: false, FreqMid: true, FreqHigh: true},
-			FreqMid:  {FreqLow: true, FreqMid: true, FreqHigh: true},
-			FreqHigh: {FreqLow: true, FreqMid: true, FreqHigh: true},
-		},
 
 		// Tesla (65 nm) exposes almost no voltage headroom: this is why
 		// the paper finds at most 13% efficiency gain on the GTX 285.
@@ -77,8 +82,6 @@ func GTX285() *Spec {
 		MemLeakWatts:       10,
 		CoreIdleWatts:      8,
 		MemIdleWatts:       26,
-
-		TimingIrregularity: 0.55, // GT200: partition camping, serialization quirks
 	}
 }
 
@@ -91,47 +94,52 @@ func GTX460() *Spec {
 		Name:       "GTX 460",
 		Generation: Fermi,
 
-		SMCount:         7,
-		CoresPerSM:      48,
-		WarpSize:        32,
-		MaxWarpsPerSM:   48,
-		MaxBlocksPerSM:  8,
-		SchedulersPerSM: 2,
-		IssuePerSched:   2, // GF104 dual-issue
+		Timing: Timing{
+			SMCount:         7,
+			WarpSize:        32,
+			MaxWarpsPerSM:   48,
+			MaxBlocksPerSM:  8,
+			SchedulersPerSM: 2,
+			IssuePerSched:   2, // GF104 dual-issue
 
-		SharedMemPerSM: 48 << 10,
-		RegistersPerSM: 32768,
+			SharedMemPerSM: 48 << 10,
+			RegistersPerSM: 32768,
 
-		// The listed clock is the shader (hot) clock; the scalar cores
-		// run at it directly, so throughput per listed cycle is
-		// cores/warpsize/2 (two hot cycles per scheduler cycle).
-		ALUThroughput: 48.0 / 32 / 2,
-		SFUThroughput: 8.0 / 32 / 2,
-		DPThroughput:  4.0 / 32 / 2,
-		LSUThroughput: 16.0 / 32 / 2,
+			// The listed clock is the shader (hot) clock; the scalar cores
+			// run at it directly, so throughput per listed cycle is
+			// cores/warpsize/2 (two hot cycles per scheduler cycle).
+			ALUThroughput: 48.0 / 32 / 2,
+			SFUThroughput: 8.0 / 32 / 2,
+			DPThroughput:  4.0 / 32 / 2,
+			LSUThroughput: 16.0 / 32 / 2,
 
-		L1PerSM:       16 << 10,
-		L2Size:        512 << 10,
-		L1LatencyCyc:  60,
-		L2LatencyCyc:  240,
-		DRAMLatencyNS: 350,
-		LineSize:      128,
+			L1PerSM:       16 << 10,
+			L2Size:        512 << 10,
+			L1LatencyCyc:  60,
+			L2LatencyCyc:  240,
+			DRAMLatencyNS: 350,
+			LineSize:      128,
 
-		MemBusWidthBits: 256,
-		MemDataRate:     2, // GDDR5, listed clock is the data-pair clock
+			MemBusWidthBits: 256,
+			MemDataRate:     2, // GDDR5, listed clock is the data-pair clock
+
+			CoreFreqsMHz: [3]float64{100, 810, 1350},
+			MemFreqsMHz:  [3]float64{135, 324, 1800},
+			// Table III: H/M rows fully valid, plus (L-L) only.
+			ValidPairs: [3][3]bool{
+				FreqLow:  {FreqLow: true, FreqMid: false, FreqHigh: false},
+				FreqMid:  {FreqLow: true, FreqMid: true, FreqHigh: true},
+				FreqHigh: {FreqLow: true, FreqMid: true, FreqHigh: true},
+			},
+
+			TimingIrregularity: 0.22,
+		},
+
+		CoresPerSM: 48,
 
 		PeakGFLOPS:      907,
 		MemBandwidthGBs: 115.2,
 		TDPWatts:        160,
-
-		CoreFreqsMHz: [3]float64{100, 810, 1350},
-		MemFreqsMHz:  [3]float64{135, 324, 1800},
-		// Table III: H/M rows fully valid, plus (L-L) only.
-		ValidPairs: [3][3]bool{
-			FreqLow:  {FreqLow: true, FreqMid: false, FreqHigh: false},
-			FreqMid:  {FreqLow: true, FreqMid: true, FreqHigh: true},
-			FreqHigh: {FreqLow: true, FreqMid: true, FreqHigh: true},
-		},
 
 		CoreVoltHigh: 1.05, CoreVoltLow: 0.78,
 		MemVoltHigh: 1.50, MemVoltLow: 1.20,
@@ -150,8 +158,6 @@ func GTX460() *Spec {
 		MemLeakWatts:       9,
 		CoreIdleWatts:      10,
 		MemIdleWatts:       24,
-
-		TimingIrregularity: 0.22,
 	}
 }
 
@@ -164,43 +170,48 @@ func GTX480() *Spec {
 		Name:       "GTX 480",
 		Generation: Fermi,
 
-		SMCount:         15,
-		CoresPerSM:      32,
-		WarpSize:        32,
-		MaxWarpsPerSM:   48,
-		MaxBlocksPerSM:  8,
-		SchedulersPerSM: 2,
-		IssuePerSched:   1,
+		Timing: Timing{
+			SMCount:         15,
+			WarpSize:        32,
+			MaxWarpsPerSM:   48,
+			MaxBlocksPerSM:  8,
+			SchedulersPerSM: 2,
+			IssuePerSched:   1,
 
-		SharedMemPerSM: 48 << 10,
-		RegistersPerSM: 32768,
+			SharedMemPerSM: 48 << 10,
+			RegistersPerSM: 32768,
 
-		ALUThroughput: 32.0 / 32 / 2,
-		SFUThroughput: 4.0 / 32 / 2,
-		DPThroughput:  4.0 / 32 / 2, // GeForce-capped DP rate
-		LSUThroughput: 16.0 / 32 / 2,
+			ALUThroughput: 32.0 / 32 / 2,
+			SFUThroughput: 4.0 / 32 / 2,
+			DPThroughput:  4.0 / 32 / 2, // GeForce-capped DP rate
+			LSUThroughput: 16.0 / 32 / 2,
 
-		L1PerSM:       16 << 10,
-		L2Size:        768 << 10,
-		L1LatencyCyc:  60,
-		L2LatencyCyc:  240,
-		DRAMLatencyNS: 350,
-		LineSize:      128,
+			L1PerSM:       16 << 10,
+			L2Size:        768 << 10,
+			L1LatencyCyc:  60,
+			L2LatencyCyc:  240,
+			DRAMLatencyNS: 350,
+			LineSize:      128,
 
-		MemBusWidthBits: 384,
-		MemDataRate:     2,
+			MemBusWidthBits: 384,
+			MemDataRate:     2,
+
+			CoreFreqsMHz: [3]float64{100, 810, 1400},
+			MemFreqsMHz:  [3]float64{135, 324, 1848},
+			ValidPairs: [3][3]bool{
+				FreqLow:  {FreqLow: true, FreqMid: false, FreqHigh: false},
+				FreqMid:  {FreqLow: true, FreqMid: true, FreqHigh: true},
+				FreqHigh: {FreqLow: true, FreqMid: true, FreqHigh: true},
+			},
+
+			TimingIrregularity: 0.13,
+		},
+
+		CoresPerSM: 32,
 
 		PeakGFLOPS:      1350,
 		MemBandwidthGBs: 177.0,
 		TDPWatts:        250,
-
-		CoreFreqsMHz: [3]float64{100, 810, 1400},
-		MemFreqsMHz:  [3]float64{135, 324, 1848},
-		ValidPairs: [3][3]bool{
-			FreqLow:  {FreqLow: true, FreqMid: false, FreqHigh: false},
-			FreqMid:  {FreqLow: true, FreqMid: true, FreqHigh: true},
-			FreqHigh: {FreqLow: true, FreqMid: true, FreqHigh: true},
-		},
 
 		CoreVoltHigh: 1.08, CoreVoltLow: 0.80,
 		MemVoltHigh: 1.50, MemVoltLow: 1.20,
@@ -219,8 +230,6 @@ func GTX480() *Spec {
 		MemLeakWatts:       10,
 		CoreIdleWatts:      20,
 		MemIdleWatts:       21,
-
-		TimingIrregularity: 0.13,
 	}
 }
 
@@ -233,46 +242,51 @@ func GTX680() *Spec {
 		Name:       "GTX 680",
 		Generation: Kepler,
 
-		SMCount:         8,
-		CoresPerSM:      192,
-		WarpSize:        32,
-		MaxWarpsPerSM:   64,
-		MaxBlocksPerSM:  16,
-		SchedulersPerSM: 4,
-		IssuePerSched:   2,
+		Timing: Timing{
+			SMCount:         8,
+			WarpSize:        32,
+			MaxWarpsPerSM:   64,
+			MaxBlocksPerSM:  16,
+			SchedulersPerSM: 4,
+			IssuePerSched:   2,
 
-		SharedMemPerSM: 48 << 10,
-		RegistersPerSM: 65536,
+			SharedMemPerSM: 48 << 10,
+			RegistersPerSM: 65536,
 
-		// Kepler has no hot clock: throughput is relative to the core
-		// clock directly.
-		ALUThroughput: 192.0 / 32,
-		SFUThroughput: 32.0 / 32,
-		DPThroughput:  8.0 / 32,
-		LSUThroughput: 32.0 / 32,
+			// Kepler has no hot clock: throughput is relative to the core
+			// clock directly.
+			ALUThroughput: 192.0 / 32,
+			SFUThroughput: 32.0 / 32,
+			DPThroughput:  8.0 / 32,
+			LSUThroughput: 32.0 / 32,
 
-		L1PerSM:       16 << 10,
-		L2Size:        512 << 10,
-		L1LatencyCyc:  32,
-		L2LatencyCyc:  180,
-		DRAMLatencyNS: 270,
-		LineSize:      128,
+			L1PerSM:       16 << 10,
+			L2Size:        512 << 10,
+			L1LatencyCyc:  32,
+			L2LatencyCyc:  180,
+			DRAMLatencyNS: 270,
+			LineSize:      128,
 
-		MemBusWidthBits: 256,
-		MemDataRate:     2,
+			MemBusWidthBits: 256,
+			MemDataRate:     2,
+
+			CoreFreqsMHz: [3]float64{648, 1080, 1411},
+			MemFreqsMHz:  [3]float64{324, 810, 3004},
+			// Table III: H/M rows fully valid, plus (L-H) only.
+			ValidPairs: [3][3]bool{
+				FreqLow:  {FreqLow: false, FreqMid: false, FreqHigh: true},
+				FreqMid:  {FreqLow: true, FreqMid: true, FreqHigh: true},
+				FreqHigh: {FreqLow: true, FreqMid: true, FreqHigh: true},
+			},
+
+			TimingIrregularity: 0.06, // Kepler: far fewer unpredictable behaviours
+		},
+
+		CoresPerSM: 192,
 
 		PeakGFLOPS:      3090,
 		MemBandwidthGBs: 192.2,
 		TDPWatts:        195,
-
-		CoreFreqsMHz: [3]float64{648, 1080, 1411},
-		MemFreqsMHz:  [3]float64{324, 810, 3004},
-		// Table III: H/M rows fully valid, plus (L-H) only.
-		ValidPairs: [3][3]bool{
-			FreqLow:  {FreqLow: false, FreqMid: false, FreqHigh: true},
-			FreqMid:  {FreqLow: true, FreqMid: true, FreqHigh: true},
-			FreqHigh: {FreqLow: true, FreqMid: true, FreqHigh: true},
-		},
 
 		// Kepler (28 nm, boost binning) exposes a wide voltage range:
 		// the top frequency bin pays a disproportionate voltage premium,
@@ -295,8 +309,6 @@ func GTX680() *Spec {
 		MemLeakWatts:       8,
 		CoreIdleWatts:      10,
 		MemIdleWatts:       21,
-
-		TimingIrregularity: 0.06, // Kepler: far fewer unpredictable behaviours
 	}
 }
 

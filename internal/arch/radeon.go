@@ -22,47 +22,52 @@ func RadeonHD7970() *Spec {
 		Name:       "Radeon HD 7970",
 		Generation: GCN,
 
-		// A GCN compute unit runs 64-lane wavefronts over four 16-lane
-		// SIMDs; we model a CU as an "SM" with WarpSize 64.
-		SMCount:         32,
-		CoresPerSM:      64,
-		WarpSize:        64,
-		MaxWarpsPerSM:   40, // wavefronts per CU
-		MaxBlocksPerSM:  16,
-		SchedulersPerSM: 4,
-		IssuePerSched:   1,
+		Timing: Timing{
+			// A GCN compute unit runs 64-lane wavefronts over four 16-lane
+			// SIMDs; we model a CU as an "SM" with WarpSize 64.
+			SMCount:         32,
+			WarpSize:        64,
+			MaxWarpsPerSM:   40, // wavefronts per CU
+			MaxBlocksPerSM:  16,
+			SchedulersPerSM: 4,
+			IssuePerSched:   1,
 
-		SharedMemPerSM: 64 << 10, // LDS
-		RegistersPerSM: 65536,
+			SharedMemPerSM: 64 << 10, // LDS
+			RegistersPerSM: 65536,
 
-		ALUThroughput: 64.0 / 64, // one wavefront-instruction per cycle per CU
-		SFUThroughput: 16.0 / 64,
-		DPThroughput:  16.0 / 64, // Tahiti's strong 1/4-rate DP
-		LSUThroughput: 16.0 / 64,
+			ALUThroughput: 64.0 / 64, // one wavefront-instruction per cycle per CU
+			SFUThroughput: 16.0 / 64,
+			DPThroughput:  16.0 / 64, // Tahiti's strong 1/4-rate DP
+			LSUThroughput: 16.0 / 64,
 
-		L1PerSM:       16 << 10,
-		L2Size:        768 << 10,
-		L1LatencyCyc:  40,
-		L2LatencyCyc:  190,
-		DRAMLatencyNS: 280,
-		LineSize:      64, // GCN's 64 B cache lines
+			L1PerSM:       16 << 10,
+			L2Size:        768 << 10,
+			L1LatencyCyc:  40,
+			L2LatencyCyc:  190,
+			DRAMLatencyNS: 280,
+			LineSize:      64, // GCN's 64 B cache lines
 
-		MemBusWidthBits: 384,
-		MemDataRate:     4, // GDDR5 quad-pumped relative to the 1375 MHz command clock
+			MemBusWidthBits: 384,
+			MemDataRate:     4, // GDDR5 quad-pumped relative to the 1375 MHz command clock
+
+			// PowerPlay DPM levels: 300/501/925 MHz engine,
+			// 150/675/1375 MHz memory.
+			CoreFreqsMHz: [3]float64{300, 501, 925},
+			MemFreqsMHz:  [3]float64{150, 675, 1375},
+			ValidPairs: [3][3]bool{
+				FreqLow:  {FreqLow: true, FreqMid: true, FreqHigh: false},
+				FreqMid:  {FreqLow: true, FreqMid: true, FreqHigh: true},
+				FreqHigh: {FreqLow: false, FreqMid: true, FreqHigh: true},
+			},
+
+			TimingIrregularity: 0.10,
+		},
+
+		CoresPerSM: 64,
 
 		PeakGFLOPS:      3789,
 		MemBandwidthGBs: 264,
 		TDPWatts:        250,
-
-		// PowerPlay DPM levels: 300/501/925 MHz engine,
-		// 150/675/1375 MHz memory.
-		CoreFreqsMHz: [3]float64{300, 501, 925},
-		MemFreqsMHz:  [3]float64{150, 675, 1375},
-		ValidPairs: [3][3]bool{
-			FreqLow:  {FreqLow: true, FreqMid: true, FreqHigh: false},
-			FreqMid:  {FreqLow: true, FreqMid: true, FreqHigh: true},
-			FreqHigh: {FreqLow: false, FreqMid: true, FreqHigh: true},
-		},
 
 		// 28 nm like Kepler, with a similar (slightly shallower) headroom.
 		CoreVoltHigh: 1.17, CoreVoltLow: 0.85,
@@ -82,7 +87,5 @@ func RadeonHD7970() *Spec {
 		MemLeakWatts:       10,
 		CoreIdleWatts:      14,
 		MemIdleWatts:       24,
-
-		TimingIrregularity: 0.10,
 	}
 }

@@ -168,11 +168,12 @@ func SweepBenchmark(dev *driver.Device, b *workloads.Benchmark) (*BenchResult, e
 // stops at a cell boundary and returns the cause wrapped in the error.
 // It is the engine's own per-device loop run with zero SweepOptions (a
 // nil Resilience) on the caller's device and seed, so on a device seeded
-// sweepSeed(seed, benchmark) it returns exactly what Sweep returns.
+// sweepSeed(seed, benchmark) it returns exactly what Sweep returns. A
+// caching device gets a one-off timing table of its own.
 func SweepBenchmarkCtx(ctx context.Context, dev *driver.Device, b *workloads.Benchmark) (*BenchResult, error) {
 	board := dev.Spec().Name
 	return sweepDevice(ctx, dev, board, board+"|"+b.Name, b, &SweepOptions{},
-		driver.Harness{Cancelled: cancelled}, nil)
+		driver.Harness{Cancelled: cancelled}, nil, nil)
 }
 
 // pairResult builds one sweep cell from a metered run after the given

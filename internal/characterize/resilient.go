@@ -10,6 +10,7 @@ import (
 	"gpuperf/internal/clock"
 	"gpuperf/internal/driver"
 	"gpuperf/internal/fault"
+	"gpuperf/internal/gpu"
 	"gpuperf/internal/obs"
 	"gpuperf/internal/workloads"
 )
@@ -166,7 +167,7 @@ func quarantineAll(boardName, bench string, spec *arch.Spec, pt fault.Point, ret
 // harness: it boots through the harness's boot-retry loop (quarantining
 // every cell if the boot never succeeds), wires and seeds the device, and
 // hands it to the per-device loop.
-func sweepBenchR(ctx context.Context, boardName string, b *workloads.Benchmark, opts SweepOptions) (*BenchResult, error) {
+func sweepBenchR(ctx context.Context, boardName string, b *workloads.Benchmark, opts SweepOptions, tables *timingTables) (*BenchResult, error) {
 	scope := boardName + "|" + b.Name
 	if opts.Rep > 0 {
 		// Later repetitions draw independent fault streams; repetition 0
@@ -204,7 +205,7 @@ func sweepBenchR(ctx context.Context, boardName string, b *workloads.Benchmark, 
 	}
 	dev.SetPowerFanout(opts.Fanout)
 	dev.Seed(sweepSeed(opts.Seed, b.Name))
-	out, err := sweepDevice(ctx, dev, boardName, scope, b, &opts, h, so)
+	out, err := sweepDevice(ctx, dev, boardName, scope, b, &opts, h, so, tables)
 	dev.Release() // the engine booted it and nothing keeps it past the job
 	if err != nil {
 		return nil, err
@@ -224,21 +225,23 @@ func sweepBenchR(ctx context.Context, boardName string, b *workloads.Benchmark, 
 // keys the result, the journal and the sink's rows; scope roots the
 // cells' fault streams. A cell that exhausts its retry budget is
 // quarantined.
-func sweepDevice(ctx context.Context, dev *driver.Device, boardName, scope string, b *workloads.Benchmark, opts *SweepOptions, h driver.Harness, so *sweepObs) (*BenchResult, error) {
-	kernels := b.Kernels(1)
+//
+// A caching device with cells to measure gets its kernels, its pairs and
+// their noiseless timing from the tables' entry for its timing half, and
+// builds its launch payloads from it before the pair loop, so the loop
+// runs entirely against the device's launch cache. The payloads are
+// bit-identical to per-launch simulation (pinned by property tests), so
+// results, golden artifacts and the device's noise stream are unchanged.
+// A job whose every cell replays from the journal builds and consults no
+// table, and neither does a device with caching off: it simulates every
+// launch, which keeps the uncached reference independent of the tables.
+func sweepDevice(ctx context.Context, dev *driver.Device, boardName, scope string, b *workloads.Benchmark, opts *SweepOptions, h driver.Harness, so *sweepObs, tables *timingTables) (*BenchResult, error) {
 	hostGap := b.HostGap(1)
-	pairs := clock.ValidPairs(dev.Spec())
-	out := &BenchResult{Benchmark: b.Name, Board: boardName, Pairs: make([]PairResult, len(pairs))}
-
-	// Batched fast path: compile each kernel once and simulate every pair
-	// the sweep will actually launch in one pass, so the per-pair loop
-	// below runs entirely against the per-device launch cache. Cells the
-	// journal will replay are skipped — their launches never happen.
-	// The precomputed entries are bit-identical to per-launch simulation
-	// (pinned by property tests), so results, golden artifacts and the
-	// device's noise stream are unchanged.
-	todo := pairs
+	// Cells the journal holds replay and are never launched; todo is the
+	// rest.
+	var pairs, todo []clock.Pair
 	if opts.Journal != nil {
+		pairs = clock.ValidPairs(dev.Spec())
 		todo = make([]clock.Pair, 0, len(pairs))
 		for _, p := range pairs {
 			if !opts.Journal.Contains(boardName, b.Name, opts.Rep, p) {
@@ -246,9 +249,29 @@ func sweepDevice(ctx context.Context, dev *driver.Device, boardName, scope strin
 			}
 		}
 	}
-	if _, err := dev.PrecomputePairs(kernels, todo); err != nil {
-		return nil, err
+	var kernels []*gpu.KernelDesc
+	switch {
+	case opts.Journal != nil && len(todo) == 0:
+		// Every cell replays: nothing is launched.
+	case dev.LaunchCaching():
+		tab, err := tables.get(dev.Spec(), b)
+		if err != nil {
+			return nil, err
+		}
+		kernels, pairs = tab.Kernels(), tab.Pairs()
+		if opts.Journal == nil {
+			todo = pairs
+		}
+		if _, err := dev.PrecomputeTable(tab, todo); err != nil {
+			return nil, err
+		}
+	default:
+		kernels = b.Kernels(1)
+		if pairs == nil {
+			pairs = clock.ValidPairs(dev.Spec())
+		}
 	}
+	out := &BenchResult{Benchmark: b.Name, Board: boardName, Pairs: make([]PairResult, len(pairs))}
 
 	for i, p := range pairs {
 		if opts.Journal != nil {

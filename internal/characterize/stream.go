@@ -2,9 +2,13 @@ package characterize
 
 import (
 	"context"
+	"fmt"
 	"sync"
 
+	"gpuperf/internal/arch"
+	"gpuperf/internal/clock"
 	"gpuperf/internal/driver"
+	"gpuperf/internal/gpu"
 	"gpuperf/internal/workloads"
 )
 
@@ -73,6 +77,10 @@ func (s SinkFuncs) ConsumeBench(b *BenchResult) {
 // Sweep (determinism at any worker count, cell-boundary cancellation,
 // journal replay) holds unchanged; Sweep is this function plus a
 // collecting fold.
+//
+// The call holds one timing table per (timing half, benchmark) that its
+// jobs measure (see timingTables), so devices booted from one base board
+// compile its kernels once per call.
 func SweepStream(ctx context.Context, boardNames []string, benches []*workloads.Benchmark, opts SweepOptions) error {
 	nb := len(benches)
 	jobs := len(boardNames) * nb
@@ -80,8 +88,9 @@ func SweepStream(ctx context.Context, boardNames []string, benches []*workloads.
 		return nil
 	}
 	prepareSweepObs(&opts, jobs)
+	tables := newTimingTables()
 	return driver.Pool(ctx, opts.Workers, jobs, cancelled, func(idx int) error {
-		r, err := sweepBenchR(ctx, boardNames[idx/nb], benches[idx%nb], opts)
+		r, err := sweepBenchR(ctx, boardNames[idx/nb], benches[idx%nb], opts, tables)
 		if err != nil {
 			return err
 		}
@@ -90,6 +99,65 @@ func SweepStream(ctx context.Context, boardNames []string, benches []*workloads.
 		}
 		return nil
 	})
+}
+
+// timingTables is one sweep call's timing tables, one gpu.TimingTable per
+// (timing half, benchmark). Execution time depends only on the timing
+// half (arch.Timing) and the pair, and fleet jitter moves only the power
+// half, so every device booted from one base board shares its table: the
+// first job of a key that has cells to measure builds it, from the
+// benchmark's kernels at the device's valid pairs, and every later job of
+// the key reads it. The cache lives exactly as long as its SweepStream
+// call; nothing outlives the call or is shared across calls. Keys come
+// from the booted device's spec, so a Boot seam that boots a spec other
+// than SpecOf's still gets a table built for the device it booted. A nil
+// cache builds a one-off table per request.
+type timingTables struct {
+	mu      sync.Mutex
+	entries map[tableKey]*tableEntry
+}
+
+func newTimingTables() *timingTables {
+	return &timingTables{entries: make(map[tableKey]*tableEntry)}
+}
+
+type tableKey struct {
+	timing arch.Timing
+	bench  *workloads.Benchmark
+}
+
+// tableEntry is filled once, by whichever job first asks for its key;
+// jobs asking meanwhile wait on once.
+type tableEntry struct {
+	once sync.Once
+	tab  *gpu.TimingTable
+	err  error
+}
+
+// get returns the table for spec's timing half and b, building it on
+// first use.
+func (c *timingTables) get(spec *arch.Spec, b *workloads.Benchmark) (*gpu.TimingTable, error) {
+	if c == nil {
+		return newTimingTable(spec, b)
+	}
+	k := tableKey{timing: spec.Timing, bench: b}
+	c.mu.Lock()
+	e := c.entries[k]
+	if e == nil {
+		e = new(tableEntry)
+		c.entries[k] = e
+	}
+	c.mu.Unlock()
+	e.once.Do(func() { e.tab, e.err = newTimingTable(spec, b) })
+	return e.tab, e.err
+}
+
+func newTimingTable(spec *arch.Spec, b *workloads.Benchmark) (*gpu.TimingTable, error) {
+	t, err := gpu.NewTimingTable(spec, b.Kernels(1), clock.ValidPairs(spec))
+	if err != nil {
+		return nil, fmt.Errorf("characterize: %s on %s: %w", b.Name, spec.Name, err)
+	}
+	return t, nil
 }
 
 // resultFold is the collecting RowSink behind Sweep: it places every

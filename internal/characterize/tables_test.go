@@ -1,0 +1,170 @@
+package characterize
+
+import (
+	"context"
+	"math"
+	"path/filepath"
+	"reflect"
+	"sync"
+	"testing"
+
+	"gpuperf/internal/arch"
+	"gpuperf/internal/driver"
+	"gpuperf/internal/fault"
+	"gpuperf/internal/gpu"
+	"gpuperf/internal/workloads"
+)
+
+// powerJittered returns a renamed copy of base whose power half differs
+// by k, the way a fleet device differs from its base board.
+func powerJittered(base *arch.Spec, name string, k float64) *arch.Spec {
+	s := *base
+	s.Name = name
+	s.CoreVoltHigh *= k
+	s.CoreVoltLow *= k
+	s.CoreLeakWatts *= k
+	return &s
+}
+
+// TestTimingTablesShareOnePerKey: within one cache, every request for a
+// (timing half, benchmark) gets the one table, whatever the power half
+// or name of the spec asking and however many workers ask at once; a
+// different timing half or benchmark gets its own.
+func TestTimingTablesShareOnePerKey(t *testing.T) {
+	backprop, stream := workloads.ByName("backprop"), workloads.ByName("streamcluster")
+	base := arch.GTX680()
+	c := newTimingTables()
+	tabs := make([]*gpu.TimingTable, 16)
+	var wg sync.WaitGroup
+	for i := range tabs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			tab, err := c.get(powerJittered(base, "dev", 1+float64(i)/100), backprop)
+			if err != nil {
+				t.Error(err)
+			}
+			tabs[i] = tab
+		}(i)
+	}
+	wg.Wait()
+	for _, tab := range tabs {
+		if tab == nil || tab != tabs[0] {
+			t.Fatal("devices of one timing half got different tables")
+		}
+	}
+	other, err := c.get(arch.GTX480(), backprop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	otherBench, err := c.get(base, stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if other == tabs[0] || otherBench == tabs[0] || len(c.entries) != 3 {
+		t.Fatalf("want 3 distinct tables, cache holds %d entries", len(c.entries))
+	}
+}
+
+// TestSweepSharedTablesMatchUncached sweeps power-jittered copies of one
+// board through a Boot seam, as a fleet batch does: the cached sweep,
+// whose devices share one table per benchmark, equals the uncached
+// reference, which builds none. Devices share time but not watts. One
+// device is booted as a GTX 480 while SpecOf names a GTX 680 copy, so
+// its table must follow the booted device.
+func TestSweepSharedTablesMatchUncached(t *testing.T) {
+	base := arch.GTX680()
+	specOf := map[string]*arch.Spec{
+		"dev-a": powerJittered(base, "dev-a", 1),
+		"dev-b": powerJittered(base, "dev-b", 1.03),
+		"dev-c": powerJittered(base, "dev-c", 1.06),
+		"dev-d": powerJittered(base, "dev-d", 1.01),
+	}
+	booted := map[string]*arch.Spec{
+		"dev-a": specOf["dev-a"], "dev-b": specOf["dev-b"], "dev-c": specOf["dev-c"],
+		"dev-d": powerJittered(arch.GTX480(), "dev-d", 1.01),
+	}
+	names := []string{"dev-a", "dev-b", "dev-c", "dev-d"}
+	benches := []*workloads.Benchmark{workloads.ByName("backprop"), workloads.ByName("streamcluster")}
+	opts := SweepOptions{
+		Seed:    42,
+		Workers: 4,
+		Boot: func(name string, in *fault.Injector) (*driver.Device, error) {
+			return driver.OpenSpecWithFaults(booted[name], in)
+		},
+		SpecOf: func(name string) *arch.Spec { return specOf[name] },
+	}
+	cached, err := Sweep(context.Background(), names, benches, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restore := driver.PushLaunchCachingEnabled(false)
+	uncached, err := Sweep(context.Background(), names, benches, opts)
+	restore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(cached, uncached) {
+		t.Fatal("sweep over shared timing tables differs from the uncached reference")
+	}
+	a, b := cached["dev-a"][0].Pairs[0], cached["dev-b"][0].Pairs[0]
+	if math.Float64bits(a.TimePerIter) != math.Float64bits(b.TimePerIter) {
+		t.Errorf("devices of one timing half differ in time: %v vs %v", a.TimePerIter, b.TimePerIter)
+	}
+	if math.Float64bits(a.AvgWatts) == math.Float64bits(b.AvgWatts) {
+		t.Errorf("power-jittered devices read the same watts %v", a.AvgWatts)
+	}
+}
+
+// TestReplayedJobBuildsNoTable: a job whose every cell replays from the
+// journal builds no timing table; a job with cells left to measure
+// builds one, and both return the uninterrupted sweep's cells.
+func TestReplayedJobBuildsNoTable(t *testing.T) {
+	const board = "GTX 680"
+	b := workloads.ByName("backprop")
+	dir := t.TempDir()
+	full, err := openBareJournal(filepath.Join(dir, "full.journal"), 42, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer full.Close()
+	want, err := Sweep(context.Background(), []string{board}, []*workloads.Benchmark{b},
+		SweepOptions{Seed: 42, Workers: 1, Journal: full})
+	if err != nil {
+		t.Fatal(err)
+	}
+	part, err := openBareJournal(filepath.Join(dir, "part.journal"), 42, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer part.Close()
+	for _, cell := range want[board][0].Pairs[:3] {
+		if err := part.Record(board, b.Name, 0, cell); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct {
+		name    string
+		journal *Journal
+		tables  int
+	}{{"complete journal", full, 0}, {"partial journal", part, 1}} {
+		dev, err := driver.OpenBoard(board)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dev.Seed(sweepSeed(42, b.Name))
+		tables := newTimingTables()
+		got, err := sweepDevice(context.Background(), dev, board, board+"|"+b.Name, b,
+			&SweepOptions{Seed: 42, Journal: c.journal}, driver.Harness{Cancelled: cancelled}, nil, tables)
+		dev.Release()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(tables.entries) != c.tables {
+			t.Errorf("%s: built %d tables, want %d", c.name, len(tables.entries), c.tables)
+		}
+		if !reflect.DeepEqual(got, want[board][0]) {
+			t.Errorf("%s: resumed job differs from the uninterrupted sweep", c.name)
+		}
+	}
+}

@@ -64,10 +64,14 @@ func CollectCtx(ctx context.Context, boardName string, benches []*workloads.Benc
 	}
 	res.Observe()
 	co := newCollectObs(res.Obs, boardName)
+	// The probe device is booted only to read the board's spec and
+	// counter set; Release touches neither, so it goes back at once.
 	probe, err := driver.OpenBoard(boardName)
 	if err != nil {
 		return nil, err
 	}
+	spec, set := probe.Spec(), probe.CounterSet()
+	probe.Release()
 
 	type slot struct {
 		rows    []Observation
@@ -91,7 +95,7 @@ func CollectCtx(ctx context.Context, boardName string, benches []*workloads.Benc
 	// Concatenating the slots in benchmark order gives the same rows at
 	// any worker count. A dropped benchmark contributes its retries and
 	// nothing else.
-	ds := &Dataset{Board: boardName, Spec: probe.Spec(), Set: probe.CounterSet()}
+	ds := &Dataset{Board: boardName, Spec: spec, Set: set}
 	n := 0
 	for _, s := range slots {
 		if s.dropped == nil {
@@ -147,6 +151,7 @@ func collectBenchR(ctx context.Context, boardName string, b *workloads.Benchmark
 	if dev == nil {
 		return nil, 0, retries, drop("dropped (boot failed)", pt), nil
 	}
+	defer dev.Release() // the collector booted it and nothing keeps it past the job
 	if res.Obs != nil {
 		dev.Observe(res.Obs, track.Name())
 	}

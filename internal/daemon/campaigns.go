@@ -144,10 +144,7 @@ func (c *Campaign) Status() CampaignStatus {
 		Error:      c.errMsg,
 	}
 	if c.sess != nil {
-		st.Progress = c.sess.Progress()
-		if sp, ok := c.sess.FleetProgress(); ok {
-			st.Shards = sp
-		}
+		st.Progress, st.Shards = c.sess.ProgressShards()
 	} else {
 		st.Progress = c.final
 		st.Shards = c.finalShards
@@ -371,10 +368,7 @@ func (s *Server) run(ctx context.Context, c *Campaign, profile *fault.Profile, b
 			c.errMsg = err.Error()
 		}
 		if c.sess != nil {
-			c.final = c.sess.Progress()
-			if sp, ok := c.sess.FleetProgress(); ok {
-				c.finalShards = sp
-			}
+			c.final, c.finalShards = c.sess.ProgressShards()
 		}
 		c.sess = nil
 		c.mu.Unlock()
@@ -421,10 +415,7 @@ func (s *Server) run(ctx context.Context, c *Campaign, profile *fault.Profile, b
 	c.state = StateCompleted
 	c.report = rendered
 	c.triage = trep
-	c.final = sess.Progress() // stays visible after the session closes
-	if sp, ok := sess.FleetProgress(); ok {
-		c.finalShards = sp
-	}
+	c.final, c.finalShards = sess.ProgressShards() // stays visible after the session closes
 	c.sess = nil
 	c.mu.Unlock()
 }

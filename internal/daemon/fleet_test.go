@@ -1,6 +1,7 @@
 package daemon
 
 import (
+	"encoding/json"
 	"net/http"
 	"strings"
 	"testing"
@@ -73,6 +74,61 @@ func TestDaemonFleetCampaign(t *testing.T) {
 	if err := obs.ValidateExposition(strings.NewReader(exp)); err != nil {
 		t.Fatalf("exposition invalid: %v", err)
 	}
+}
+
+// TestDaemonFleetProgressMatchesShards polls a running fleet campaign's
+// status JSON: a fleet-only session has no other cells, so on every poll
+// the progress count must equal the sum of the per-shard counts served
+// beside it. Both come from one tracker snapshot; two snapshots disagree
+// whenever a cell lands between them.
+func TestDaemonFleetProgressMatchesShards(t *testing.T) {
+	_, ts, _ := newTestServer(t, "GTX 680")
+	req := CampaignRequest{
+		Kind:       KindFleet,
+		Seed:       42,
+		Workers:    2,
+		Boards:     []string{"GTX 680"},
+		Benchmarks: []string{"backprop", "streamcluster"},
+		FleetSize:  1000,
+		Shards:     2,
+	}
+	code, st, body := postCampaign(t, ts.URL, req)
+	if code != http.StatusCreated {
+		t.Fatalf("submit: %d %s", code, body)
+	}
+	running := 0
+	for {
+		code, body := get(t, ts.URL+"/api/v1/campaigns/"+st.ID)
+		if code != http.StatusOK {
+			t.Fatalf("status %d: %s", code, body)
+		}
+		var poll CampaignStatus
+		if err := json.Unmarshal([]byte(body), &poll); err != nil {
+			t.Fatal(err)
+		}
+		var planned, done int64
+		for _, sp := range poll.Shards {
+			planned += sp.CellsPlanned
+			done += sp.CellsDone
+		}
+		if poll.Progress.Done != done || poll.Progress.Planned != planned {
+			t.Fatalf("%s poll: progress %d/%d cells, shards sum to %d/%d",
+				poll.State, poll.Progress.Done, poll.Progress.Planned, done, planned)
+		}
+		if poll.State == StateRunning && len(poll.Shards) > 0 {
+			running++
+		}
+		if poll.State == StateCompleted {
+			break
+		}
+		if poll.State == StateFailed || poll.State == StateCancelled {
+			t.Fatalf("campaign %s: %s", poll.State, poll.Error)
+		}
+	}
+	if running == 0 {
+		t.Fatal("no poll saw the fleet running; enlarge the fleet")
+	}
+	t.Logf("%d polls of a running fleet", running)
 }
 
 // TestDaemonRejectsBadFleetRequests pins the fleet slice of the 400-path

@@ -7,63 +7,76 @@ import (
 	"gpuperf/internal/gpu"
 )
 
-// PrecomputePairs fills the device's launch cache for every (kernel,
-// pair) combination in one batched pass, kernel-major: each kernel is
-// compiled once (gpu.Sim.Compile hoists everything frequency-invariant —
-// event tallies, derated hit fractions, replay factors, wave geometry) and
-// the compiled form is evaluated at all missing pairs, instead of
-// re-deriving the invariants per pair as per-launch simulation does. A
-// sweep calls this once per (board, benchmark) before its pair loop, so
-// the loop's launches all hit the device's map, profiled or not.
+// PrecomputeTable fills the device's launch cache for every kernel of a
+// timing table at the given pairs, which the table must hold. A sweep
+// calls it once per (board, benchmark) job before its pair loop, so the
+// loop's launches all hit the device's map, profiled or not.
 //
-// The cached payloads are bit-identical to what a launch miss would have
-// stored: RunPairs and Sim.RunKernel evaluate the same compiled kernel (a
-// property test in internal/gpu holds both to the frozen reference model),
-// and both paths build the payload with newCachedLaunch, here on a
-// scratch copy of the device's clock, per-level tables included,
-// programmed to each pair. The device's own clock, noise stream and fault
-// state are never touched — precompute is invisible to everything but the
-// cache and the miss counter.
+// The table supplies the noiseless timing, shared by every device with
+// this timing half; the device folds each result into its own payload
+// with its own power model (newCachedLaunch), on a scratch copy of its
+// clock, per-level tables included, programmed to the pair. The payloads
+// are bit-identical to what a launch miss would have stored: the table
+// and Sim.RunKernel evaluate the same compiled kernel (a property test in
+// internal/gpu holds both to the frozen reference model), and the timing
+// model reads only the timing half. The device's own clock, noise stream
+// and fault state are never touched — precompute is invisible to
+// everything but the cache and the miss counter, which counts one per
+// payload built. Entries the cache already holds are skipped. From here
+// on, a launch of one of the table's own descriptors takes its
+// fingerprint from the table instead of hashing it.
 //
-// Returns the number of entries newly simulated; zero when launch caching
-// is disabled on this device, in which case nothing happens at all.
-func (d *Device) PrecomputePairs(ks []*gpu.KernelDesc, pairs []clock.Pair) (int, error) {
-	if d.cache == nil || len(ks) == 0 || len(pairs) == 0 {
+// The table must have been built for this device's timing half. Returns
+// the number of payloads built; zero when launch caching is disabled on
+// this device, in which case the table is neither read nor kept.
+func (d *Device) PrecomputeTable(t *gpu.TimingTable, pairs []clock.Pair) (int, error) {
+	if d.cache == nil {
 		return 0, nil
 	}
+	if *t.Timing() != d.spec.Timing {
+		return 0, fmt.Errorf("driver: %s: timing table built for another timing half", d.spec.Name)
+	}
+	d.table = t
 	o := d.obs
 	scratch := *d.clk
-	simulated := 0
-	var missing []clock.Pair
-	for _, k := range ks {
-		kfp := k.Fingerprint()
-		missing = missing[:0]
+	built := 0
+	for i, k := range t.Kernels() {
+		kfp := t.KernelFingerprint(i)
 		for _, p := range pairs {
-			if _, ok := d.cache[launchKey{pair: p, kernel: kfp}]; !ok {
-				missing = append(missing, p)
+			key := launchKey{pair: p, kernel: kfp}
+			if _, ok := d.cache[key]; ok {
+				continue
 			}
-		}
-		if len(missing) == 0 {
-			continue
-		}
-		ck, err := d.sim.Compile(k)
-		if err != nil {
-			return simulated, fmt.Errorf("driver: precompute %q: %w", k.Name, err)
-		}
-		results, err := d.sim.RunPairs(ck, missing)
-		if err != nil {
-			return simulated, fmt.Errorf("driver: precompute %q: %w", k.Name, err)
-		}
-		for mi, res := range results {
-			if err := scratch.SetPair(missing[mi]); err != nil {
-				return simulated, fmt.Errorf("driver: precompute %q: %w", k.Name, err)
+			res := t.Result(i, p)
+			if res == nil {
+				return built, fmt.Errorf("driver: precompute %q: timing table has no pair %s", k.Name, p)
 			}
-			d.cache[launchKey{pair: missing[mi], kernel: kfp}] = d.newCachedLaunch(res, &scratch)
-			simulated++
+			if err := scratch.SetPair(p); err != nil {
+				return built, fmt.Errorf("driver: precompute %q: %w", k.Name, err)
+			}
+			d.cache[key] = d.newCachedLaunch(res, &scratch)
+			built++
 			if o != nil {
 				o.misses.Inc()
 			}
 		}
 	}
-	return simulated, nil
+	return built, nil
+}
+
+// PrecomputePairs is PrecomputeTable over a private table for this
+// device's own timing half, built from ks and pairs. It serves callers
+// with one device per kernel list, such as the Section IV collector;
+// sweeps share one table across the devices of a timing half instead.
+// Returns the number of payloads built; zero when launch caching is
+// disabled, in which case no table is built.
+func (d *Device) PrecomputePairs(ks []*gpu.KernelDesc, pairs []clock.Pair) (int, error) {
+	if d.cache == nil || len(ks) == 0 || len(pairs) == 0 {
+		return 0, nil
+	}
+	t, err := gpu.NewTimingTable(d.spec, ks, pairs)
+	if err != nil {
+		return 0, fmt.Errorf("driver: precompute: %w", err)
+	}
+	return d.PrecomputeTable(t, pairs)
 }

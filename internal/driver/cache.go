@@ -21,13 +21,19 @@ import (
 // results are byte-identical either way.
 //
 // Each device keeps its payloads in a map of its own and never shares
-// them. A map only ever holds one spec, so a modified spec booted under a
-// stock board's name (the ablation experiments do this) cannot be served
-// the stock board's entries. Payloads are not shared across devices
-// because the campaigns that boot many devices boot distinct specs: in a
-// fleet every jittered device differs, and a process-wide tier measured
-// no hits there while costing CPU and heap on every workload (see
-// docs/ARCHITECTURE.md, "Launch memoization").
+// them: a payload holds its device's watts and scope joules, and in a
+// fleet every jittered device's power half differs. A map only ever holds
+// one spec, so a modified spec booted under a stock board's name (the
+// ablation experiments do this) cannot be served the stock board's
+// entries. What devices do share is the noiseless timing: time, phase
+// events and activities depend only on the spec's timing half
+// (arch.Timing), so a sweep builds one gpu.TimingTable per timing half
+// and benchmark, and each device's payloads are folded from that table
+// with the device's own power model (PrecomputeTable). The table lives
+// for one sweep call; nothing is process-wide. A process-wide payload
+// tier once measured no hits in a fleet while costing CPU and heap on
+// every workload (see docs/ARCHITECTURE.md, "Launch memoization" and
+// "Timing tables").
 
 // launchKey identifies one cacheable launch on its device. The spec is
 // implied by the map's owner. The profiler flag is not part of the key:
@@ -53,7 +59,9 @@ type cachedLaunch struct {
 }
 
 // newCachedLaunch folds a noiseless kernel result, evaluated at clk, into
-// a launch payload and releases the result. The phase's switching
+// a launch payload with this device's power model. It only reads the
+// result: a launch miss releases its own result afterwards, and a timing
+// table's results are shared and never released. The phase's switching
 // activity scales the energy events, never the profiler counters.
 func (d *Device) newCachedLaunch(res *gpu.KernelResult, clk *clock.State) *cachedLaunch {
 	cl := &cachedLaunch{time: res.Time, acts: res.Activities}
@@ -64,7 +72,6 @@ func (d *Device) newCachedLaunch(res *gpu.KernelResult, clk *clock.State) *cache
 		cl.trace = cl.trace.Append(ph.Duration, w)
 		cl.scopeJ = cl.scopeJ.Add(d.pm.ScopeWatts(clk, ev, ph.Duration).Scale(ph.Duration))
 	}
-	gpu.ReleaseResult(res) // copied by value into the payload above
 	return cl
 }
 
@@ -92,7 +99,12 @@ func PushLaunchCachingEnabled(on bool) (restore func()) {
 // DisableLaunchCache detaches this device from its launch cache; every
 // subsequent launch re-runs the simulator. Determinism tests use this as
 // the uncached reference.
-func (d *Device) DisableLaunchCache() { d.cache = nil }
+func (d *Device) DisableLaunchCache() { d.cache, d.table = nil, nil }
+
+// LaunchCaching reports whether the device memoizes its launches. A sweep
+// builds and consults timing tables only for devices that do; the others
+// simulate every launch.
+func (d *Device) LaunchCaching() bool { return d.cache != nil }
 
 // DefaultSharedLaunchCacheEntries was the capacity of the removed
 // process-wide launch cache.

@@ -67,6 +67,10 @@ type Device struct {
 	// Launch memoization (see cache.go): this device's noiseless launch
 	// payloads, never shared with another device. nil when caching is off.
 	cache map[launchKey]*cachedLaunch
+	// table is the timing table the cache was last filled from; launches
+	// of its descriptors take their fingerprints from it. nil when
+	// caching is off or nothing was precomputed.
+	table *gpu.TimingTable
 
 	// Instrumentation (see obs.go); nil unless Observe attached a recorder.
 	obs *driverObs
@@ -311,28 +315,36 @@ func (d *Device) MicroSim(k *gpu.KernelDesc) (*gpu.MicroResult, error) {
 // returned value is shared and immutable; it never touches d.noise, so the
 // device's noise stream is identical on hits and misses.
 func (d *Device) launch(k *gpu.KernelDesc) (*cachedLaunch, error) {
-	key := launchKey{pair: d.clk.Pair(), kernel: k.Fingerprint()}
 	o := d.obs
 	if o != nil {
 		o.launches.Inc()
 	}
-	if cl, ok := d.cache[key]; ok {
-		if o != nil {
-			o.hitsDevice.Inc()
-			o.track.Instant("launch cache hit",
-				obs.Arg{Key: "kernel", Value: k.Name}, obs.Arg{Key: "cache", Value: "device"})
+	var key launchKey
+	if d.cache != nil {
+		kfp, ok := d.table.Fingerprint(k)
+		if !ok {
+			kfp = k.Fingerprint()
 		}
-		return cl, nil
+		key = launchKey{pair: d.clk.Pair(), kernel: kfp}
+		if cl, ok := d.cache[key]; ok {
+			if o != nil {
+				o.hitsDevice.Inc()
+				o.track.Instant("launch cache hit",
+					obs.Arg{Key: "kernel", Value: k.Name}, obs.Arg{Key: "cache", Value: "device"})
+			}
+			return cl, nil
+		}
 	}
 	res, err := d.sim.RunKernel(k)
 	if err != nil {
 		return nil, err
 	}
-	if o != nil && d.cache != nil {
-		o.misses.Inc()
-	}
 	cl := d.newCachedLaunch(res, d.clk)
+	gpu.ReleaseResult(res) // copied by value into the payload above
 	if d.cache != nil {
+		if o != nil {
+			o.misses.Inc()
+		}
 		d.cache[key] = cl
 	}
 	return cl, nil

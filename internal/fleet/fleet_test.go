@@ -7,7 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"runtime"
+	"runtime/metrics"
 	"strings"
 	"testing"
 	"time"
@@ -152,6 +152,30 @@ func TestFleetDeviceAllocs(t *testing.T) {
 	})
 	if n > maxAllocs {
 		t.Errorf("Fleet.Device allocates %v objects, want ≤ %d", n, maxAllocs)
+	}
+}
+
+// TestJitterKeepsTimingHalf: jitter moves only the power half, so every
+// device, even under the loose preset, keeps its base board's timing
+// half and can be served its base board's timing tables.
+func TestJitterKeepsTimingHalf(t *testing.T) {
+	jitter, err := ParseJitterProfile("loose")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fl, err := New(42, nil, 100, jitter)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < fl.Size(); i++ {
+		d := fl.Device(i)
+		base := arch.BoardByName(fl.BaseNames()[i%len(fl.BaseNames())])
+		if d.Spec.Timing != base.Timing {
+			t.Fatalf("device %d (%s) changed %s's timing half", i, d.Name, base.Name)
+		}
+		if *d.Spec == *base {
+			t.Fatalf("device %d (%s) is not jittered", i, d.Name)
+		}
 	}
 }
 
@@ -476,28 +500,47 @@ func TestTrackerTotals(t *testing.T) {
 	}
 }
 
-// pollHeap samples HeapAlloc until stop closes and reports the peak.
-func pollHeap(stop <-chan struct{}, peak chan<- uint64) {
-	var ms runtime.MemStats
-	var max uint64
-	for {
-		runtime.ReadMemStats(&ms)
-		if ms.HeapAlloc > max {
-			max = ms.HeapAlloc
+// heapPeak is what pollHeap saw: the peak of the heap's object bytes,
+// and how many samples it took before stop closed.
+type heapPeak struct {
+	bytes   uint64
+	samples int
+}
+
+// pollHeap samples the heap's live-plus-unswept object bytes through
+// runtime/metrics every millisecond until stop closes, then once more,
+// and reports the peak. runtime/metrics reads do not stop the world.
+func pollHeap(stop <-chan struct{}, out chan<- heapPeak) {
+	s := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
+	var p heapPeak
+	sample := func() {
+		metrics.Read(s)
+		if v := s[0].Value.Uint64(); v > p.bytes {
+			p.bytes = v
 		}
+	}
+	tick := time.NewTicker(time.Millisecond)
+	defer tick.Stop()
+	for {
+		sample()
+		p.samples++
 		select {
 		case <-stop:
-			peak <- max
+			sample() // the heap as the run left it
+			out <- p
 			return
-		case <-time.After(50 * time.Millisecond):
+		case <-tick.C:
 		}
 	}
 }
 
 // TestFleetSmoke is the CI fleet-smoke memory gate: a 1,000-device
 // campaign must complete with flat memory (the streaming pipeline never
-// materializes the fleet's rows). Gated behind FLEET_SMOKE=1 — it runs
-// for tens of seconds.
+// materializes the fleet's rows, and a sweep call holds only its own
+// timing tables). Gated behind FLEET_SMOKE=1. The gate reads only if
+// the sampler saw the run: at least minSamples samples must fall inside
+// it, and a runner that finishes sooner needs a larger smoke fleet, not
+// a lower floor.
 func TestFleetSmoke(t *testing.T) {
 	if os.Getenv("FLEET_SMOKE") == "" {
 		t.Skip("set FLEET_SMOKE=1 to run the 1,000-device smoke")
@@ -508,7 +551,7 @@ func TestFleetSmoke(t *testing.T) {
 	opts.Benches = benches
 	opts.Obs = nil
 	stop := make(chan struct{})
-	peak := make(chan uint64, 1)
+	peak := make(chan heapPeak, 1)
 	go pollHeap(stop, peak)
 	rep, err := Run(context.Background(), opts)
 	close(stop)
@@ -518,10 +561,17 @@ func TestFleetSmoke(t *testing.T) {
 	if rep.Devices != 1000 || rep.Cells == 0 {
 		t.Fatalf("degenerate smoke report: devices=%d cells=%d", rep.Devices, rep.Cells)
 	}
-	const ceiling = 256 << 20
-	if p := <-peak; p > ceiling {
-		t.Fatalf("peak heap %d MiB exceeds %d MiB ceiling", p>>20, uint64(ceiling)>>20)
-	} else {
-		t.Logf("peak heap %d MiB (ceiling %d MiB), cells %d", p>>20, uint64(ceiling)>>20, rep.Cells)
+	const (
+		ceiling    = 32 << 20
+		minSamples = 5
+	)
+	p := <-peak
+	if p.samples < minSamples {
+		t.Fatalf("only %d heap samples fell inside the run, want at least %d", p.samples, minSamples)
 	}
+	if p.bytes > ceiling {
+		t.Fatalf("peak heap %.1f MiB exceeds %d MiB ceiling", float64(p.bytes)/(1<<20), uint64(ceiling)>>20)
+	}
+	t.Logf("peak heap %.1f MiB over %d samples (ceiling %d MiB), cells %d",
+		float64(p.bytes)/(1<<20), p.samples, uint64(ceiling)>>20, rep.Cells)
 }

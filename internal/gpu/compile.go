@@ -26,8 +26,9 @@ import (
 // clock state; evaluating one frequency pair is then a handful of
 // multiply-divides per bound plus the p-norm fold. This is the
 // simulator's only timing model: RunKernel compiles and evaluates at the
-// programmed pair, RunPairs reuses one CompiledKernel across a sweep,
-// and Analyze reads each resource bound off the same coefficients.
+// programmed pair, RunPairs and NewTimingTable reuse one CompiledKernel
+// across a pair sweep, and Analyze reads each resource bound off the
+// same coefficients.
 //
 // Bit-identity is the hard contract (the seed-42 golden artifacts encode
 // these floats): every per-pair expression replicates the operation
@@ -103,8 +104,9 @@ type compiledPhase struct {
 // evaluate it. A CompiledKernel is immutable after Compile and safe for
 // concurrent use by any number of goroutines.
 type CompiledKernel struct {
-	spec *arch.Spec
-	name string
+	timing *arch.Timing // the timing half it was compiled for (a spec never changes once booted)
+	board  string       // that spec's name, for RunPairs' mismatch error
+	name   string
 
 	blocksPerSM   int
 	residentWarps int
@@ -123,51 +125,53 @@ type CompiledKernel struct {
 }
 
 // Compile runs the frequency-invariant half of the kernel model once for
-// this simulator's board. The result may be evaluated at any clock state
-// of the same board, from any goroutine.
+// this simulator's board. It reads only the board's timing half, so the
+// result may be evaluated at any clock state of any board with the same
+// arch.Timing, from any goroutine.
 func (s *Sim) Compile(k *KernelDesc) (*CompiledKernel, error) {
 	if err := k.Validate(); err != nil {
 		return nil, err
 	}
-	spec := s.spec
-	blocksPerSM, residentWarps := s.Occupancy(k)
-	warpsPerBlock := (k.ThreadsPerBlock + spec.WarpSize - 1) / spec.WarpSize
+	t := &s.spec.Timing
+	blocksPerSM, residentWarps := occupancy(t, k)
+	warpsPerBlock := (k.ThreadsPerBlock + t.WarpSize - 1) / t.WarpSize
 	totalWarps := float64(k.Blocks * warpsPerBlock)
 
 	// Wave (tail) effect: blocks execute in waves of SMCount×blocksPerSM;
 	// a partial final wave leaves SMs idle.
-	perWave := float64(spec.SMCount * blocksPerSM)
+	perWave := float64(t.SMCount * blocksPerSM)
 	waves := float64(k.Blocks) / perWave
 	waveStretch := math.Ceil(waves) / waves
 	if waves < 1 {
 		// A single partial wave underuses the machine: stretch by the
 		// fraction of SMs left idle instead.
 		activeSMs := math.Ceil(float64(k.Blocks) / float64(blocksPerSM))
-		waveStretch = float64(spec.SMCount) / activeSMs
+		waveStretch = float64(t.SMCount) / activeSMs
 	}
 
 	ck := &CompiledKernel{
-		spec:          spec,
+		timing:        t,
+		board:         s.spec.Name,
 		name:          k.Name,
 		blocksPerSM:   blocksPerSM,
 		residentWarps: residentWarps,
-		occupancy:     float64(residentWarps) / float64(spec.MaxWarpsPerSM),
+		occupancy:     float64(residentWarps) / float64(t.MaxWarpsPerSM),
 		waveStretch:   waveStretch,
 		// Architecture-dependent timing irregularity: a deterministic
 		// per-(kernel, grid) deviation that the performance counters do
-		// not explain (see arch.Spec.TimingIrregularity). It is
+		// not explain (see arch.Timing.TimingIrregularity). It is
 		// independent of the frequency pair so that DVFS trends stay
 		// physical; what it degrades is the counter→time transfer across
 		// samples, as on real hardware.
-		irregular:  1 + spec.TimingIrregularity*irregularity(k.Name, k.Blocks),
+		irregular:  1 + t.TimingIrregularity*irregularity(k.Name, k.Blocks),
 		phases:     make([]compiledPhase, 0, len(k.Phases)),
-		slotFactor: float64(spec.SchedulersPerSM * spec.IssuePerSched),
-		smsF:       float64(spec.SMCount),
+		slotFactor: float64(t.SchedulersPerSM * t.IssuePerSched),
+		smsF:       float64(t.SMCount),
 	}
 	// Sized for the worst case so no phase's window is ever reallocated.
 	bounds := make([]compiledBound, 0, maxBoundsPerPhase*len(k.Phases))
 
-	sms := float64(spec.SMCount)
+	sms := float64(t.SMCount)
 	v := &ck.baseActs
 	var issuedSum, retired float64
 	for i := range k.Phases {
@@ -193,9 +197,9 @@ func (s *Sim) Compile(k *KernelDesc) (*CompiledKernel, error) {
 		// encode both, so both stay.
 		txns := wi * p.FracMem * p.TxnPerMemInst
 		var l1Hit, l2Hit, dramTxns, dramBound float64
-		if spec.L1PerSM > 0 {
-			l1Hit = derate(p.L1Hit, p.WorkingSetBytes, float64(spec.L1PerSM))
-			l2Hit = derate(p.L2Hit, p.WorkingSetBytes*float64(spec.SMCount), float64(spec.L2Size))
+		if t.L1PerSM > 0 {
+			l1Hit = derate(p.L1Hit, p.WorkingSetBytes, float64(t.L1PerSM))
+			l2Hit = derate(p.L2Hit, p.WorkingSetBytes*float64(t.SMCount), float64(t.L2Size))
 			l2Queries := txns - txns*l1Hit
 			dramTxns = l2Queries - l2Queries*l2Hit
 			ev.L1 = txns
@@ -219,24 +223,24 @@ func (s *Sim) Compile(k *KernelDesc) (*CompiledKernel, error) {
 		// Bottleneck analysis: one bound per resource the phase uses.
 		first := len(bounds)
 		divPenalty := 1 + p.DivergentFrac*1.5
-		issueRate := float64(spec.SchedulersPerSM*spec.IssuePerSched) * p.IssueEff
+		issueRate := float64(t.SchedulersPerSM*t.IssuePerSched) * p.IssueEff
 		bounds = append(bounds,
 			compiledBound{kind: boundCore, name: "issue", num: issued, den: sms * issueRate},
-			compiledBound{kind: boundCore, name: "alu", num: ev.ALU * divPenalty, den: sms * spec.ALUThroughput})
+			compiledBound{kind: boundCore, name: "alu", num: ev.ALU * divPenalty, den: sms * t.ALUThroughput})
 		if ev.SFU > 0 {
-			bounds = append(bounds, compiledBound{kind: boundCore, name: "sfu", num: ev.SFU, den: sms * spec.SFUThroughput})
+			bounds = append(bounds, compiledBound{kind: boundCore, name: "sfu", num: ev.SFU, den: sms * t.SFUThroughput})
 		}
 		if ev.DP > 0 {
-			bounds = append(bounds, compiledBound{kind: boundCore, name: "dp", num: ev.DP, den: sms * spec.DPThroughput})
+			bounds = append(bounds, compiledBound{kind: boundCore, name: "dp", num: ev.DP, den: sms * t.DPThroughput})
 		}
 		if txns > 0 {
-			bounds = append(bounds, compiledBound{kind: boundCore, name: "lsu", num: txns, den: sms * spec.LSUThroughput})
+			bounds = append(bounds, compiledBound{kind: boundCore, name: "lsu", num: txns, den: sms * t.LSUThroughput})
 		}
 		if ev.Shared > 0 {
-			bounds = append(bounds, compiledBound{kind: boundCore, name: "shared", num: ev.Shared, den: sms * spec.LSUThroughput})
+			bounds = append(bounds, compiledBound{kind: boundCore, name: "shared", num: ev.Shared, den: sms * t.LSUThroughput})
 		}
 		if dramBound > 0 {
-			bounds = append(bounds, compiledBound{kind: boundMemBW, name: "dram-bw", num: dramBound * float64(spec.LineSize)})
+			bounds = append(bounds, compiledBound{kind: boundMemBW, name: "dram-bw", num: dramBound * float64(t.LineSize)})
 		}
 		if txns > 0 && p.MLP > 0 {
 			// Tesla: the whole coalescing/arbitration path to the memory
@@ -245,10 +249,10 @@ func (s *Sim) Compile(k *KernelDesc) (*CompiledKernel, error) {
 			// paper sees little benefit from core scaling on the GTX 285.
 			b := compiledBound{kind: boundMemLat, name: "mem-latency", num: txns,
 				den: float64(residentWarps) * p.MLP * sms, lat0: 280, lat2: 1}
-			if spec.L1PerSM > 0 {
+			if t.L1PerSM > 0 {
 				missL1 := 1 - l1Hit
-				b.lat0 = spec.L1LatencyCyc
-				b.lat1 = missL1 * spec.L2LatencyCyc
+				b.lat0 = t.L1LatencyCyc
+				b.lat1 = missL1 * t.L2LatencyCyc
 				b.lat2 = missL1 * (1 - l2Hit)
 			}
 			bounds = append(bounds, b)
@@ -272,12 +276,12 @@ func (s *Sim) Compile(k *KernelDesc) (*CompiledKernel, error) {
 		v[counters.ActDivergent] += wi * p.FracBranch * p.DivergentFrac
 
 		memTxns := ev.L1
-		if spec.L1PerSM == 0 {
+		if t.L1PerSM == 0 {
 			memTxns = ev.DRAM / (1 + p.StoreFrac*0.25)
 		}
 		v[counters.ActGlobalLoadTxn] += memTxns * (1 - p.StoreFrac)
 		v[counters.ActGlobalStoreTxn] += memTxns * p.StoreFrac
-		if spec.L1PerSM > 0 {
+		if t.L1PerSM > 0 {
 			v[counters.ActL1Miss] += ev.L2
 			v[counters.ActL1Hit] += ev.L1 - ev.L2
 			// L2 hits = queries that did not go to DRAM (excluding the
@@ -302,8 +306,15 @@ func (s *Sim) Compile(k *KernelDesc) (*CompiledKernel, error) {
 // allocates at most the (pooled) result struct and its phase slice;
 // everything else is arithmetic over the compiled coefficients.
 func (ck *CompiledKernel) eval(clk *clock.State) *KernelResult {
-	fc := clk.CoreHz()
 	res := newResult(len(ck.phases))
+	ck.evalInto(clk, res)
+	return res
+}
+
+// evalInto is eval into storage the caller owns: res must be zero except
+// for a Phases slice of length 0 with capacity for every phase.
+func (ck *CompiledKernel) evalInto(clk *clock.State, res *KernelResult) {
+	fc := clk.CoreHz()
 	res.Kernel = ck.name
 	res.Occupancy = ck.occupancy
 	v := ck.baseActs
@@ -359,19 +370,19 @@ func (ck *CompiledKernel) eval(clk *clock.State) *KernelResult {
 	v[counters.ActActiveCycles] = res.Time * fc * ck.smsF * res.Occupancy
 	v[counters.ActElapsedCycles] = res.Time * fc
 	res.Activities = v
-	return res
 }
 
 // RunPairs evaluates a compiled kernel at every given frequency pair in
 // one pass, returning results aligned with pairs. The simulator's own
 // clock state is untouched — the evaluation runs on a scratch copy of it,
-// per-level tables included — so a sweep can be precomputed without
+// per-level tables included — so the pairs are evaluated without
 // reprogramming the device. Each result is bit-identical to RunKernel run
-// at that pair.
+// at that pair. The kernel must have been compiled for a board with this
+// simulator's timing half.
 func (s *Sim) RunPairs(ck *CompiledKernel, pairs []clock.Pair) ([]*KernelResult, error) {
-	if ck.spec != s.spec {
+	if *ck.timing != s.spec.Timing {
 		return nil, fmt.Errorf("gpu: kernel %q compiled for %s, simulator runs %s",
-			ck.name, ck.spec.Name, s.spec.Name)
+			ck.name, ck.board, s.spec.Name)
 	}
 	scratch := *s.clk
 	out := make([]*KernelResult, len(pairs))

@@ -77,10 +77,11 @@ type KernelResult struct {
 	Occupancy  float64 // resident-warp fraction, 0..1
 }
 
-// resultPool recycles KernelResults and their phase slices. A frequency
-// sweep evaluates each kernel at every pair and immediately folds each
-// result into a cached launch payload, so the result struct is hot garbage;
-// callers that fully consume a result may hand it back via ReleaseResult.
+// resultPool recycles KernelResults and their phase slices. A launch miss
+// folds its result into a cached launch payload at once, so the result
+// struct is hot garbage; callers that fully consume a result may hand it
+// back via ReleaseResult. A TimingTable keeps its results and never
+// releases them.
 var resultPool = sync.Pool{New: func() any { return new(KernelResult) }}
 
 // newResult returns a zeroed KernelResult whose Phases slice has capacity
@@ -129,19 +130,23 @@ func (s *Sim) Clock() *clock.State { return s.clk }
 // Occupancy computes the number of resident blocks per SM for a kernel,
 // applying the block, warp, register and shared-memory limits.
 func (s *Sim) Occupancy(k *KernelDesc) (blocksPerSM, residentWarps int) {
-	warpsPerBlock := (k.ThreadsPerBlock + s.spec.WarpSize - 1) / s.spec.WarpSize
-	limit := s.spec.MaxBlocksPerSM
-	if byWarps := s.spec.MaxWarpsPerSM / warpsPerBlock; byWarps < limit {
+	return occupancy(&s.spec.Timing, k)
+}
+
+func occupancy(t *arch.Timing, k *KernelDesc) (blocksPerSM, residentWarps int) {
+	warpsPerBlock := (k.ThreadsPerBlock + t.WarpSize - 1) / t.WarpSize
+	limit := t.MaxBlocksPerSM
+	if byWarps := t.MaxWarpsPerSM / warpsPerBlock; byWarps < limit {
 		limit = byWarps
 	}
 	if k.SharedPerBlock > 0 {
-		if byShared := s.spec.SharedMemPerSM / k.SharedPerBlock; byShared < limit {
+		if byShared := t.SharedMemPerSM / k.SharedPerBlock; byShared < limit {
 			limit = byShared
 		}
 	}
 	if k.RegsPerThread > 0 {
 		regsPerBlock := k.RegsPerThread * k.ThreadsPerBlock
-		if byRegs := s.spec.RegistersPerSM / regsPerBlock; byRegs < limit {
+		if byRegs := t.RegistersPerSM / regsPerBlock; byRegs < limit {
 			limit = byRegs
 		}
 	}
@@ -154,7 +159,7 @@ func (s *Sim) Occupancy(k *KernelDesc) (blocksPerSM, residentWarps int) {
 // RunKernel simulates one kernel launch at the current DVFS state: it
 // compiles the kernel and evaluates the compiled form at the programmed
 // pair. A sweep that revisits one kernel at many pairs should Compile
-// once and call RunPairs instead.
+// once and call RunPairs, or build a TimingTable, instead.
 func (s *Sim) RunKernel(k *KernelDesc) (*KernelResult, error) {
 	ck, err := s.Compile(k)
 	if err != nil {

@@ -270,20 +270,32 @@ type Progress struct {
 // sweeps' cells plus, in a fleet session, the fleet's cells summed over
 // its shards. Safe to call from any goroutine while campaigns run.
 func (s *Session) Progress() Progress {
+	p, _ := s.ProgressShards()
+	return p
+}
+
+// ProgressShards returns Progress together with, in a fleet session, the
+// per-shard progress it sums, both from one tracker snapshot: while a
+// fleet runs, the fleet's part of the total always equals the sum of the
+// shards returned beside it. shards is nil in a classic session. Safe to
+// call from any goroutine while campaigns run.
+func (s *Session) ProgressShards() (Progress, []fleet.ShardProgress) {
 	p := Progress{
 		Planned:     s.planned.Load(),
 		Done:        s.done.Load(),
 		Replayed:    s.replayed.Load(),
 		Quarantined: s.quarantined.Load(),
 	}
-	if s.fleetTracker != nil {
-		f, _ := fleet.Sum(s.fleetTracker.Snapshot())
-		p.Planned += f.CellsPlanned
-		p.Done += f.CellsDone
-		p.Replayed += f.Replayed
-		p.Quarantined += f.Quarantined
+	if s.fleetTracker == nil {
+		return p, nil
 	}
-	return p
+	shards := s.fleetTracker.Snapshot()
+	f, _ := fleet.Sum(shards)
+	p.Planned += f.CellsPlanned
+	p.Done += f.CellsDone
+	p.Replayed += f.Replayed
+	p.Quarantined += f.Quarantined
+	return p, shards
 }
 
 // countCell is the sweeps' row sink feeding the progress counters.

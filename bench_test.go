@@ -345,7 +345,7 @@ func BenchmarkAblationNoFreqScaling(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		nm, err := core.TrainNaive(ds, core.Power, core.MaxVariables)
+		nm, err := core.TrainNaive(context.Background(), ds, core.Power, core.MaxVariables)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -191,7 +191,7 @@ func main() {
 			kind = core.Time
 		}
 		for _, spec := range boards {
-			cols, err := core.PerPairComparison(datasets[spec.Name], kind, *vars)
+			cols, err := core.PerPairComparisonWith(ctx, datasets[spec.Name], kind, *vars, nil)
 			if err != nil {
 				cliflags.Fatal("model", err)
 			}

@@ -58,7 +58,7 @@ func Register(fs *flag.FlagSet) *Campaign {
 	c := &Campaign{}
 	fs.Int64Var(&c.Seed, "seed", 42, "measurement-noise seed")
 	fs.IntVar(&c.Workers, "workers", runtime.GOMAXPROCS(0),
-		"sweep/collect pool width; 1 is the bit-exact sequential reference (output is identical at any width)")
+		"pool width of the sweeps, collections and modeling fits; 1 is the bit-exact sequential reference (output is identical at any width)")
 	fs.BoolVar(&c.NoCache, "nocache", false,
 		"disable launch memoization (uncached reference mode; output is identical either way)")
 	fs.StringVar(&c.Faults, "faults", "",

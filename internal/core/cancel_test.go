@@ -79,3 +79,21 @@ func TestVariableSweepCancelled(t *testing.T) {
 		t.Fatalf("VariableSweep returned %v, want context.Canceled in the chain", err)
 	}
 }
+
+// TestPerPairAndNaiveCancelled: the Figs. 9/10 per-pair fits and the
+// clock-blind ablation honour their context at selection-step boundaries.
+func TestPerPairAndNaiveCancelled(t *testing.T) {
+	ds, err := CollectCtx(context.Background(), "GTX 480", modelBenches(t, 4),
+		CollectOptions{Seed: 42, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := PerPairComparisonWith(ctx, ds, Power, MaxVariables, nil); !errors.Is(err, context.Canceled) {
+		t.Errorf("PerPairComparisonWith returned %v, want context.Canceled in the chain", err)
+	}
+	if _, err := TrainNaive(ctx, ds, Time, MaxVariables); !errors.Is(err, context.Canceled) {
+		t.Errorf("TrainNaive returned %v, want context.Canceled in the chain", err)
+	}
+}

@@ -97,19 +97,17 @@ func TestFeatureRowScaling(t *testing.T) {
 	o.Counters[coreIdx] = 100
 	o.Counters[memIdx] = 50
 
-	p := featureRow(Power, set, o)
-	if want := 100 / 2.0 * 1.4; p[coreIdx] != want {
-		t.Errorf("power feature (core) = %g, want %g", p[coreIdx], want)
+	if got, want := featureAt(Power, set, o, coreIdx), 100/2.0*1.4; got != want {
+		t.Errorf("power feature (core) = %g, want %g", got, want)
 	}
-	if want := 50 / 2.0 * 3.0; p[memIdx] != want {
-		t.Errorf("power feature (mem) = %g, want %g", p[memIdx], want)
+	if got, want := featureAt(Power, set, o, memIdx), 50/2.0*3.0; got != want {
+		t.Errorf("power feature (mem) = %g, want %g", got, want)
 	}
-	tt := featureRow(Time, set, o)
-	if want := 100 / 1.4; tt[coreIdx] != want {
-		t.Errorf("time feature (core) = %g, want %g", tt[coreIdx], want)
+	if got, want := featureAt(Time, set, o, coreIdx), 100/1.4; got != want {
+		t.Errorf("time feature (core) = %g, want %g", got, want)
 	}
-	if want := 50 / 3.0; tt[memIdx] != want {
-		t.Errorf("time feature (mem) = %g, want %g", tt[memIdx], want)
+	if got, want := featureAt(Time, set, o, memIdx), 50/3.0; got != want {
+		t.Errorf("time feature (mem) = %g, want %g", got, want)
 	}
 }
 

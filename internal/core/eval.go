@@ -95,22 +95,23 @@ func VariableSweep(ctx context.Context, ds *Dataset, kind Kind, minVars, maxVars
 // Sweep evaluates the family's models of minVars..maxVars variables
 // (inclusive) against the dataset's rows. The cap-maxVars selection is
 // computed once and the smaller models are prefixes of it, each refit
-// from the path's one factorization.
+// from the path's one factorization and evaluated as Model.Predict would.
 func (f *Family) Sweep(minVars, maxVars int) ([]SweepPoint, error) {
 	sel, err := f.path.Select(maxVars)
 	if err != nil {
 		return nil, err
 	}
 	var out []SweepPoint
-	pred := make([]float64, len(f.y))
+	rows := f.ds.Rows
+	pred := make([]float64, len(rows))
 	for n := minVars; n <= len(sel.Indices); n++ {
 		cols := sel.Indices[:n]
 		fit, err := f.path.Fit(n)
 		if err != nil {
 			continue
 		}
-		for i, row := range f.x {
-			pred[i] = fit.PredictColumns(row, cols)
+		for i := range rows {
+			pred[i] = predict(f.kind, f.ds.Set, fit, cols, &rows[i])
 		}
 		out = append(out, SweepPoint{
 			Vars:       n,
@@ -133,19 +134,20 @@ type PairEval struct {
 // pair's rows) plus the unified model (evaluated on everything), in Table
 // III row order with the unified model last — the layout of Figs. 9/10.
 func PerPairComparison(ds *Dataset, kind Kind, maxVars int) ([]PairEval, error) {
-	return PerPairComparisonWith(ds, kind, maxVars, nil)
+	return PerPairComparisonWith(context.Background(), ds, kind, maxVars, nil)
 }
 
-// PerPairComparisonWith is PerPairComparison reusing an already-trained
-// unified model of the same dataset and kind (pass nil to train one here).
-// A campaign that has trained its Tables V/VI models passes them in, which
+// PerPairComparisonWith is PerPairComparison under ctx, checked before
+// every selection step of every fit, reusing an already-trained unified
+// model of the same dataset and kind (pass nil to train one here). A
+// campaign that has trained its Tables V/VI models passes them in, which
 // saves one full-width forward selection per comparison — the single most
 // expensive redundant step of a reproduction run.
-func PerPairComparisonWith(ds *Dataset, kind Kind, maxVars int, unified *Model) ([]PairEval, error) {
+func PerPairComparisonWith(ctx context.Context, ds *Dataset, kind Kind, maxVars int, unified *Model) ([]PairEval, error) {
 	var out []PairEval
 	for _, p := range clock.ValidPairs(ds.Spec) {
 		rows := ds.RowsAtPair(p)
-		m, err := TrainAtPair(ds, kind, maxVars, rows)
+		m, err := TrainAtPair(ctx, ds, kind, maxVars, rows)
 		if err != nil {
 			return nil, err
 		}
@@ -154,7 +156,7 @@ func PerPairComparisonWith(ds *Dataset, kind Kind, maxVars int, unified *Model) 
 	}
 	if unified == nil {
 		var err error
-		unified, err = Train(ds, kind, maxVars)
+		unified, err = TrainCtx(ctx, ds, kind, maxVars)
 		if err != nil {
 			return nil, err
 		}

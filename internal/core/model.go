@@ -38,22 +38,15 @@ type Model struct {
 	naive bool
 }
 
-// featureRow maps one observation to the Eq. 1 / Eq. 2 feature vector: one
-// feature per counter, scaled by its clock domain.
+// featureAt maps one observation's counter i to its Eq. 1 / Eq. 2
+// feature, scaled by the counter's clock domain:
 //
 // Power (Eq. 1):  feature_i = (counter_i / exectime) × domainGHz
 // Time  (Eq. 2):  feature_i = counter_i / domainGHz
-func featureRow(kind Kind, set *counters.Set, o *Observation) []float64 {
-	out := make([]float64, set.Len())
-	for i := range set.Defs {
-		out[i] = featureAt(kind, set, o, i)
-	}
-	return out
-}
-
-// featureAt computes one entry of featureRow without materializing the
-// row — the prediction hot path only touches the model's selected columns,
-// a small fraction of the counter set.
+//
+// Features are computed on demand, never stored per row: forward
+// selection reads the design column by column (columns), and prediction
+// touches only the model's selected counters, a small fraction of the set.
 func featureAt(kind Kind, set *counters.Set, o *Observation, i int) float64 {
 	freq := o.CoreGHz
 	if set.Defs[i].Class == counters.MemEvent {
@@ -80,14 +73,33 @@ func target(kind Kind, o *Observation) float64 {
 	return o.TimeS
 }
 
+// targets extracts the dependent variable of every row.
+func targets(kind Kind, rows []Observation) []float64 {
+	y := make([]float64, len(rows))
+	for i := range rows {
+		y[i] = target(kind, &rows[i])
+	}
+	return y
+}
+
+// columns reads kind's design over rows column by column: column j holds
+// featureAt(kind, set, row, j) down the rows, the values designMatrix lays
+// out row by row.
+func columns(kind Kind, set *counters.Set, rows []Observation) regress.ColumnSource {
+	return func(j int, dst []float64) {
+		for i := range rows {
+			dst[i] = featureAt(kind, set, &rows[i], j)
+		}
+	}
+}
+
 // designMatrix builds the full (unselected) feature matrix and target
-// vector over a row set.
+// vector over a row set, for the fits that need the design row by row
+// (ridge, diagnostics).
 func designMatrix(kind Kind, set *counters.Set, rows []Observation) (x [][]float64, y []float64) {
 	x = make([][]float64, len(rows))
-	y = make([]float64, len(rows))
-	// One backing allocation for all rows, subsliced: the values are
-	// identical to per-row featureRow calls, but a campaign-sized design
-	// matrix costs two allocations instead of len(rows)+1.
+	// One backing allocation for all rows, subsliced: a campaign-sized
+	// design matrix costs two allocations instead of len(rows)+1.
 	n := set.Len()
 	flat := make([]float64, len(rows)*n)
 	for i := range rows {
@@ -96,9 +108,8 @@ func designMatrix(kind Kind, set *counters.Set, rows []Observation) (x [][]float
 			row[j] = featureAt(kind, set, &rows[i], j)
 		}
 		x[i] = row
-		y[i] = target(kind, &rows[i])
 	}
-	return x, y
+	return x, targets(kind, rows)
 }
 
 // Train fits a unified model over every row of the dataset with forward
@@ -119,33 +130,33 @@ func TrainCtx(ctx context.Context, ds *Dataset, kind Kind, maxVars int) (*Model,
 	return f.Model(maxVars)
 }
 
-// Family is one (board, kind) modeling family of Section IV: a dataset's
-// Eq. 1 or Eq. 2 design matrix, built once, and one greedy
-// forward-selection path over it. Every model of the family is read off
-// that path — the capped unified model of Tables V–VIII and Figs. 5/6,
-// 9/10 and 11 through Model, the Figs. 7/8 points through Sweep — and
-// each is bit-identical to training it on its own.
+// Family is one (board, kind) modeling family of Section IV: one greedy
+// forward-selection path over a dataset's Eq. 1 or Eq. 2 design. Every
+// model of the family is read off that path — the capped unified model of
+// Tables V–VIII and Figs. 5/6, 9/10 and 11 through Model, the Figs. 7/8
+// points through Sweep — and each is bit-identical to training it on its
+// own. The design itself is never stored: the path reads it column by
+// column from the rows, and Sweep predicts from the rows.
 type Family struct {
 	ds   *Dataset
 	kind Kind
-	x    [][]float64
 	y    []float64
 	path *regress.Path
 }
 
-// NewFamily builds the dataset's design matrix for kind and grows one
-// selection path of up to steps variables, checking ctx before each step.
-// steps bounds every cap the family can answer: pass the largest of them.
+// NewFamily grows one selection path of up to steps variables over the
+// dataset's design for kind, checking ctx before each step. steps bounds
+// every cap the family can answer: pass the largest of them.
 func NewFamily(ctx context.Context, ds *Dataset, kind Kind, steps int) (*Family, error) {
 	if len(ds.Rows) == 0 {
 		return nil, errors.New("core: empty dataset")
 	}
-	x, y := designMatrix(kind, ds.Set, ds.Rows)
-	path, err := regress.ForwardPath(ctx, x, y, steps)
+	y := targets(kind, ds.Rows)
+	path, err := regress.ForwardPath(ctx, ds.Set.Len(), columns(kind, ds.Set, ds.Rows), y, steps)
 	if err != nil {
 		return nil, fmt.Errorf("core: training %s model for %s: %w", kind, ds.Board, err)
 	}
-	return &Family{ds: ds, kind: kind, x: x, y: y, path: path}, nil
+	return &Family{ds: ds, kind: kind, y: y, path: path}, nil
 }
 
 // Model returns the unified model capped at maxVars variables, identical
@@ -162,23 +173,20 @@ func (f *Family) Model(maxVars int) (*Model, error) {
 // power is regressed on raw per-second counter rates and time on raw counter
 // totals, ignoring the programmed clocks entirely. It quantifies what Eq. 1
 // and Eq. 2's frequency terms buy (the ablation bench of DESIGN.md §6): a
-// naive model must average over frequency pairs it cannot distinguish.
-func TrainNaive(ds *Dataset, kind Kind, maxVars int) (*Model, error) {
+// naive model must average over frequency pairs it cannot distinguish. ctx
+// is checked before each selection step, as in TrainCtx.
+func TrainNaive(ctx context.Context, ds *Dataset, kind Kind, maxVars int) (*Model, error) {
 	if len(ds.Rows) == 0 {
 		return nil, errors.New("core: empty dataset")
 	}
-	x := make([][]float64, len(ds.Rows))
-	y := make([]float64, len(ds.Rows))
-	for i := range ds.Rows {
-		o := &ds.Rows[i]
-		// Neutralize the frequency terms by pretending both domains run
-		// at 1 GHz; featureRow then degenerates to rates / totals.
-		neutral := *o
-		neutral.CoreGHz, neutral.MemGHz = 1, 1
-		x[i] = featureRow(kind, ds.Set, &neutral)
-		y[i] = target(kind, o)
+	// Neutralize the frequency terms by pretending both domains run at
+	// 1 GHz; the features then degenerate to rates / totals.
+	neutral := make([]Observation, len(ds.Rows))
+	for i, o := range ds.Rows {
+		o.CoreGHz, o.MemGHz = 1, 1
+		neutral[i] = o
 	}
-	sel, err := regress.ForwardSelect(x, y, maxVars)
+	sel, err := regress.ForwardSelectColumns(ctx, ds.Set.Len(), columns(kind, ds.Set, neutral), targets(kind, neutral), maxVars)
 	if err != nil {
 		return nil, fmt.Errorf("core: training naive %s model for %s: %w", kind, ds.Board, err)
 	}
@@ -206,13 +214,13 @@ func RidgeError(ds *Dataset, kind Kind, lambda float64) (adjR2, meanAbsPct float
 }
 
 // TrainAtPair fits a single-pair baseline model (the per-configuration
-// models of Figs. 9 and 10) using only rows measured at pair p.
-func TrainAtPair(ds *Dataset, kind Kind, maxVars int, rows []Observation) (*Model, error) {
+// models of Figs. 9 and 10) using only rows measured at pair p. ctx is
+// checked before each selection step, as in TrainCtx.
+func TrainAtPair(ctx context.Context, ds *Dataset, kind Kind, maxVars int, rows []Observation) (*Model, error) {
 	if len(rows) == 0 {
 		return nil, errors.New("core: no rows for pair model")
 	}
-	x, y := designMatrix(kind, ds.Set, rows)
-	sel, err := regress.ForwardSelect(x, y, maxVars)
+	sel, err := regress.ForwardSelectColumns(ctx, ds.Set.Len(), columns(kind, ds.Set, rows), targets(kind, rows), maxVars)
 	if err != nil {
 		return nil, err
 	}
@@ -240,14 +248,17 @@ func (m *Model) Predict(o *Observation) float64 {
 		neutral.CoreGHz, neutral.MemGHz = 1, 1
 		o = &neutral
 	}
-	// Same accumulation order as Fit.Predict over the projected row, but
-	// computing only the selected features — no per-call allocation.
-	f := m.Selection.Fit
-	idxs := m.Selection.Indices
-	y := f.Intercept
-	for j, c := range f.Coef {
-		if j < len(idxs) {
-			y += c * featureAt(m.Kind, m.Set, o, idxs[j])
+	return predict(m.Kind, m.Set, m.Selection.Fit, m.Selection.Indices, o)
+}
+
+// predict evaluates fit, trained on the design columns cols, at one
+// observation: the accumulation order of Fit.Predict over the projected
+// row, computing only the selected features — no per-call allocation.
+func predict(kind Kind, set *counters.Set, fit *regress.Fit, cols []int, o *Observation) float64 {
+	y := fit.Intercept
+	for j, c := range fit.Coef {
+		if j < len(cols) {
+			y += c * featureAt(kind, set, o, cols[j])
 		}
 	}
 	return y

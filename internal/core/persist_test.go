@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
@@ -66,7 +67,7 @@ func TestModelRoundTripPredictsIdentically(t *testing.T) {
 
 func TestNaiveFlagSurvivesRoundTrip(t *testing.T) {
 	ds := collectSmall(t, "GTX 460")
-	m, err := TrainNaive(ds, Power, 5)
+	m, err := TrainNaive(context.Background(), ds, Power, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

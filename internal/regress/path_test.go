@@ -92,7 +92,7 @@ func sameSelection(got, want *Selection) error {
 // refit is OLS over the projected columns bit for bit.
 func TestCapSelectionMatchesForwardSelect(t *testing.T) {
 	x, y := correlatedDesign(rand.New(rand.NewSource(21)), 240, 36)
-	path, err := ForwardPath(context.Background(), x, y, 20)
+	path, err := ForwardPath(context.Background(), len(x[0]), rowColumns(x), y, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func referencePath(x [][]float64, y []float64, maxSteps int) []Step {
 // every pick and every R² of the path unchanged to the last bit.
 func TestFusedScanMatchesSeparateScan(t *testing.T) {
 	x, y := correlatedDesign(rand.New(rand.NewSource(23)), 240, 36)
-	path, err := ForwardPath(context.Background(), x, y, 20)
+	path, err := ForwardPath(context.Background(), len(x[0]), rowColumns(x), y, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestForwardPathCancelled(t *testing.T) {
 	x, y := correlatedDesign(rand.New(rand.NewSource(22)), 40, 12)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := ForwardPath(ctx, x, y, 3); !errors.Is(err, context.Canceled) {
+	if _, err := ForwardPath(ctx, len(x[0]), rowColumns(x), y, 3); !errors.Is(err, context.Canceled) {
 		t.Fatalf("ForwardPath returned %v, want context.Canceled in the chain", err)
 	}
 }

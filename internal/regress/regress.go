@@ -165,19 +165,6 @@ func (f *Fit) Predict(features []float64) float64 {
 	return y
 }
 
-// PredictColumns evaluates a fit trained on the chosen columns against one
-// full-width feature row: identical to Predict(Project(...)) on that row's
-// projection, without materializing it.
-func (f *Fit) PredictColumns(row []float64, cols []int) float64 {
-	y := f.Intercept
-	for j, c := range f.Coef {
-		if j < len(cols) {
-			y += c * row[cols[j]]
-		}
-	}
-	return y
-}
-
 // Step records the state of forward selection after adding one variable.
 type Step struct {
 	Added int // column index added at this step
@@ -210,17 +197,54 @@ var ErrNoUsableVariables = errors.New("regress: no usable variables")
 // factorization (Path.Fit). A caller needing several caps of one design —
 // the 10-variable model and the 5–20 variable sweep of Section IV — grows
 // one path to the largest cap and selects each cap from it; every
-// selection is bit-identical to ForwardSelect at that cap. A caller that
-// must stop when its context is cancelled grows the path itself with
-// ForwardPath.
+// selection is bit-identical to ForwardSelect at that cap.
+//
+// x is row-major; ForwardSelect reads it through a ColumnSource. A caller
+// that computes its design on demand, or must stop when its context is
+// cancelled, uses ForwardSelectColumns or grows the path itself.
 func ForwardSelect(x [][]float64, y []float64, maxVars int) (*Selection, error) {
-	path, err := ForwardPath(context.Background(), x, y, maxVars)
+	if len(x) != len(y) {
+		return nil, fmt.Errorf("regress: ForwardSelect: %d rows vs %d targets", len(x), len(y))
+	}
+	var p int
+	if len(x) > 0 {
+		p = len(x[0])
+	}
+	for i, row := range x {
+		if len(row) != p {
+			return nil, fmt.Errorf("regress: ForwardSelect: ragged row %d", i)
+		}
+	}
+	return ForwardSelectColumns(context.Background(), p, rowColumns(x), y, maxVars)
+}
+
+// rowColumns reads a row-major design column by column.
+func rowColumns(x [][]float64) ColumnSource {
+	return func(j int, dst []float64) {
+		for i, row := range x {
+			dst[i] = row[j]
+		}
+	}
+}
+
+// ForwardSelectColumns is ForwardSelect over the p columns of a column
+// source, checking ctx before each selection step: a cancelled selection
+// returns the context's cause wrapped in the error.
+func ForwardSelectColumns(ctx context.Context, p int, column ColumnSource, y []float64, maxVars int) (*Selection, error) {
+	path, err := ForwardPath(ctx, p, column, y, maxVars)
 	if err != nil {
 		return nil, err
 	}
 	defer path.release()
 	return path.Select(maxVars)
 }
+
+// ColumnSource reads a design one column at a time: it writes column j's
+// values, one per observation in target order, into dst. Forward
+// selection works on columns, so a caller that computes its features on
+// demand never holds the design row by row; a source must return the
+// same values on every call.
+type ColumnSource func(j int, dst []float64)
 
 // Path is a greedy forward-selection path over one design: the columns in
 // the order the scan picked them, the fit quality after each pick, and
@@ -239,10 +263,14 @@ type Path struct {
 	qr       *linalg.QR     // factorization of design against y
 }
 
-// ForwardPath grows the greedy path over x's columns for up to maxSteps
-// picks. ctx is checked before each step (one step is a full O(p·n)
-// candidate scan), so a cancelled training run stops at a step boundary
-// and returns the cause wrapped in the error.
+// ForwardPath grows the greedy path over the p columns of column for up
+// to maxSteps picks; the design has one row per entry of y. The path owns
+// its working copy: it reads every column once, centered in place, and
+// reads the picks again to build its [1, picks] design, so a caller
+// holding no copy of its own keeps one design's worth of memory alive.
+// ctx is checked before each step (one step is a full O(p·n) candidate
+// scan), so a cancelled training run stops at a step boundary and returns
+// the cause wrapped in the error.
 //
 // Candidate evaluation is incremental rather than one OLS refit per
 // candidate per step: the residual target and every unpicked column are
@@ -257,36 +285,24 @@ type Path struct {
 // same degrees-of-freedom factor, so maximizing the gain maximizes
 // adjusted R²; ties resolve to the lowest column index. Steps and picks
 // do not depend on maxSteps, so a longer path extends a shorter one.
-func ForwardPath(ctx context.Context, x [][]float64, y []float64, maxSteps int) (*Path, error) {
+func ForwardPath(ctx context.Context, p int, column ColumnSource, y []float64, maxSteps int) (*Path, error) {
 	if maxSteps <= 0 {
 		return nil, fmt.Errorf("regress: ForwardSelect: maxVars = %d", maxSteps)
 	}
-	n := len(x)
+	n := len(y)
 	if n == 0 {
 		return nil, errors.New("regress: ForwardSelect: no observations")
 	}
-	if len(y) != n {
-		return nil, fmt.Errorf("regress: ForwardSelect: %d rows vs %d targets", n, len(y))
-	}
-	p := len(x[0])
 
 	// Column-major working copy, centered: mean-free columns and target
 	// are already orthogonal to the intercept.
 	flat := make([]float64, p*n)
 	cols := make([][]float64, p)
-	for j := range cols {
-		cols[j] = flat[j*n : (j+1)*n]
-	}
-	for i, row := range x {
-		if len(row) != p {
-			return nil, fmt.Errorf("regress: ForwardSelect: ragged row %d", i)
-		}
-		for j, v := range row {
-			cols[j][i] = v
-		}
-	}
 	norm0 := make([]float64, p) // squared norm of each centered column
-	for j, w := range cols {
+	for j := range cols {
+		w := flat[j*n : (j+1)*n]
+		cols[j] = w
+		column(j, w)
 		var mean float64
 		for _, v := range w {
 			mean += v
@@ -403,12 +419,17 @@ func ForwardPath(ctx context.Context, x [][]float64, y []float64, maxSteps int) 
 
 	// Factor the design over every pick once; each refit below is a
 	// prefix of it. The path stops two picks short of the observations,
-	// so the design is never wider than it is tall.
+	// so the design is never wider than it is tall. The working copy is
+	// spent, so its first column buffers each pick as it is read again.
 	path.design = linalg.GetMatrix(n, len(path.Indices)+1)
-	for i, row := range x {
+	for i := 0; i < n; i++ {
 		path.design.Set(i, 0, 1)
-		for j, c := range path.Indices {
-			path.design.Set(i, j+1, row[c])
+	}
+	buf := flat[:n]
+	for k, c := range path.Indices {
+		column(c, buf)
+		for i, v := range buf {
+			path.design.Set(i, k+1, v)
 		}
 	}
 	qr, err := linalg.Factor(path.design, y)

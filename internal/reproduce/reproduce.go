@@ -49,10 +49,12 @@ type Options struct {
 	// SelfCheck appends the apparatus invariant checks to the report and
 	// fails the run if any check fails.
 	SelfCheck bool
-	// Workers bounds the sweep/collect worker pools (0 or negative means
-	// GOMAXPROCS). Every (benchmark, board) job owns its device and an
-	// independently derived noise seed, so the report is byte-identical
-	// at any worker count; 1 is the bit-exact sequential reference.
+	// Workers bounds the worker pools (0 or negative means GOMAXPROCS):
+	// the sweeps and collections, and Section IV's (board, kind) modeling
+	// fits. Every (benchmark, board) job owns its device and an
+	// independently derived noise seed, and every fitting job writes only
+	// its own results, so the report is byte-identical at any worker
+	// count; 1 is the bit-exact sequential reference.
 	Workers int
 
 	// Faults, when non-nil, runs the characterization and modeling
@@ -548,16 +550,50 @@ func observeModelingTriage(tr *validity.Triage, board string, ds *core.Dataset) 
 	return validity.ObserveModeling(tr, board, benches, dropped)
 }
 
+// familyFit is one (board, kind) modeling job's results: the capped
+// unified model with its evaluation over the board's rows, the Figs. 7/8
+// points and the Figs. 9/10 columns.
+type familyFit struct {
+	model *core.Model
+	eval  *core.Eval
+	sweep []core.SweepPoint
+	pairs []core.PairEval
+}
+
+// fitFamily runs one (board, kind) job: one selection path serves both
+// the capped model and the Figs. 7/8 sweep, and the per-pair comparison's
+// unified column reuses the capped model (same dataset, kind and variable
+// budget) instead of re-running the full-width forward selection. Only
+// the results outlive the job, so the family's path and design are
+// garbage before the per-pair fits start.
+func fitFamily(ctx context.Context, ds *core.Dataset, kind core.Kind, maxVars int) (*familyFit, error) {
+	f, err := core.NewFamily(ctx, ds, kind, max(maxVars, core.SweepMaxVars))
+	if err != nil {
+		return nil, err
+	}
+	fit := &familyFit{}
+	if fit.model, err = f.Model(maxVars); err != nil {
+		return nil, err
+	}
+	if fit.sweep, err = f.Sweep(core.SweepMinVars, core.SweepMaxVars); err != nil {
+		return nil, err
+	}
+	fit.eval = fit.model.Evaluate(ds.Rows)
+	if fit.pairs, err = core.PerPairComparisonWith(ctx, ds, kind, maxVars, fit.model); err != nil {
+		return nil, err
+	}
+	return fit, nil
+}
+
 func runModeling(ctx context.Context, opts Options, boards []*arch.Spec, h *harness, res *Result, w io.Writer) error {
 	fmt.Fprintln(w, "== Section IV — statistical modeling ==")
 	fmt.Fprintln(w)
 
-	r2 := map[string][2]float64{}
-	evals := map[string][2]*core.Eval{}
-	models := map[string][2]*core.Model{}
-	sweeps := map[string][2][]core.SweepPoint{}
-	datasets := map[string]*core.Dataset{}
-
+	// Collect every board first, in board order. A board whose entire
+	// modeling set was sacrificed to the campaign has no models; the fits,
+	// tables and figures below cover the survivors.
+	var modeled []*arch.Spec
+	var datasets []*core.Dataset
 	for _, spec := range boards {
 		ds, err := core.CollectCtx(ctx, spec.Name, workloads.ModelingSet(),
 			core.CollectOptions{Seed: opts.Seed, Workers: opts.workers(), Res: h.res})
@@ -585,27 +621,32 @@ func runModeling(ctx context.Context, opts Options, boards []*arch.Spec, h *harn
 				continue
 			}
 		}
-		// One selection path per kind serves both the capped model and
-		// the Figs. 7/8 sweep; only their results outlive the loop.
-		var ms [2]*core.Model
-		var pts [2][]core.SweepPoint
-		for i, kind := range []core.Kind{core.Power, core.Time} {
-			f, err := core.NewFamily(ctx, ds, kind, max(opts.MaxVars, core.SweepMaxVars))
-			if err != nil {
-				return err
-			}
-			if ms[i], err = f.Model(opts.MaxVars); err != nil {
-				return err
-			}
-			if pts[i], err = f.Sweep(core.SweepMinVars, core.SweepMaxVars); err != nil {
-				return err
-			}
-		}
-		pm, tm := ms[0], ms[1]
-		pe, te := pm.Evaluate(ds.Rows), tm.Evaluate(ds.Rows)
-		datasets[spec.Name] = ds
-		models[spec.Name] = ms
-		sweeps[spec.Name] = pts
+		modeled = append(modeled, spec)
+		datasets = append(datasets, ds)
+	}
+
+	// Fit the (board, kind) families on the worker pool. Job 2b+k is board
+	// b's kind-k family; it writes only its own slot, and the pool reports
+	// the first error in (board, kind) order, so the report is written
+	// below from the slots exactly as a sequential run would write it.
+	kinds := [2]core.Kind{core.Power, core.Time}
+	fits := make([]*familyFit, 2*len(modeled))
+	cancelled := func(ctx context.Context) error {
+		return fmt.Errorf("reproduce: modeling cancelled: %w", context.Cause(ctx))
+	}
+	err := driver.Pool(ctx, opts.workers(), len(fits), cancelled, func(job int) error {
+		var err error
+		fits[job], err = fitFamily(ctx, datasets[job/2], kinds[job%2], opts.MaxVars)
+		return err
+	})
+	if err != nil {
+		return err
+	}
+
+	r2 := map[string][2]float64{}
+	evals := map[string][2]*core.Eval{}
+	for b, spec := range modeled {
+		pe, te := fits[2*b].eval, fits[2*b+1].eval
 		r2[spec.Name] = [2]float64{pe.AdjR2, te.AdjR2}
 		evals[spec.Name] = [2]*core.Eval{pe, te}
 		res.PowerR2[spec.Name] = pe.AdjR2
@@ -613,18 +654,6 @@ func runModeling(ctx context.Context, opts Options, boards []*arch.Spec, h *harn
 		res.PowerErrPct[spec.Name] = pe.MeanAbsPct
 		res.PowerErrW[spec.Name] = pe.MeanAbsRaw
 		res.TimeErrPct[spec.Name] = te.MeanAbsPct
-	}
-
-	// A board whose entire modeling set was sacrificed to the campaign has
-	// no models; the tables and figures below cover the survivors.
-	modeled := boards
-	if h.use {
-		modeled = make([]*arch.Spec, 0, len(boards))
-		for _, spec := range boards {
-			if _, ok := datasets[spec.Name]; ok {
-				modeled = append(modeled, spec)
-			}
-		}
 	}
 
 	fmt.Fprintln(w, report.Table56(r2, modeled).String())
@@ -637,13 +666,12 @@ func runModeling(ctx context.Context, opts Options, boards []*arch.Spec, h *harn
 	}
 
 	// Figs. 5 and 6: error distributions.
-	for i, kind := range []core.Kind{core.Power, core.Time} {
-		for _, spec := range modeled {
-			m := models[spec.Name][i]
-			title := fmt.Sprintf("Fig. %d — %s-model error distribution (%s)", 5+i, kind, spec.Name)
-			tbl := report.Fig56(title, m.PerBenchmarkErrors(datasets[spec.Name].Rows))
+	for k, kind := range kinds {
+		for b, spec := range modeled {
+			title := fmt.Sprintf("Fig. %d — %s-model error distribution (%s)", 5+k, kind, spec.Name)
+			tbl := report.Fig56(title, fits[2*b+k].model.PerBenchmarkErrors(datasets[b].Rows))
 			fmt.Fprintln(w, tbl.String())
-			name := fmt.Sprintf("fig%d-%s.csv", 5+i, spec.Name)
+			name := fmt.Sprintf("fig%d-%s.csv", 5+k, spec.Name)
 			if err := saveArtifact(opts.ArtifactsDir, name, tbl.CSV()); err != nil {
 				return err
 			}
@@ -651,34 +679,26 @@ func runModeling(ctx context.Context, opts Options, boards []*arch.Spec, h *harn
 	}
 
 	// Figs. 7 and 8: explanatory-variable sweeps.
-	for i, kind := range []core.Kind{core.Power, core.Time} {
-		for _, spec := range modeled {
-			title := fmt.Sprintf("Fig. %d — variables vs accuracy, %s model (%s)", 7+i, kind, spec.Name)
-			fmt.Fprintln(w, report.Fig78(title, sweeps[spec.Name][i]).String())
+	for k, kind := range kinds {
+		for b, spec := range modeled {
+			title := fmt.Sprintf("Fig. %d — variables vs accuracy, %s model (%s)", 7+k, kind, spec.Name)
+			fmt.Fprintln(w, report.Fig78(title, fits[2*b+k].sweep).String())
 		}
 	}
 
 	// Figs. 9 and 10: per-pair vs unified.
-	for i, kind := range []core.Kind{core.Power, core.Time} {
-		for _, spec := range modeled {
-			// The unified column reuses the Tables V/VI model (same dataset,
-			// kind and variable budget) instead of re-running the full-width
-			// forward selection.
-			cols, err := core.PerPairComparisonWith(datasets[spec.Name], kind, opts.MaxVars, models[spec.Name][i])
-			if err != nil {
-				return err
-			}
-			title := fmt.Sprintf("Fig. %d — per-pair vs unified %s models (%s)", 9+i, kind, spec.Name)
-			fmt.Fprintln(w, report.Fig910(title, cols))
+	for k, kind := range kinds {
+		for b, spec := range modeled {
+			title := fmt.Sprintf("Fig. %d — per-pair vs unified %s models (%s)", 9+k, kind, spec.Name)
+			fmt.Fprintln(w, report.Fig910(title, fits[2*b+k].pairs))
 		}
 	}
 
 	// Fig. 11: influence breakdowns.
-	for _, spec := range modeled {
-		for i, kind := range []core.Kind{core.Power, core.Time} {
-			m := models[spec.Name][i]
+	for b, spec := range modeled {
+		for k, kind := range kinds {
 			title := fmt.Sprintf("Fig. 11 — influence, %s model (%s)", kind, spec.Name)
-			fmt.Fprintln(w, report.Fig11(title, m.Influences(datasets[spec.Name].Rows)).String())
+			fmt.Fprintln(w, report.Fig11(title, fits[2*b+k].model.Influences(datasets[b].Rows)).String())
 		}
 	}
 	return nil
@@ -718,7 +738,7 @@ func runAblations(ctx context.Context, opts Options, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	nm, err := core.TrainNaive(ds, core.Power, opts.MaxVars)
+	nm, err := core.TrainNaive(ctx, ds, core.Power, opts.MaxVars)
 	if err != nil {
 		return err
 	}

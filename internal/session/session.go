@@ -64,9 +64,9 @@ type Config struct {
 	// Seed drives every noise and fault stream; campaigns are a pure
 	// function of it.
 	Seed int64
-	// Workers bounds the sweep/collect pools (0 or negative means
-	// GOMAXPROCS); 1 is the bit-exact sequential reference and the output
-	// is identical at any width.
+	// Workers bounds the sweep, collect and modeling-fit pools (0 or
+	// negative means GOMAXPROCS); 1 is the bit-exact sequential reference
+	// and the output is identical at any width.
 	Workers int
 	// Boards restricts the campaign (empty: the paper's four boards).
 	Boards []string

@@ -41,8 +41,9 @@ var (
 	// WithSeed sets the campaign seed (default 42); every campaign is a
 	// pure function of it.
 	WithSeed = session.WithSeed
-	// WithWorkers bounds the sweep/collect pools; 1 is the bit-exact
-	// sequential reference and output is identical at any width.
+	// WithWorkers bounds the sweep, collect and modeling-fit pools; 1 is
+	// the bit-exact sequential reference and output is identical at any
+	// width.
 	WithWorkers = session.WithWorkers
 	// WithBoards restricts the session to the named Table I boards.
 	WithBoards = session.WithBoards

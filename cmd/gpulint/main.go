@@ -1,8 +1,8 @@
 // Command gpulint runs the project-specific static-analysis suite over
-// the module: unit safety of the MHz/Hz clock conventions, completeness
-// of the core-event/memory-event counter classification, error hygiene,
-// concurrency hygiene, and the cross-function determinism-taint pass
-// guarding the byte-identity contract. See internal/lint for the
+// the module: unit safety of the MHz/Hz clock conventions, error
+// hygiene, orphan goroutines, leaked cancel functions, and the
+// cross-function determinism-taint pass guarding the byte-identity
+// contract. Lock copies are left to go vet. See internal/lint for the
 // analyzer rationale and docs/ARCHITECTURE.md for how to add a rule.
 //
 // Usage:

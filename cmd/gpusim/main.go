@@ -113,7 +113,7 @@ func main() {
 	if *profile {
 		dev.EnableProfiler()
 	}
-	rr, err := dev.RunMeteredCtx(ctx, name, kernels, hostGap, characterize.MinRunSeconds) //gpulint:ignore faultsafety -- one-shot interactive run; an injected fault should surface to the user, not retry
+	rr, err := dev.RunMeteredCtx(ctx, name, kernels, hostGap, characterize.MinRunSeconds)
 	if err != nil {
 		cliflags.Fatal("gpusim", err)
 	}

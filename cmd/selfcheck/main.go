@@ -1,9 +1,10 @@
 // Command selfcheck verifies the simulated apparatus end to end: VBIOS
 // round trips, energy conservation through the meter, DVFS monotonicity,
 // profiler determinism, the Fig. 4 generation ladder and model sanity —
-// plus the static invariants (gpulint: unit safety, counter
-// classification, error and concurrency hygiene) when run inside the
-// module. Exit status 0 means every invariant holds.
+// plus the static invariants (gpulint: unit safety, error and goroutine
+// hygiene, determinism taint) when run inside the module. Counter
+// classification is checked where each counter set is built. Exit status
+// 0 means every invariant holds.
 package main
 
 import (

@@ -303,19 +303,9 @@ type BatchPlan = sched.Plan
 // power-constrained throughput optimization of the paper's related work,
 // built on measured operating points.
 func PlanBatchUnderEnergy(dev *Device, benchmarks []string, budgetJ float64) (*BatchPlan, error) {
-	var jobs []sched.Job
-	for _, name := range benchmarks {
-		sw, err := Sweep(dev, name)
-		if err != nil {
-			return nil, err
-		}
-		j := sched.Job{Name: name}
-		for _, pr := range sw.Pairs {
-			j.Options = append(j.Options, sched.Option{
-				Pair: pr.Pair, TimeS: pr.TimePerIter, EnergyJ: pr.EnergyPerIter,
-			})
-		}
-		jobs = append(jobs, j)
+	jobs, err := sweepJobs(dev, benchmarks)
+	if err != nil {
+		return nil, err
 	}
 	return sched.MinimizeTime(jobs, budgetJ)
 }
@@ -323,6 +313,16 @@ func PlanBatchUnderEnergy(dev *Device, benchmarks []string, budgetJ float64) (*B
 // PlanBatchUnderDeadline is the symmetric problem: minimize total energy
 // subject to a total-time deadline in seconds.
 func PlanBatchUnderDeadline(dev *Device, benchmarks []string, deadlineS float64) (*BatchPlan, error) {
+	jobs, err := sweepJobs(dev, benchmarks)
+	if err != nil {
+		return nil, err
+	}
+	return sched.MinimizeEnergy(jobs, deadlineS)
+}
+
+// sweepJobs sweeps each named benchmark on the device into a scheduler
+// job whose options are its measured operating points.
+func sweepJobs(dev *Device, benchmarks []string) ([]sched.Job, error) {
 	var jobs []sched.Job
 	for _, name := range benchmarks {
 		sw, err := Sweep(dev, name)
@@ -337,7 +337,7 @@ func PlanBatchUnderDeadline(dev *Device, benchmarks []string, deadlineS float64)
 		}
 		jobs = append(jobs, j)
 	}
-	return sched.MinimizeEnergy(jobs, deadlineS)
+	return jobs, nil
 }
 
 // NewGovernor assembles the online DVFS governor from a device and its two

@@ -89,6 +89,7 @@ func VariableSweep(ctx context.Context, ds *Dataset, kind Kind, minVars, maxVars
 	if err != nil {
 		return nil, err
 	}
+	defer f.Release()
 	return f.Sweep(minVars, maxVars)
 }
 

@@ -125,7 +125,10 @@ func TestFamilyHoldsOneDesign(t *testing.T) {
 	}
 	design := float64(len(ds.Rows) * ds.Set.Len() * 8)
 	var before, after runtime.MemStats
-	runtime.GC() // empty the matrix and factorization pools: count a cold family
+	// Empty the matrix and factorization pools to count a cold family: a
+	// pooled item survives one collection, so it takes two.
+	runtime.GC()
+	runtime.GC()
 	runtime.ReadMemStats(&before)
 	f, err := NewFamily(ctx, ds, Power, SweepMaxVars)
 	runtime.ReadMemStats(&after)
@@ -136,6 +139,50 @@ func TestFamilyHoldsOneDesign(t *testing.T) {
 	if got := float64(after.TotalAlloc - before.TotalAlloc); got >= 1.6*design {
 		t.Errorf("NewFamily allocated %.0f KB, %.2f designs of %d×%d; want under 1.6",
 			got/1024, got/design, len(ds.Rows), ds.Set.Len())
+	}
+}
+
+// TestFamilyReleaseRecycles: a released family returns its [1, picks]
+// design and QR workspace to their pools, so the next family over the
+// same set allocates neither. On the seed-42 GTX 680 modeling set that
+// is about 0.4 of a design of n×p float64s below a cold family.
+func TestFamilyReleaseRecycles(t *testing.T) {
+	if testing.Short() {
+		t.Skip("collects the GTX 680 modeling set; skipped with -short")
+	}
+	if raceEnabled {
+		t.Skip("the race detector drops pooled items at random")
+	}
+	ctx := context.Background()
+	ds, err := CollectCtx(ctx, "GTX 680", workloads.ModelingSet(), CollectOptions{Seed: 42, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	design := float64(len(ds.Rows) * ds.Set.Len() * 8)
+	family := func() float64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f, err := NewFamily(ctx, ds, Power, SweepMaxVars)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Release()
+		return float64(after.TotalAlloc - before.TotalAlloc)
+	}
+	runtime.GC() // two collections empty the pools, as above
+	runtime.GC()
+	cold := family()
+	// Take the best of three: a collection between two families may
+	// empty the pools again.
+	warm := math.Inf(1)
+	for i := 0; i < 3; i++ {
+		warm = min(warm, family())
+	}
+	t.Logf("cold family %.2f designs, after a release %.2f", cold/design, warm/design)
+	if cold-warm < 0.3*design {
+		t.Errorf("a family after a release allocated %.0f KB, a cold one %.0f KB; want at least 0.3 designs (%.0f KB) recycled",
+			warm/1024, cold/1024, 0.3*design/1024)
 	}
 }
 

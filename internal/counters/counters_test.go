@@ -257,3 +257,28 @@ func TestForGenerationPanicsOnUnknown(t *testing.T) {
 		}()
 	}
 }
+
+// TestNewSetRejectsMisclassified: a counter must be classified exactly
+// once. An omitted class (the zero value), a class converted from an
+// integer and a name registered twice each panic when the set is built,
+// and tier-1 builds every generation's set.
+func TestNewSetRejectsMisclassified(t *testing.T) {
+	ok := def("inst_executed", CoreEvent, 0, ActInstExecuted, 1.0)
+	cases := map[string][]Def{
+		"unclassified": {ok, {Name: "dram_reads"}},
+		"out of range": {ok, def("atom_count", Class(7), 0, ActALU, 1.0)},
+		"registered twice": {ok, def("branch", CoreEvent, 0, ActBranch, 1.0),
+			def("branch", MemEvent, 0, ActBranch, 1.0)},
+	}
+	for name, defs := range cases {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: newSet did not panic", name)
+				}
+			}()
+			newSet(arch.Kepler, defs)
+		}()
+	}
+	newSet(arch.Kepler, []Def{ok, def("dram_reads", MemEvent, 0, ActDRAMRead, 1.0)})
+}

@@ -10,12 +10,13 @@ import (
 
 // Class is the paper's two-way classification of counters: core-events
 // consume energy proportional to the core clock; memory-events to the
-// memory clock (Section IV-A).
+// memory clock (Section IV-A). The zero value is no class, so a Def that
+// omits its class is caught when its set is built (newSet).
 type Class int
 
 const (
 	// CoreEvent counters track activity inside the SMs.
-	CoreEvent Class = iota
+	CoreEvent Class = iota + 1
 	// MemEvent counters track un-core activity (L2, DRAM).
 	MemEvent
 )
@@ -87,9 +88,16 @@ func (s *Set) Collect(v *Vector, rng *rand.Rand) []float64 {
 	return out
 }
 
+// newSet indexes a generation's definitions. It panics on a counter that
+// is not classified exactly once: a class other than CoreEvent or
+// MemEvent (omitted, or converted from an integer) or a name registered
+// twice would skew the Eq. (1)/(2) split without any other error.
 func newSet(g arch.Generation, defs []Def) *Set {
 	s := &Set{Generation: g, Defs: defs, byName: make(map[string]int, len(defs))}
 	for i, d := range defs {
+		if d.Class != CoreEvent && d.Class != MemEvent {
+			panic(fmt.Sprintf("counters: counter %q has class %d, neither CoreEvent nor MemEvent", d.Name, int(d.Class)))
+		}
 		if _, dup := s.byName[d.Name]; dup {
 			panic(fmt.Sprintf("counters: duplicate counter %q", d.Name))
 		}

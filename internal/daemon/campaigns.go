@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -47,6 +48,10 @@ const (
 	MaxRepetitions = 100
 )
 
+// maxLaunchTimeoutMS is the largest watchdog a time.Duration holds; a
+// longer one would overflow into a negative timeout.
+const maxLaunchTimeoutMS = int64(math.MaxInt64 / time.Millisecond)
+
 // CampaignRequest is the POST /api/v1/campaigns body. The zero value of
 // every optional field means the engine default.
 type CampaignRequest struct {
@@ -63,12 +68,14 @@ type CampaignRequest struct {
 	// Table IV set for sweeps, the modeling set for model campaigns).
 	Benchmarks []string `json:"benchmarks,omitempty"`
 	// Workers bounds the sweep pool; 1 is the bit-exact sequential
-	// reference (0: GOMAXPROCS). Output is identical at any width.
+	// reference (0: GOMAXPROCS; negative: rejected). Output is identical
+	// at any width.
 	Workers int `json:"workers,omitempty"`
 	// Faults is a fault-injection profile spec (empty: fault-free).
 	Faults string `json:"faults,omitempty"`
 	// MaxRetries / LaunchTimeoutMS tune the retry/watchdog policy
-	// (0: engine defaults).
+	// (0: engine defaults). Negative values, and a timeout too long for a
+	// time.Duration, are rejected.
 	MaxRetries      int   `json:"max_retries,omitempty"`
 	LaunchTimeoutMS int64 `json:"launch_timeout_ms,omitempty"`
 	// Repetitions / MinValid configure a sweep's repetition cohort and its
@@ -247,6 +254,12 @@ func (s *Server) Submit(req CampaignRequest) (*Campaign, error) {
 		if err != nil {
 			return nil, reqErrf("faults: %v", err)
 		}
+	}
+	if req.Workers < 0 || req.MaxRetries < 0 || req.LaunchTimeoutMS < 0 {
+		return nil, reqErrf("workers, max_retries and launch_timeout_ms must be ≥ 0 (0: the engine default)")
+	}
+	if req.LaunchTimeoutMS > maxLaunchTimeoutMS {
+		return nil, reqErrf("launch_timeout_ms %d exceeds the limit of %d", req.LaunchTimeoutMS, maxLaunchTimeoutMS)
 	}
 	if req.Repetitions < 0 || req.MinValid < 0 {
 		return nil, reqErrf("repetitions and min_valid must be ≥ 0")

@@ -252,23 +252,30 @@ func TestDaemonEndToEnd(t *testing.T) {
 	}
 }
 
+// badRequests are refused with 400 by a server whose fleet is the
+// GTX 480 alone.
+var badRequests = []CampaignRequest{
+	{NoCache: true},
+	{Benchmarks: []string{"no-such-bench"}},
+	{Boards: []string{"Voodoo 2"}},
+	{Boards: []string{"GTX 680"}}, // valid board, outside the fleet
+	{Boards: []string{"GTX 480", "GTX 480"}},
+	{Kind: "explode"},
+	{Faults: "bogus:spec"},
+	{MinValid: 2},                     // more valid runs than one repetition
+	{Repetitions: 2, MinValid: 3},     // more valid runs than repetitions
+	{Kind: KindModel, Repetitions: 4}, // models run once
+	{Kind: KindModel, MinValid: 1},    // models are not triaged
+	{Workers: -1},
+	{MaxRetries: -1},
+	{LaunchTimeoutMS: -1},
+	{LaunchTimeoutMS: 9_300_000_000_000}, // overflows a time.Duration
+}
+
 // TestDaemonRejectsBadRequests pins the 400-path validation.
 func TestDaemonRejectsBadRequests(t *testing.T) {
 	_, ts, _ := newTestServer(t, "GTX 480")
-	cases := []CampaignRequest{
-		{NoCache: true},
-		{Benchmarks: []string{"no-such-bench"}},
-		{Boards: []string{"Voodoo 2"}},
-		{Boards: []string{"GTX 680"}}, // valid board, outside the fleet
-		{Boards: []string{"GTX 480", "GTX 480"}},
-		{Kind: "explode"},
-		{Faults: "bogus:spec"},
-		{MinValid: 2},                     // more valid runs than one repetition
-		{Repetitions: 2, MinValid: 3},     // more valid runs than repetitions
-		{Kind: KindModel, Repetitions: 4}, // models run once
-		{Kind: KindModel, MinValid: 1},    // models are not triaged
-	}
-	for _, req := range cases {
+	for _, req := range badRequests {
 		if code, _, body := postCampaign(t, ts.URL, req); code != http.StatusBadRequest {
 			t.Errorf("request %+v: got %d, want 400 (%s)", req, code, body)
 		}

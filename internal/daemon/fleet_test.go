@@ -131,24 +131,26 @@ func TestDaemonFleetProgressMatchesShards(t *testing.T) {
 	t.Logf("%d polls of a running fleet", running)
 }
 
+// badFleetRequests are refused with 400 whatever the served fleet.
+var badFleetRequests = []CampaignRequest{
+	{Kind: KindFleet},                                           // no fleet_size
+	{Kind: KindFleet, FleetSize: -3},                            // negative population
+	{Kind: KindFleet, FleetSize: 4, Shards: -1},                 // negative shards
+	{Kind: KindFleet, FleetSize: 4, JitterProfile: "bogus:0.1"}, // unknown jitter key
+	{Kind: KindFleet, FleetSize: 4, JitterProfile: "meter:1.5"}, // out of [0, 1]
+	{Kind: KindFleet, FleetSize: 4, Repetitions: 3},             // fleets don't repeat
+	{Kind: KindFleet, FleetSize: 2, MinValid: 1},                // fleets are not triaged
+	{Kind: KindSweep, FleetSize: 4},                             // fleet knob on sweep
+	{Kind: KindModel, Shards: 2},                                // fleet knob on model
+	{JitterProfile: "tight"},                                    // fleet knob on default kind
+}
+
 // TestDaemonRejectsBadFleetRequests pins the fleet slice of the 400-path
 // contract: fleet kinds need a population, fleet knobs are rejected on
 // classic kinds, and jitter strings are validated at submission.
 func TestDaemonRejectsBadFleetRequests(t *testing.T) {
 	_, ts, _ := newTestServer(t, "GTX 680")
-	cases := []CampaignRequest{
-		{Kind: KindFleet},                                           // no fleet_size
-		{Kind: KindFleet, FleetSize: -3},                            // negative population
-		{Kind: KindFleet, FleetSize: 4, Shards: -1},                 // negative shards
-		{Kind: KindFleet, FleetSize: 4, JitterProfile: "bogus:0.1"}, // unknown jitter key
-		{Kind: KindFleet, FleetSize: 4, JitterProfile: "meter:1.5"}, // out of [0, 1]
-		{Kind: KindFleet, FleetSize: 4, Repetitions: 3},             // fleets don't repeat
-		{Kind: KindFleet, FleetSize: 2, MinValid: 1},                // fleets are not triaged
-		{Kind: KindSweep, FleetSize: 4},                             // fleet knob on sweep
-		{Kind: KindModel, Shards: 2},                                // fleet knob on model
-		{JitterProfile: "tight"},                                    // fleet knob on default kind
-	}
-	for _, req := range cases {
+	for _, req := range badFleetRequests {
 		if code, _, body := postCampaign(t, ts.URL, req); code != http.StatusBadRequest {
 			t.Errorf("request %+v: got %d, want 400 (%s)", req, code, body)
 		}

@@ -153,9 +153,6 @@ func TestLaunchCorruptOnlyUnderProfiling(t *testing.T) {
 	if pt, ok := fault.PointOf(err); !ok || pt != fault.LaunchCorrupt {
 		t.Fatalf("corruption classified as %v, %v: %v", pt, ok, err)
 	}
-	if _, err := d.LaunchCtx(context.Background(), testKernel(200)); err == nil {
-		t.Fatal("corrupted profiled launch not reported")
-	}
 }
 
 func TestRunMeteredCtxMatchesPlainPathWhenInert(t *testing.T) {

@@ -73,48 +73,22 @@ func (d *Device) Reflash() error {
 	return nil
 }
 
-// hangCheck consults the launch.hang fault point. On a hit the "launch"
-// blocks until the watchdog context expires, then reports the hang as a
-// transient fault; with no watchdog armed (a context that can never be
-// done) it reports the hang immediately rather than blocking forever.
-func (d *Device) hangCheck(ctx context.Context, scope string) error {
-	if !d.faults.Hit(fault.LaunchHang) {
-		return nil
-	}
-	if ctx != nil && ctx.Done() != nil {
-		<-ctx.Done()
-	}
-	return &fault.Error{Point: fault.LaunchHang, Scope: scope}
-}
-
-// LaunchCtx is Launch behind the launch fault points: the launch can hang
-// until ctx expires (launch.hang), and a profiled launch can return a
-// corrupted counter readout (launch.corrupt), reported as a transient
-// fault rather than silently polluting the dataset.
-func (d *Device) LaunchCtx(ctx context.Context, k *gpu.KernelDesc) (*LaunchResult, error) {
-	if err := d.hangCheck(ctx, k.Name); err != nil {
-		return nil, fmt.Errorf("driver: kernel %q: %w", k.Name, err)
-	}
-	out, err := d.Launch(k)
-	if err != nil {
-		return nil, err
-	}
-	if d.profiling && d.faults.Hit(fault.LaunchCorrupt) {
-		return nil, fmt.Errorf("driver: kernel %q: %w", k.Name,
-			&fault.Error{Point: fault.LaunchCorrupt, Scope: k.Name})
-	}
-	return out, nil
-}
-
 // RunMeteredCtx is RunMetered behind the launch fault points. The hang is
 // checked once per metered run — the profile's launch.hang probability is
-// per run, so workloads with long kernel sequences are not punished — and
-// the corrupt-readout point guards the profiler's counter collection.
-// Meter faults apply inside the measurement itself (the injector is
-// attached to the instrument).
+// per run, so workloads with long kernel sequences are not punished. A
+// hung run blocks until the watchdog context expires, then reports the
+// hang as a transient fault; with no watchdog armed (a context that can
+// never be done) it reports the hang at once rather than blocking
+// forever. The corrupt-readout point guards the profiler's counter
+// collection. Meter faults apply inside the measurement itself (the
+// injector is attached to the instrument).
 func (d *Device) RunMeteredCtx(ctx context.Context, name string, ks []*gpu.KernelDesc, hostGapSeconds, minDuration float64) (*RunResult, error) {
-	if err := d.hangCheck(ctx, name); err != nil {
-		return nil, fmt.Errorf("driver: workload %q: %w", name, err)
+	if d.faults.Hit(fault.LaunchHang) {
+		if ctx != nil && ctx.Done() != nil {
+			<-ctx.Done()
+		}
+		return nil, fmt.Errorf("driver: workload %q: %w", name,
+			&fault.Error{Point: fault.LaunchHang, Scope: name})
 	}
 	out, err := d.RunMetered(name, ks, hostGapSeconds, minDuration)
 	if err != nil {

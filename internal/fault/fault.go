@@ -99,10 +99,6 @@ func IsTransient(err error) bool {
 	return errors.As(err, &fe)
 }
 
-// IsFault is a synonym for IsTransient kept for call sites that read
-// better as a classification than as a retry decision.
-func IsFault(err error) bool { return IsTransient(err) }
-
 // PointOf extracts the fault point from a classified error chain.
 func PointOf(err error) (Point, bool) {
 	var fe *Error

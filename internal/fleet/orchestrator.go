@@ -354,7 +354,7 @@ func runShard(ctx context.Context, shard, shards, workers int, fl *Fleet, journa
 				if !ok {
 					return nil, fmt.Errorf("fleet: unknown device %q", name)
 				}
-				dev, err := driver.OpenSpecWithFaults(d.Spec, in) //gpulint:ignore faultsafety -- boot seam: the error returns into the driver harness's boot-retry loop, which classifies with fault.PointOf and retries
+				dev, err := driver.OpenSpecWithFaults(d.Spec, in)
 				if err != nil {
 					return nil, err
 				}

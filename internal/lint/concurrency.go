@@ -6,60 +6,37 @@ import (
 	"go/types"
 )
 
-// Concurrency enforces lock and goroutine hygiene ahead of the planned
-// parallelization of the internal/characterize sweeps.
+// Concurrency flags orphan goroutines: a `go` statement whose function
+// shows no completion signal — no WaitGroup Add/Done, no channel
+// operation, no select, no context — can outlive the experiment that
+// spawned it. In a measurement harness that is not just a leak: a stray
+// sweep goroutine keeps mutating the shared device while the next
+// experiment measures, corrupting its numbers. For `go f(args)` with a
+// named callee, passing a channel, context.Context or *sync.WaitGroup
+// (or a pointer to a lock-bearing value) counts as the signal.
 //
-// Two rules:
-//
-//  1. Lock-by-value: a sync.Mutex/RWMutex/WaitGroup/Once/Cond (or any
-//     struct containing one) must not be copied — copies of a held lock
-//     deadlock or silently stop excluding. Flagged: value receivers and
-//     parameters whose type contains a lock, assignments copying
-//     a lock-bearing value, and range clauses yielding lock-bearing
-//     elements. Taking a pointer, or constructing a fresh value with a
-//     composite literal or call, is fine.
-//
-//  2. Orphan goroutines: a `go` statement whose function shows no
-//     completion signal — no WaitGroup Add/Done, no channel operation,
-//     no select, no context — can outlive the experiment that spawned
-//     it. In a measurement harness that is not just a leak: a stray
-//     sweep goroutine keeps mutating the shared device while the next
-//     experiment measures, corrupting its numbers. For `go f(args)`
-//     with a named callee, passing a channel, context.Context or
-//     *sync.WaitGroup counts as the signal.
+// Copying a lock by value (value receivers and parameters, assignments,
+// range clauses) is left to go vet's copylocks check, which reports every
+// such case; TestVetLocksAndCancels runs it in tier-1.
 var Concurrency = &Analyzer{
 	Name: "concurrency",
-	Doc:  "locks copied by value; goroutines without a completion signal",
+	Doc:  "goroutines without a completion signal",
 	Run:  runConcurrency,
 }
 
 func runConcurrency(pass *Pass) {
-	info := pass.Pkg.Info
 	for _, file := range pass.Pkg.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncDecl:
-				checkFuncSignature(pass, info, n)
-			case *ast.AssignStmt:
-				for _, rhs := range n.Rhs {
-					checkLockCopy(pass, info, rhs)
-				}
-			case *ast.RangeStmt:
-				if n.Value != nil {
-					if t := info.TypeOf(n.Value); t != nil && containsLock(t) {
-						pass.Reportf(n.Value.Pos(),
-							"range copies %s by value (contains a sync lock); range over indexes or pointers instead", t)
-					}
-				}
-			case *ast.GoStmt:
-				checkGoroutine(pass, info, n)
+			if g, ok := n.(*ast.GoStmt); ok {
+				checkGoroutine(pass, pass.Pkg.Info, g)
 			}
 			return true
 		})
 	}
 }
 
-// lockTypes are the sync types that must never be copied after first use.
+// lockTypes are the sync types whose presence behind a pointer marks a
+// completion path for a named goroutine callee (see isSignalType).
 var lockTypes = map[string]bool{
 	"sync.Mutex":     true,
 	"sync.RWMutex":   true,
@@ -97,56 +74,6 @@ func containsLockRec(t types.Type, seen map[types.Type]bool) bool {
 		return containsLockRec(t.Elem(), seen)
 	}
 	return false
-}
-
-// checkFuncSignature flags value receivers, parameters and results whose
-// type contains a lock.
-func checkFuncSignature(pass *Pass, info *types.Info, fd *ast.FuncDecl) {
-	check := func(fl *ast.FieldList, kind string) {
-		if fl == nil {
-			return
-		}
-		for _, field := range fl.List {
-			t := info.TypeOf(field.Type)
-			if t == nil {
-				continue
-			}
-			if _, ptr := t.(*types.Pointer); ptr {
-				continue
-			}
-			if containsLock(t) {
-				pass.Reportf(field.Type.Pos(),
-					"%s %s passes %s by value (contains a sync lock); use a pointer", fd.Name.Name, kind, t)
-			}
-		}
-	}
-	// Results are deliberately not checked: returning a fresh value from a
-	// constructor (func NewX() X) copies an unlocked zero value, which is
-	// safe and idiomatic.
-	check(fd.Recv, "receiver")
-	check(fd.Type.Params, "parameter")
-}
-
-// checkLockCopy flags assignments whose right-hand side copies an
-// existing lock-bearing value. Fresh values (composite literals, calls,
-// conversions producing new values) are fine.
-func checkLockCopy(pass *Pass, info *types.Info, rhs ast.Expr) {
-	switch ast.Unparen(rhs).(type) {
-	case *ast.Ident, *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr:
-		// an existing addressable value: copying it copies the lock
-	default:
-		return
-	}
-	t := info.TypeOf(rhs)
-	if t == nil {
-		return
-	}
-	if _, ptr := t.(*types.Pointer); ptr {
-		return
-	}
-	if containsLock(t) {
-		pass.Reportf(rhs.Pos(), "assignment copies %s by value (contains a sync lock); use a pointer", t)
-	}
 }
 
 // checkGoroutine flags go statements with no visible completion signal.

@@ -1,25 +1,29 @@
 // Package lint is a project-specific static-analysis suite for gpuperf.
 //
-// The codebase encodes physical invariants the compiler cannot see: MHz
-// vs. Hz scaling factors in internal/clock, the core-event vs. memory-event
-// counter classification that the paper's Eq. (1)/(2) depend on, and
-// H/M/L frequency pairs from Tables I/III. A wrong unit or an unclassified
-// counter silently corrupts the Fig. 4 energy-saving ladder and the
-// Tables V–VIII regression results. The analyzers here turn those
-// invariants into build-time checks:
+// The codebase encodes invariants the compiler cannot see: MHz vs. Hz
+// scaling factors in internal/clock, the byte-identity of every artifact
+// at a fixed seed, and the triage gate in front of every published cell.
+// A wrong unit silently corrupts the Fig. 4 energy-saving ladder, and a
+// nondeterministic artifact breaks every golden comparison. The
+// analyzers turn those invariants into build-time checks. Each one
+// earns its place with a bad-fixture case that no other check reports —
+// not go vet, not another analyzer, not a tier-1 test — or with a
+// contract that nothing else enforces:
 //
 //   - unitsafety:   unit conversions on frequency/latency-named values
 //     outside whitelisted conversion helpers, and exact float
-//     ==/!= comparisons.
-//   - counterclass: every registered counter carries an explicit
-//     core-event/memory-event classification, exactly once.
+//     ==/!= comparisons. Unique: `s.CoreFreqMHz * 1e6` outside
+//     clock/arch, and `a == b` on float64.
 //   - errcheck:     unchecked error returns and fmt.Errorf wrapping an
-//     error with %v/%s instead of %w.
-//   - concurrency:  sync.Mutex/WaitGroup values copied by value, and
-//     goroutines launched with no visible completion signal.
+//     error with %v/%s instead of %w. Unique: a bare `patch()` whose
+//     error vet's unusedresult does not know, and `%v` on an error,
+//     which vet's printf accepts.
+//   - concurrency:  goroutines launched with no visible completion
+//     signal. Unique: `go work(3)`; vet has no goroutine-lifetime check.
 //   - faultsafety:  context cancel functions that are discarded rather
-//     than released, and fault-aware driver calls in files with no
-//     visible retry/classification machinery.
+//     than released. Unique: `_ = cancel` and a discarded cancel from a
+//     function outside package context (LaunchContext), neither of
+//     which vet's lostcancel reports.
 //   - obscheck:     instrumentation spans that are never ended, and
 //     metric registration outside init functions and constructors or
 //     inside HTTP-handler-shaped functions — the gpuperfd scrape-safety
@@ -29,16 +33,31 @@
 //     never used (breaking the cancellation chain).
 //   - validitycheck: table writers that render measured sweep results
 //     (BenchResult parameters feeding AddRow/AddRowf) without consuming
-//     a triage verdict from the validity layer.
+//     a triage verdict from the validity layer. Contract: an unstable
+//     cell renders as "n/a (unstable)" (report.Table4); no other check
+//     reads a writer's inputs.
 //   - determinism:  cross-function taint pass — nondeterminism sources
 //     (wall clock, global math/rand, map iteration order, select races,
 //     unordered goroutine fan-in) reaching the byte-identity artifact
-//     paths through the module call graph (callgraph.go).
+//     paths through the module call graph (callgraph.go). Contract:
+//     byte identity at a fixed seed; a golden test sees a source only
+//     when it flips a tested run's bytes, this pass on every run.
 //   - detcontract:  //gpulint:deterministic contract comments verified
 //     against the same call-graph taint, so a claim of determinism is
-//     checked, never trusted.
+//     checked, never trusted. Unique: a declared-deterministic function
+//     one call away from time.Now.
 //   - staleignore:  //gpulint:ignore directives that suppressed nothing
-//     in this run — dead suppressions rot silently otherwise.
+//     in this run, or that name no analyzer — dead suppressions rot
+//     silently otherwise. No other check reads the directives.
+//
+// Checks left to others: lock copies (value receivers and parameters,
+// assignments, range clauses) are go vet's copylocks check, which
+// TestVetLocksAndCancels runs in tier-1 together with lostcancel. A
+// counter's core/memory-event class is checked where the counter set is
+// built: counters.newSet panics on a class other than CoreEvent or
+// MemEvent, or on a name registered twice. Retrying injected faults is
+// driver.Harness's alone, so no rule looks for retry code beside a
+// fault-aware call.
 //
 // The framework is stdlib-only (go/ast, go/parser, go/types): the module
 // deliberately has an empty dependency set, so golang.org/x/tools is not
@@ -150,7 +169,7 @@ func (p *ModulePass) report(pkg *Package, pos token.Pos, trace []TraceStep, msg 
 // All returns the full analyzer suite in a stable order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		UnitSafety, CounterClass, ErrCheck, Concurrency, FaultSafety,
+		UnitSafety, ErrCheck, Concurrency, FaultSafety,
 		ObsCheck, SessionCheck, ValidityCheck, Determinism, DetContract, StaleIgnore,
 	}
 }

@@ -64,69 +64,40 @@ func TestFixtures(t *testing.T) {
 			if err != nil {
 				t.Fatalf("loading fixture: %v", err)
 			}
-			diags := Run(pkgs, All())
-			want := parseExpectations(t, dir)
-			for _, d := range diags {
-				key := fmt.Sprintf("%s:%d", filepath.Base(d.Pos.Filename), d.Pos.Line)
-				matched := false
-				for _, exp := range want[key] {
-					if exp.used || exp.analyzer != d.Analyzer {
-						continue
-					}
-					if exp.substr != "" && !strings.Contains(d.Message, exp.substr) {
-						continue
-					}
-					exp.used, matched = true, true
-					break
-				}
-				if !matched {
-					t.Errorf("unexpected diagnostic: %s", d)
-				}
-			}
-			for key, exps := range want {
-				for _, exp := range exps {
-					if !exp.used {
-						t.Errorf("%s: expected %s diagnostic containing %q, got none", key, exp.analyzer, exp.substr)
-					}
-				}
-			}
+			checkExpectations(t, dir, Run(pkgs, All()))
 		})
 	}
 }
 
-// TestCounterClassCatchesUnclassified is the acceptance-critical case:
-// a Def literal that omits the Class field must produce a diagnostic at
-// the literal's exact file:line — proving the analyzer fails the build
-// if a counter in internal/counters were left unclassified.
-func TestCounterClassCatchesUnclassified(t *testing.T) {
-	dir := filepath.Join("testdata", "src", "counterclass_bad")
-	pkgs, err := Load(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Locate the unclassified literal in the fixture so the assertion
-	// pins the exact file:line without hardcoding it.
-	data, err := os.ReadFile(filepath.Join(dir, "bad.go"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantLine := 0
-	for i, line := range strings.Split(string(data), "\n") {
-		if strings.Contains(line, `"dram_reads"`) {
-			wantLine = i + 1
-		}
-	}
-	if wantLine == 0 {
-		t.Fatal("fixture no longer contains the dram_reads case")
-	}
-	diags := Run(pkgs, []*Analyzer{CounterClass})
+// checkExpectations requires diags to match dir's want comments exactly:
+// each expectation produced once, nothing unexpected.
+func checkExpectations(t *testing.T, dir string, diags []Diagnostic) {
+	t.Helper()
+	want := parseExpectations(t, dir)
 	for _, d := range diags {
-		if filepath.Base(d.Pos.Filename) == "bad.go" && d.Pos.Line == wantLine &&
-			strings.Contains(d.Message, "not classified") {
-			return
+		key := fmt.Sprintf("%s:%d", filepath.Base(d.Pos.Filename), d.Pos.Line)
+		matched := false
+		for _, exp := range want[key] {
+			if exp.used || exp.analyzer != d.Analyzer {
+				continue
+			}
+			if exp.substr != "" && !strings.Contains(d.Message, exp.substr) {
+				continue
+			}
+			exp.used, matched = true, true
+			break
+		}
+		if !matched {
+			t.Errorf("unexpected diagnostic: %s", d)
 		}
 	}
-	t.Fatalf("no 'not classified' diagnostic at bad.go:%d; got %v", wantLine, diags)
+	for key, exps := range want {
+		for _, exp := range exps {
+			if !exp.used {
+				t.Errorf("%s: expected %s diagnostic containing %q, got none", key, exp.analyzer, exp.substr)
+			}
+		}
+	}
 }
 
 // TestRunOrdering checks diagnostics come out sorted by position.

@@ -2,34 +2,6 @@
 // want comment must be flagged by the concurrency analyzer.
 package concurrency_bad
 
-import "sync"
-
-type device struct {
-	mu sync.Mutex
-	n  int
-}
-
-func byValue(d device) int { // want:concurrency "by value"
-	return d.n
-}
-
-func (d device) count() int { // want:concurrency "by value"
-	return d.n
-}
-
-func snapshot(d *device) int {
-	local := *d // want:concurrency "copies"
-	return local.n
-}
-
-func total(devs []device) int {
-	sum := 0
-	for _, d := range devs { // want:concurrency "range copies"
-		sum += d.n
-	}
-	return sum
-}
-
 func fire() {
 	go func() { // want:concurrency "completion signal"
 		_ = 1 + 1
@@ -42,8 +14,5 @@ func launch() {
 
 func work(n int) { _ = n }
 
-var _ = byValue
-var _ = snapshot
-var _ = total
 var _ = fire
 var _ = launch

@@ -7,13 +7,13 @@ import (
 	"time"
 )
 
-type dev struct{}
+// resilience stands in for fault.Resilience: its watchdog context comes
+// from a function outside package context.
+type resilience struct{ timeout time.Duration }
 
-func (d *dev) RunMeteredCtx(_ context.Context, name string) error { return nil }
-
-func (d *dev) LaunchCtx(_ context.Context, name string) error { return nil }
-
-func OpenBoardWithFaults(name string) (*dev, error) { return &dev{}, nil }
+func (r *resilience) LaunchContext(parent context.Context) (context.Context, context.CancelFunc) {
+	return context.WithTimeout(parent, r.timeout)
+}
 
 // discarded: the watchdog timer leaks until the deadline fires.
 func leakByBlank() context.Context {
@@ -28,15 +28,8 @@ func leakByBlankAssign() context.Context {
 	return ctx
 }
 
-// This file has no fault classification or retry machinery, so every
-// fault-point call swallows injected faults as hard errors.
-func measure(d *dev, ctx context.Context) error {
-	if err := d.LaunchCtx(ctx, "warmup"); err != nil { // want:faultsafety "classifies"
-		return err
-	}
-	return d.RunMeteredCtx(ctx, "bench") // want:faultsafety "classifies"
-}
-
-func boot() (*dev, error) {
-	return OpenBoardWithFaults("GTX 480") // want:faultsafety "classifies"
+// a harness watchdog discarded at the call site.
+func leakWatchdog(r *resilience) context.Context {
+	ctx, _ := r.LaunchContext(context.Background()) // want:faultsafety "discarded with _"
+	return ctx
 }

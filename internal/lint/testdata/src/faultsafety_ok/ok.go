@@ -7,13 +7,6 @@ import (
 	"time"
 )
 
-type dev struct{}
-
-func (d *dev) RunMeteredCtx(_ context.Context, name string) error { return nil }
-
-// PointOf stands in for the real fault.PointOf classifier.
-func PointOf(err error) (string, bool) { return "", err != nil }
-
 // deferred release is the canonical pattern.
 func deferred() {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
@@ -32,20 +25,4 @@ func direct() {
 func handedOff() (context.Context, context.CancelFunc) {
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(time.Second))
 	return ctx, cancel
-}
-
-// a file that classifies transient faults may call the fault points: the
-// retry loop here classifies every error before giving up.
-func measure(d *dev, ctx context.Context, retries int) error {
-	var err error
-	for attempt := 0; attempt <= retries; attempt++ {
-		err = d.RunMeteredCtx(ctx, "bench")
-		if err == nil {
-			return nil
-		}
-		if _, transient := PointOf(err); !transient {
-			return err
-		}
-	}
-	return err
 }

@@ -235,7 +235,7 @@ func ForwardSelectColumns(ctx context.Context, p int, column ColumnSource, y []f
 	if err != nil {
 		return nil, err
 	}
-	defer path.release()
+	defer path.Release()
 	return path.Select(maxVars)
 }
 
@@ -483,9 +483,10 @@ func (p *Path) Select(maxVars int) (*Selection, error) {
 	return nil, ErrNoUsableVariables
 }
 
-// release returns the path's pooled design and factorization; the path
-// must not be used afterwards.
-func (p *Path) release() {
+// Release returns the path's pooled design and factorization to their
+// pools; the path must not be used afterwards. Selections and fits read
+// off it stay valid: they hold no pooled memory.
+func (p *Path) Release() {
 	p.qr.Release()
 	linalg.PutMatrix(p.design)
 }

@@ -565,7 +565,10 @@ type familyFit struct {
 // unified column reuses the capped model (same dataset, kind and variable
 // budget) instead of re-running the full-width forward selection. Only
 // the results outlive the job, so the family's path and design are
-// garbage before the per-pair fits start.
+// garbage before the per-pair fits start. The family is not Released on
+// purpose: the linalg pools would then keep a family-sized design and
+// factorization alive from one reproduction to the next, which raised a
+// full reproduction's peak heap by about a fifth.
 func fitFamily(ctx context.Context, ds *core.Dataset, kind core.Kind, maxVars int) (*familyFit, error) {
 	f, err := core.NewFamily(ctx, ds, kind, max(maxVars, core.SweepMaxVars))
 	if err != nil {

@@ -10,10 +10,9 @@ import (
 // at root — the static half of the apparatus check. Where Run exercises
 // dynamic invariants (energy conservation, DVFS monotonicity, …),
 // RunStatic verifies the invariants the compiler cannot see: unit-safe
-// frequency arithmetic, a complete core/memory-event counter
-// classification, error/concurrency hygiene, and the determinism-taint
-// contract over the artifact call graph. One Result per analyzer, plus
-// one for the load/type-check itself.
+// frequency arithmetic, error and goroutine hygiene, and the
+// determinism-taint contract over the artifact call graph. One Result
+// per analyzer, plus one for the load/type-check itself.
 //
 // The whole suite runs in a single lint.Run so the module call graph is
 // built once and the stale-ignore audit judges every //gpulint:ignore

@@ -32,8 +32,8 @@ func TestRunStaticReportsFindings(t *testing.T) {
 	} else if !strings.Contains(r.Detail, "bad.go:") {
 		t.Errorf("errcheck detail carries no file:line: %q", r.Detail)
 	}
-	if r := byName["lint/counterclass"]; !r.OK {
-		t.Errorf("lint/counterclass should be clean on the errcheck fixture: %s", r.Detail)
+	if r := byName["lint/unitsafety"]; !r.OK {
+		t.Errorf("lint/unitsafety should be clean on the errcheck fixture: %s", r.Detail)
 	}
 	if AllOK(results) {
 		t.Error("AllOK should be false when an invariant fails")

@@ -15,6 +15,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -60,8 +61,13 @@ func datasets(b *testing.B) map[string]*core.Dataset {
 func sweeps(b *testing.B) map[string][]*characterize.BenchResult {
 	b.Helper()
 	sweepOnce.Do(func() {
+		var boards []string
+		for _, spec := range arch.AllBoards() {
+			boards = append(boards, spec.Name)
+		}
 		var err error
-		sweepAll, err = characterize.Table4(benchSeed)
+		sweepAll, err = characterize.Sweep(context.Background(), boards, workloads.Table4(),
+			characterize.SweepOptions{Seed: benchSeed, Workers: runtime.GOMAXPROCS(0)})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -286,7 +292,7 @@ func BenchmarkFig8PerfVars(b *testing.B) { benchVariableSweep(b, core.Time) }
 func benchPerPair(b *testing.B, kind core.Kind) {
 	var unifiedMedian, bestPairMedian float64
 	for i := 0; i < b.N; i++ {
-		cols, err := core.PerPairComparison(datasets(b)["GTX 680"], kind, core.MaxVariables)
+		cols, err := core.PerPairComparisonWith(context.Background(), datasets(b)["GTX 680"], kind, core.MaxVariables, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -591,7 +597,7 @@ func BenchmarkAblationRidge(b *testing.B) {
 func BenchmarkReproduce(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		opts := reproduce.DefaultOptions()
-		if _, err := reproduce.Run(opts, io.Discard); err != nil {
+		if _, err := reproduce.RunContext(context.Background(), opts, io.Discard); err != nil {
 			b.Fatal(err)
 		}
 	}

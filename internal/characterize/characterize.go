@@ -10,7 +10,6 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
-	"runtime"
 
 	"gpuperf/internal/arch"
 	"gpuperf/internal/clock"
@@ -208,19 +207,6 @@ func sweepSeed(seed int64, benchName string) int64 {
 // custom cause) keeps working through the wrap.
 func cancelled(ctx context.Context) error {
 	return fmt.Errorf("characterize: sweep cancelled: %w", context.Cause(ctx))
-}
-
-// Table4 runs the full Table IV experiment: every Table IV benchmark on
-// every board, returning results indexed [board][benchmark], with the
-// (board, benchmark) grid swept by one GOMAXPROCS-wide worker pool.
-func Table4(seed int64) (map[string][]*BenchResult, error) {
-	boards := arch.AllBoards()
-	names := make([]string, len(boards))
-	for i, s := range boards {
-		names[i] = s.Name
-	}
-	return Sweep(context.Background(), names, workloads.Table4(),
-		SweepOptions{Seed: seed, Workers: runtime.GOMAXPROCS(0)})
 }
 
 // MeanImprovementPct averages the Fig. 4 metric over a board's results.

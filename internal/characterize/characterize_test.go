@@ -1,6 +1,8 @@
 package characterize
 
 import (
+	"context"
+	"runtime"
 	"testing"
 
 	"gpuperf/internal/arch"
@@ -8,6 +10,17 @@ import (
 	"gpuperf/internal/driver"
 	"gpuperf/internal/workloads"
 )
+
+// table4 sweeps every Table IV benchmark on every board through one
+// GOMAXPROCS-wide worker pool, as Section III of a reproduction does.
+func table4(seed int64) (map[string][]*BenchResult, error) {
+	var boards []string
+	for _, spec := range arch.AllBoards() {
+		boards = append(boards, spec.Name)
+	}
+	return Sweep(context.Background(), boards, workloads.Table4(),
+		SweepOptions{Seed: seed, Workers: runtime.GOMAXPROCS(0)})
+}
 
 func sweepOne(t *testing.T, board, bench string) *BenchResult {
 	t.Helper()
@@ -113,7 +126,7 @@ func TestFig4GenerationOrdering(t *testing.T) {
 	// Fig. 4's headline: mean best-over-default improvement grows across
 	// generations — ~0.8% (GTX 285), ~12% (Fermi), ~24% (GTX 680) —
 	// and on the GTX 680 every benchmark prefers a non-default pair.
-	all, err := Table4(42)
+	all, err := table4(42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +156,7 @@ func TestFig4GenerationOrdering(t *testing.T) {
 }
 
 func TestTable4DiversityGrowsWithGeneration(t *testing.T) {
-	all, err := Table4(42)
+	all, err := table4(42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +258,7 @@ func TestCurvesRespectSparsePairTables(t *testing.T) {
 func TestPerfLossNonNegativeAcrossTable4(t *testing.T) {
 	// Performance at the best-energy pair can never beat (H-H): the
 	// quoted loss is always ≥ 0.
-	all, err := Table4(42)
+	all, err := table4(42)
 	if err != nil {
 		t.Fatal(err)
 	}

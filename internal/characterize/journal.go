@@ -309,8 +309,11 @@ func (j *Journal) Contains(board, bench string, rep int, p clock.Pair) bool {
 	return ok
 }
 
-// Record appends a completed cell and syncs it to disk, so a crash at any
-// later point cannot lose it.
+// Record appends a completed cell, writing its line through to the
+// operating system in one unbuffered write without an fsync: the cell
+// survives a crash of the process at any later point, but not a power
+// loss or an operating-system crash, which can drop writes the kernel
+// has not yet flushed (ROADMAP item 8).
 //
 //gpulint:deterministic
 func (j *Journal) Record(board, bench string, rep int, r PairResult) error {

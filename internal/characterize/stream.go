@@ -80,7 +80,8 @@ func (s SinkFuncs) ConsumeBench(b *BenchResult) {
 //
 // The call holds one timing table per (timing half, benchmark) that its
 // jobs measure (see timingTables), so devices booted from one base board
-// compile its kernels once per call.
+// compile its kernels once per call, and it drops each table once the
+// last job that can ask for it has.
 func SweepStream(ctx context.Context, boardNames []string, benches []*workloads.Benchmark, opts SweepOptions) error {
 	nb := len(benches)
 	jobs := len(boardNames) * nb
@@ -89,6 +90,13 @@ func SweepStream(ctx context.Context, boardNames []string, benches []*workloads.
 	}
 	prepareSweepObs(&opts, jobs)
 	tables := newTimingTables()
+	for _, name := range boardNames {
+		if spec := opts.specOf(name); spec != nil {
+			for _, b := range benches {
+				tables.expect(spec, b)
+			}
+		}
+	}
 	return driver.Pool(ctx, opts.Workers, jobs, cancelled, func(idx int) error {
 		r, err := sweepBenchR(ctx, boardNames[idx/nb], benches[idx%nb], opts, tables)
 		if err != nil {
@@ -107,18 +115,29 @@ func SweepStream(ctx context.Context, boardNames []string, benches []*workloads.
 // half, so every device booted from one base board shares its table: the
 // first job of a key that has cells to measure builds it, from the
 // benchmark's kernels at the device's valid pairs, and every later job of
-// the key reads it. The cache lives exactly as long as its SweepStream
-// call; nothing outlives the call or is shared across calls. Keys come
-// from the booted device's spec, so a Boot seam that boots a spec other
-// than SpecOf's still gets a table built for the device it booted. A nil
-// cache builds a one-off table per request.
+// the key reads it. Nothing outlives the SweepStream call or is shared
+// across calls. Before its pool starts, the call counts the jobs that can
+// ask for each key (expect), from the spec SpecOf names; the entry is
+// dropped when the last of them asks, so a classic sweep, where each key
+// has one job, holds no table past the job that measures it. An entry
+// whose key was not counted stays until the call returns. Keys come from
+// the booted device's spec, so a Boot seam that boots a spec other than
+// SpecOf's still gets a table built for the device it booted; it can cost
+// the counted key a second build, never a wrong table. A nil cache builds
+// a one-off table per request.
 type timingTables struct {
 	mu      sync.Mutex
 	entries map[tableKey]*tableEntry
+	askers  map[tableKey]int // counted jobs that have not asked yet
 }
 
 func newTimingTables() *timingTables {
-	return &timingTables{entries: make(map[tableKey]*tableEntry)}
+	return &timingTables{entries: make(map[tableKey]*tableEntry), askers: make(map[tableKey]int)}
+}
+
+// expect counts one more job that will ask for spec's timing half and b.
+func (c *timingTables) expect(spec *arch.Spec, b *workloads.Benchmark) {
+	c.askers[tableKey{timing: spec.Timing, bench: b}]++
 }
 
 type tableKey struct {
@@ -135,7 +154,7 @@ type tableEntry struct {
 }
 
 // get returns the table for spec's timing half and b, building it on
-// first use.
+// first use, and drops the entry when the key's last counted job asks.
 func (c *timingTables) get(spec *arch.Spec, b *workloads.Benchmark) (*gpu.TimingTable, error) {
 	if c == nil {
 		return newTimingTable(spec, b)
@@ -146,6 +165,13 @@ func (c *timingTables) get(spec *arch.Spec, b *workloads.Benchmark) (*gpu.Timing
 	if e == nil {
 		e = new(tableEntry)
 		c.entries[k] = e
+	}
+	switch n := c.askers[k]; {
+	case n > 1:
+		c.askers[k] = n - 1
+	case n == 1:
+		delete(c.askers, k)
+		delete(c.entries, k)
 	}
 	c.mu.Unlock()
 	e.once.Do(func() { e.tab, e.err = newTimingTable(spec, b) })

@@ -5,8 +5,10 @@ import (
 	"math"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"gpuperf/internal/arch"
 	"gpuperf/internal/driver"
@@ -167,4 +169,104 @@ func TestReplayedJobBuildsNoTable(t *testing.T) {
 			t.Errorf("%s: resumed job differs from the uninterrupted sweep", c.name)
 		}
 	}
+}
+
+// tableOf returns the timing table a sweep's device precomputed its
+// launch payloads from, or nil. Nothing outside the sweep holds the
+// table, so the test reads it off the device's unexported field.
+func tableOf(dev *driver.Device) *gpu.TimingTable {
+	f := reflect.ValueOf(dev).Elem().FieldByName("table")
+	if !f.IsValid() {
+		return nil
+	}
+	return (*gpu.TimingTable)(f.UnsafePointer())
+}
+
+// TestSweepDropsTablesAfterLastJob: a sweep drops a table once every job
+// that can ask for its key has asked. In a classic sweep each key has one
+// job, so the first job's table is garbage while the second job is still
+// measuring. Devices that share a key, as a fleet batch's do, still get
+// one table per key.
+func TestSweepDropsTablesAfterLastJob(t *testing.T) {
+	backprop, stream := workloads.ByName("backprop"), workloads.ByName("streamcluster")
+	t.Run("classic", func(t *testing.T) {
+		var held *driver.Device
+		var watched, freed, checked, sawFree bool
+		var mu sync.Mutex // the finalizer runs on its own goroutine
+		opts := SweepOptions{
+			Seed:    42,
+			Workers: 1,
+			Boot: func(name string, in *fault.Injector) (*driver.Device, error) {
+				dev, err := driver.OpenBoardWithFaults(name, in)
+				if held == nil {
+					held = dev
+				}
+				return dev, err
+			},
+			Sink: SinkFuncs{Row: func(r Row) {
+				switch {
+				case r.Bench == backprop.Name && held != nil:
+					if tab := tableOf(held); tab != nil {
+						watched = true
+						runtime.SetFinalizer(tab, func(*gpu.TimingTable) {
+							mu.Lock()
+							freed = true
+							mu.Unlock()
+						})
+					}
+					held = nil
+				case r.Bench == stream.Name && !checked:
+					checked = true
+					for i := 0; i < 50 && !sawFree; i++ {
+						runtime.GC()
+						time.Sleep(time.Millisecond)
+						mu.Lock()
+						sawFree = freed
+						mu.Unlock()
+					}
+				}
+			}},
+		}
+		if _, err := Sweep(context.Background(), []string{"GTX 680"}, []*workloads.Benchmark{backprop, stream}, opts); err != nil {
+			t.Fatal(err)
+		}
+		if !watched || !checked {
+			t.Fatalf("the first job read a timing table: %v; the second job measured a cell: %v", watched, checked)
+		}
+		if !sawFree {
+			t.Error("the first job's timing table was still live while the second job ran")
+		}
+	})
+	t.Run("shared", func(t *testing.T) {
+		base := arch.GTX680()
+		names := []string{"dev-a", "dev-b", "dev-c", "dev-d"}
+		specOf := map[string]*arch.Spec{}
+		for i, name := range names {
+			specOf[name] = powerJittered(base, name, 1+float64(i)/100)
+		}
+		var mu sync.Mutex
+		var devs []*driver.Device
+		opts := SweepOptions{
+			Seed:    42,
+			Workers: 2,
+			Boot: func(name string, in *fault.Injector) (*driver.Device, error) {
+				dev, err := driver.OpenSpecWithFaults(specOf[name], in)
+				mu.Lock()
+				devs = append(devs, dev)
+				mu.Unlock()
+				return dev, err
+			},
+			SpecOf: func(name string) *arch.Spec { return specOf[name] },
+		}
+		if _, err := Sweep(context.Background(), names, []*workloads.Benchmark{backprop, stream}, opts); err != nil {
+			t.Fatal(err)
+		}
+		built := map[*gpu.TimingTable]bool{}
+		for _, dev := range devs {
+			built[tableOf(dev)] = true
+		}
+		if len(devs) != 8 || len(built) != 2 {
+			t.Errorf("%d devices read %d distinct tables, want 8 devices and one table per benchmark", len(devs), len(built))
+		}
+	})
 }

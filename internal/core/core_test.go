@@ -193,7 +193,7 @@ func TestVariableSweepImproves(t *testing.T) {
 
 func TestPerPairComparisonLayout(t *testing.T) {
 	ds := collectSmall(t, "GTX 680")
-	cols, err := PerPairComparison(ds, Power, 5)
+	cols, err := PerPairComparisonWith(context.Background(), ds, Power, 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -89,7 +89,6 @@ func VariableSweep(ctx context.Context, ds *Dataset, kind Kind, minVars, maxVars
 	if err != nil {
 		return nil, err
 	}
-	defer f.Release()
 	return f.Sweep(minVars, maxVars)
 }
 
@@ -131,16 +130,12 @@ type PairEval struct {
 	Eval  *Eval
 }
 
-// PerPairComparison trains one model per frequency pair (evaluated on that
-// pair's rows) plus the unified model (evaluated on everything), in Table
-// III row order with the unified model last — the layout of Figs. 9/10.
-func PerPairComparison(ds *Dataset, kind Kind, maxVars int) ([]PairEval, error) {
-	return PerPairComparisonWith(context.Background(), ds, kind, maxVars, nil)
-}
-
-// PerPairComparisonWith is PerPairComparison under ctx, checked before
-// every selection step of every fit, reusing an already-trained unified
-// model of the same dataset and kind (pass nil to train one here). A
+// PerPairComparisonWith trains one model per frequency pair (evaluated on
+// that pair's rows) plus the unified model (evaluated on everything), in
+// Table III row order with the unified model last — the layout of
+// Figs. 9/10. ctx is checked before every selection step of every fit.
+// unified is an already-trained unified model of the same dataset and
+// kind, reused as the last column (pass nil to train one here). A
 // campaign that has trained its Tables V/VI models passes them in, which
 // saves one full-width forward selection per comparison — the single most
 // expensive redundant step of a reproduction run.

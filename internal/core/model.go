@@ -127,7 +127,6 @@ func TrainCtx(ctx context.Context, ds *Dataset, kind Kind, maxVars int) (*Model,
 	if err != nil {
 		return nil, err
 	}
-	defer f.Release()
 	return f.Model(maxVars)
 }
 
@@ -159,11 +158,6 @@ func NewFamily(ctx context.Context, ds *Dataset, kind Kind, steps int) (*Family,
 	}
 	return &Family{ds: ds, kind: kind, y: y, path: path}, nil
 }
-
-// Release returns the family's pooled design and factorization, so the
-// next family or selection reuses them; the family must not be used
-// afterwards. Models and sweep points read off it stay valid.
-func (f *Family) Release() { f.path.Release() }
 
 // Model returns the unified model capped at maxVars variables, identical
 // to TrainCtx(ctx, ds, kind, maxVars).

@@ -16,6 +16,13 @@ import (
 // a 413 (too large) or a 503 (valid, but draining) with a JSON error
 // body, without a panic and without creating a campaign. The seeds are
 // the rejection tests' bodies, one oversized body and one valid body.
+//
+// The oversized seed keeps the 413 path in the corpus, but inputs grown
+// from it are near 64 KB, and minimizing each new one at the default
+// budget (60 s) stalls a run at 0 execs/s after a few seconds. Run a long
+// campaign with a bounded minimization budget:
+//
+//	go test -run='^$' -fuzz=FuzzSubmit -fuzztime=10m -fuzzminimizetime=50x ./internal/daemon
 func FuzzSubmit(f *testing.F) {
 	seeds := append(append([]CampaignRequest{
 		{Kind: KindFleet, FleetSize: MaxFleetSize + 1, Shards: 2},

@@ -103,7 +103,6 @@ func (d *Device) LaunchConcurrent(ks []*gpu.KernelDesc) (*ConcurrentResult, erro
 			cuts = append(cuts, at, at+ph.Duration)
 			at += ph.Duration
 		}
-		gpu.ReleaseResult(res)
 	}
 	out.Activities = acts
 

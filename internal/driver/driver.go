@@ -340,7 +340,6 @@ func (d *Device) launch(k *gpu.KernelDesc) (*cachedLaunch, error) {
 		return nil, err
 	}
 	cl := d.newCachedLaunch(res, d.clk)
-	gpu.ReleaseResult(res) // copied by value into the payload above
 	if d.cache != nil {
 		if o != nil {
 			o.misses.Inc()

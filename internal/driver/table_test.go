@@ -209,3 +209,40 @@ func BenchmarkLaunchHit(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkRunMetered is one metered sweep cell: backprop at the default
+// pair, stretched to the sweeps' 0.5 s minimum, on a device whose launch
+// payloads were precomputed from a timing table, so every launch hits.
+// /release hands the RunResult and its Measurement back to their pools, as
+// the sweep and the collector do once a cell is copied out; /norelease
+// drops them, so every cell allocates both afresh.
+func BenchmarkRunMetered(b *testing.B) {
+	tab := backpropTable(b)
+	bench := workloads.ByName("backprop")
+	for _, release := range []bool{true, false} {
+		name := "norelease"
+		if release {
+			name = "release"
+		}
+		b.Run(name, func(b *testing.B) {
+			d, err := OpenSpec(jittered(arch.GTX680(), 1.01))
+			if err != nil {
+				b.Fatal(err)
+			}
+			d.Seed(42)
+			if _, err := d.PrecomputeTable(tab, tab.Pairs()); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rr, err := d.RunMetered(bench.Name, tab.Kernels(), bench.HostGap(1), 0.5)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if release {
+					ReleaseRunResult(rr)
+				}
+			}
+		})
+	}
+}

@@ -79,7 +79,6 @@ func (s *Sim) Analyze(k *KernelDesc) (*KernelAnalysis, error) {
 		sort.Slice(pa.Usages, func(a, b int) bool { return pa.Usages[a].Time > pa.Usages[b].Time })
 		out.Phases = append(out.Phases, pa)
 	}
-	ReleaseResult(res) // every needed value was copied out above
 	return out, nil
 }
 

@@ -67,12 +67,8 @@ func BenchmarkRunPairs(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for _, ck := range cks {
-				rs, err := sim.RunPairs(ck, pairs)
-				if err != nil {
+				if _, err := sim.RunPairs(ck, pairs); err != nil {
 					b.Fatal(err)
-				}
-				for _, r := range rs {
-					gpu.ReleaseResult(r)
 				}
 			}
 		}
@@ -85,11 +81,9 @@ func BenchmarkRunKernel(b *testing.B) {
 	eachBoard(b, func(b *testing.B, sim *gpu.Sim, ks []*gpu.KernelDesc) {
 		for i := 0; i < b.N; i++ {
 			for _, k := range ks {
-				r, err := sim.RunKernel(k)
-				if err != nil {
+				if _, err := sim.RunKernel(k); err != nil {
 					b.Fatal(err)
 				}
-				gpu.ReleaseResult(r)
 			}
 		}
 	})

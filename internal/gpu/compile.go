@@ -303,8 +303,8 @@ func (s *Sim) Compile(k *KernelDesc) (*CompiledKernel, error) {
 }
 
 // eval runs the per-pair half of the model at the given clock state. It
-// allocates at most the (pooled) result struct and its phase slice;
-// everything else is arithmetic over the compiled coefficients.
+// allocates the result struct and its phase slice; everything else is
+// arithmetic over the compiled coefficients.
 func (ck *CompiledKernel) eval(clk *clock.State) *KernelResult {
 	res := newResult(len(ck.phases))
 	ck.evalInto(clk, res)

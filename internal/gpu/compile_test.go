@@ -225,7 +225,7 @@ func TestRunPairsSpecMismatch(t *testing.T) {
 
 // TestRunKernelAllocs pins the per-launch cost of compiling on every
 // call: the compiled kernel with its phase and bound storage, plus the
-// result struct and its phase slice when the pool has none to recycle.
+// result struct and its phase slice.
 // The budget is flat, so any per-phase or per-bound garbage fails here
 // on the kernels that have the most phases and bounds.
 func TestRunKernelAllocs(t *testing.T) {

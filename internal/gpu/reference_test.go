@@ -12,7 +12,7 @@ import (
 // property tests can hold the compiled model to it bit for bit. It must
 // never call Compile or eval — a shared code path would make the
 // comparison vacuous. It does share the pure helpers (Occupancy,
-// Validate, derate, otherFrac, irregularity) and the result pool.
+// Validate, derate, otherFrac, irregularity, newResult).
 
 // refRunKernel simulates one kernel launch at the current DVFS state.
 func (s *Sim) refRunKernel(k *KernelDesc) (*KernelResult, error) {
@@ -35,7 +35,7 @@ func (s *Sim) refRunKernel(k *KernelDesc) (*KernelResult, error) {
 		waveStretch = float64(s.spec.SMCount) / activeSMs
 	}
 
-	// Pooled and sized up front: the append loop below must not reallocate
+	// Sized up front: the append loop below must not reallocate
 	// on the metering hot path (pinned by an AllocsPerRun regression test).
 	res := newResult(len(k.Phases))
 	res.Kernel = k.Name

@@ -3,7 +3,6 @@ package gpu
 import (
 	"fmt"
 	"hash/fnv"
-	"sync"
 
 	"gpuperf/internal/arch"
 	"gpuperf/internal/clock"
@@ -77,35 +76,16 @@ type KernelResult struct {
 	Occupancy  float64 // resident-warp fraction, 0..1
 }
 
-// resultPool recycles KernelResults and their phase slices. A launch miss
-// folds its result into a cached launch payload at once, so the result
-// struct is hot garbage; callers that fully consume a result may hand it
-// back via ReleaseResult. A TimingTable keeps its results and never
-// releases them.
-var resultPool = sync.Pool{New: func() any { return new(KernelResult) }}
-
 // newResult returns a zeroed KernelResult whose Phases slice has capacity
-// for nPhases entries, reusing pooled storage when available.
+// for nPhases entries.
 func newResult(nPhases int) *KernelResult {
-	res := resultPool.Get().(*KernelResult)
-	ph := res.Phases
-	if cap(ph) < nPhases {
-		ph = make([]PhaseResult, 0, nPhases)
-	}
-	*res = KernelResult{Phases: ph[:0]}
-	return res
+	return &KernelResult{Phases: make([]PhaseResult, 0, nPhases)}
 }
 
-// ReleaseResult returns a KernelResult to the internal pool. Only the sole
-// owner may call it — after every needed value has been copied out — and
-// the result must not be touched afterwards. Releasing is optional;
-// unreleased results are ordinary garbage.
-func ReleaseResult(r *KernelResult) {
-	if r == nil {
-		return
-	}
-	resultPool.Put(r)
-}
+// ReleaseResult does nothing: results are ordinary garbage.
+//
+// Deprecated: results are no longer pooled; drop the call.
+func ReleaseResult(*KernelResult) {}
 
 // Sim simulates kernels on one board at one DVFS state. It is not
 // goroutine-safe; drive one Sim per goroutine.

@@ -15,9 +15,8 @@ import (
 // its launch payloads from one table and compute only its own watts.
 //
 // A table is immutable after NewTimingTable and safe for concurrent reads
-// by any number of goroutines. Its kernel descriptors are shared by every
-// reader and must not be modified, and its results are never handed to
-// ReleaseResult.
+// by any number of goroutines. Its kernel descriptors and results are
+// shared by every reader and must not be modified.
 type TimingTable struct {
 	timing  arch.Timing
 	kernels []*KernelDesc
@@ -30,7 +29,7 @@ type TimingTable struct {
 // evaluates it at every pair. Only spec.Timing is read: a table built on
 // one device's spec serves every spec with an equal timing half. The
 // table takes ownership of ks and pairs. Its results and their phases
-// live in two slabs of its own, not in the result pool.
+// live in two slabs of its own.
 func NewTimingTable(spec *arch.Spec, ks []*KernelDesc, pairs []clock.Pair) (*TimingTable, error) {
 	clk := clock.NewState(spec)
 	sim := New(spec, clk)
@@ -95,7 +94,7 @@ func (t *TimingTable) Fingerprint(k *KernelDesc) (uint64, bool) {
 
 // Result returns the i-th kernel's result at pair p, or nil when the
 // table was not evaluated at p. The result is shared: read it, never
-// modify or release it.
+// modify it.
 func (t *TimingTable) Result(i int, p clock.Pair) *KernelResult {
 	for j, tp := range t.pairs {
 		if tp == p {

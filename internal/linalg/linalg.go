@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 )
 
 // Matrix is a dense row-major matrix.
@@ -25,35 +24,6 @@ func NewMatrix(rows, cols int) *Matrix {
 		panic(fmt.Sprintf("linalg: invalid dimensions %d×%d", rows, cols))
 	}
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
-}
-
-// matrixPool recycles Matrix headers and their backing storage for the
-// regression layer, which assembles and discards one design matrix per
-// candidate fit.
-var matrixPool = sync.Pool{New: func() any { return new(Matrix) }}
-
-// GetMatrix returns a pooled rows×cols matrix whose contents are
-// UNSPECIFIED — callers must write every cell before reading any (unlike
-// NewMatrix, which zeroes). Pair with PutMatrix when the matrix no longer
-// escapes; un-put matrices are ordinary garbage.
-func GetMatrix(rows, cols int) *Matrix {
-	if rows <= 0 || cols <= 0 {
-		panic(fmt.Sprintf("linalg: invalid dimensions %d×%d", rows, cols))
-	}
-	m := matrixPool.Get().(*Matrix)
-	if cap(m.Data) < rows*cols {
-		m.Data = make([]float64, rows*cols)
-	}
-	m.Rows, m.Cols, m.Data = rows, cols, m.Data[:rows*cols]
-	return m
-}
-
-// PutMatrix returns a matrix to the pool. Only the sole owner may call
-// it; the matrix must not be touched afterwards.
-func PutMatrix(m *Matrix) {
-	if m != nil {
-		matrixPool.Put(m)
-	}
 }
 
 // FromRows builds a matrix from row slices (all equal length).
@@ -124,22 +94,9 @@ type QR struct {
 	proj     []float64 // per-column reflector projections (factorization scratch)
 }
 
-// qrPool recycles factorization workspaces: SolveLS factors once per
-// call, and the copy of A dominated the solver's allocation profile.
-var qrPool = sync.Pool{New: func() any { return new(QR) }}
-
-// grow returns buf resliced to n, reallocating only when it is too short.
-func grow(buf []float64, n int) []float64 {
-	if cap(buf) < n {
-		return make([]float64, n)
-	}
-	return buf[:n]
-}
-
 // Factor computes the Householder QR factorization of A, applying the
 // reflectors to b. A must have at least as many rows as columns; A and b
-// are not modified. The workspace is pooled: call Release when done with
-// the factorization (an unreleased one is ordinary garbage).
+// are not modified.
 //
 // A column that is entirely zero below the diagonal once the reflectors
 // of the columns before it are applied has no reflector; the
@@ -158,13 +115,7 @@ func Factor(a *Matrix, b []float64) (*QR, error) {
 		return nil, fmt.Errorf("linalg: Factor: underdetermined system %d×%d", a.Rows, a.Cols)
 	}
 	m, n := a.Rows, a.Cols
-	// Every reused word is overwritten by the copies below or zeroed
-	// before use (proj).
-	q := qrPool.Get().(*QR)
-	q.n, q.factored = n, n
-	q.data = grow(q.data, m*n)
-	q.rhs = grow(q.rhs, m)
-	q.proj = grow(q.proj, n)
+	q := &QR{n: n, factored: n, data: make([]float64, m*n), rhs: make([]float64, m), proj: make([]float64, n)}
 	data, rhs, proj := q.data, q.rhs, q.proj
 	copy(data, a.Data)
 	copy(rhs, b)
@@ -273,10 +224,6 @@ func (q *QR) Solve(k int) ([]float64, error) {
 	return x, nil
 }
 
-// Release returns the factorization's workspace to the pool. Only the
-// sole owner may call it; q must not be used afterwards.
-func (q *QR) Release() { qrPool.Put(q) }
-
 // SolveLS solves min‖A·x − b‖₂ for x via Householder QR: Factor, then
 // Solve at full width. A must have at least as many rows as columns. A
 // and b are not modified. It sits under every least-squares fit of the
@@ -287,6 +234,5 @@ func SolveLS(a *Matrix, b []float64) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer q.Release()
 	return q.Solve(a.Cols)
 }

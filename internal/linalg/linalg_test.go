@@ -224,7 +224,6 @@ func checkPrefixes(t *testing.T, a *Matrix, b []float64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer q.Release()
 	for k := 1; k <= a.Cols; k++ {
 		got, gerr := q.Solve(k)
 		want, werr := SolveLS(prefixCopy(a, k), b)
@@ -283,7 +282,6 @@ func TestSolvePrefixRankDeficient(t *testing.T) {
 					t.Errorf("column %d (dup=%v), prefix %d: Solve error %v", j, dup, k, err)
 				}
 			}
-			q.Release()
 		}
 	}
 }

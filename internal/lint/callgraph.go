@@ -414,7 +414,7 @@ func sinkRole(pkg *Package, fn *types.Func) string {
 				return "report emitter"
 			}
 		case strings.HasSuffix(pkg.Path, "internal/reproduce"):
-			if name == "Run" || name == "RunContext" || name == "Quick" ||
+			if name == "RunContext" || name == "Quick" ||
 				strings.HasPrefix(name, "write") || strings.HasPrefix(name, "save") {
 				return "reproduction artifact writer"
 			}

@@ -223,3 +223,32 @@ func TestReleaseMeasurementReuse(t *testing.T) {
 		t.Fatalf("recycled Samples capacity %d, want >= 2", cap(fresh.Samples))
 	}
 }
+
+// BenchmarkMeasurePeriodic meters one sweep cell's trace: a 45 ms kernel
+// period tiled to about 5 s, 100 samples. /release hands each
+// Measurement back to the pool, as the sweep and the collector do;
+// /norelease drops it, so every run allocates the Measurement and its
+// sample slice afresh.
+func BenchmarkMeasurePeriodic(b *testing.B) {
+	p := Tile(testPeriod(), 112)
+	for _, release := range []bool{true, false} {
+		name := "norelease"
+		if release {
+			name = "release"
+		}
+		b.Run(name, func(b *testing.B) {
+			m := New()
+			rng := rand.New(rand.NewSource(7))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				got, err := m.MeasurePeriodic(p, rng)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if release {
+					ReleaseMeasurement(got)
+				}
+			}
+		})
+	}
+}

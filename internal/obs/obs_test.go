@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -176,7 +177,7 @@ func TestNilSafety(t *testing.T) {
 	if rec.Layout() != nil {
 		t.Error("nil recorder has a layout")
 	}
-	stop := rec.StartProgress(nil, time.Second)
+	stop := rec.StartProgressCtx(context.Background(), nil, time.Second)
 	stop()
 }
 
@@ -273,7 +274,7 @@ func TestProgressLines(t *testing.T) {
 		defer mu.Unlock()
 		return b.Write(p)
 	})
-	stop := rec.StartProgress(w, 10*time.Millisecond, "characterize_cells_total", "no_such_family")
+	stop := rec.StartProgressCtx(context.Background(), w, 10*time.Millisecond, "characterize_cells_total", "no_such_family")
 	time.Sleep(35 * time.Millisecond)
 	stop()
 	mu.Lock()

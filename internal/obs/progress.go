@@ -9,12 +9,6 @@ import (
 	"time"
 )
 
-// StartProgress is StartProgressCtx with a background context — the
-// ticker then stops only through the returned stop function.
-func (r *Recorder) StartProgress(w io.Writer, interval time.Duration, families ...string) (stop func()) {
-	return r.StartProgressCtx(context.Background(), w, interval, families...)
-}
-
 // StartProgressCtx spawns a goroutine that writes a one-line status
 // summary of the named counter families to w every interval, returning a
 // stop function that is safe to call more than once (it prints a final

@@ -37,10 +37,7 @@ func OLS(x [][]float64, y []float64) (*Fit, error) {
 	if n <= p+1 {
 		return nil, fmt.Errorf("regress: OLS: %d observations cannot support %d variables", n, p)
 	}
-	// Pooled: every cell is written below, and the matrix goes back to
-	// the pool once the fit statistics are derived.
-	a := linalg.GetMatrix(n, p+1)
-	defer linalg.PutMatrix(a)
+	a := linalg.NewMatrix(n, p+1)
 	for i, row := range x {
 		if len(row) != p {
 			return nil, fmt.Errorf("regress: OLS: ragged row %d", i)
@@ -235,7 +232,6 @@ func ForwardSelectColumns(ctx context.Context, p int, column ColumnSource, y []f
 	if err != nil {
 		return nil, err
 	}
-	defer path.Release()
 	return path.Select(maxVars)
 }
 
@@ -421,7 +417,7 @@ func ForwardPath(ctx context.Context, p int, column ColumnSource, y []float64, m
 	// prefix of it. The path stops two picks short of the observations,
 	// so the design is never wider than it is tall. The working copy is
 	// spent, so its first column buffers each pick as it is read again.
-	path.design = linalg.GetMatrix(n, len(path.Indices)+1)
+	path.design = linalg.NewMatrix(n, len(path.Indices)+1)
 	for i := 0; i < n; i++ {
 		path.design.Set(i, 0, 1)
 	}
@@ -434,7 +430,6 @@ func ForwardPath(ctx context.Context, p int, column ColumnSource, y []float64, m
 	}
 	qr, err := linalg.Factor(path.design, y)
 	if err != nil {
-		linalg.PutMatrix(path.design)
 		return nil, err
 	}
 	path.qr = qr
@@ -481,14 +476,6 @@ func (p *Path) Select(maxVars int) (*Selection, error) {
 		return sel, nil
 	}
 	return nil, ErrNoUsableVariables
-}
-
-// Release returns the path's pooled design and factorization to their
-// pools; the path must not be used afterwards. Selections and fits read
-// off it stay valid: they hold no pooled memory.
-func (p *Path) Release() {
-	p.qr.Release()
-	linalg.PutMatrix(p.design)
 }
 
 // Best returns the number of variables (1-based) at which adjusted R²

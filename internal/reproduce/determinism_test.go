@@ -2,6 +2,7 @@ package reproduce
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -38,7 +39,7 @@ func TestReportByteIdenticalAcrossModes(t *testing.T) {
 		opts := DefaultOptions()
 		opts.Workers = workers
 		var buf bytes.Buffer
-		if _, err := Run(opts, &buf); err != nil {
+		if _, err := RunContext(context.Background(), opts, &buf); err != nil {
 			t.Fatalf("workers=%d cached=%v: %v", workers, cached, err)
 		}
 		return buf.String()

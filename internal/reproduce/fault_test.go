@@ -2,6 +2,7 @@ package reproduce
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -34,7 +35,7 @@ func faultOpts() Options {
 func runReport(t *testing.T, opts Options) (string, *Result) {
 	t.Helper()
 	var buf bytes.Buffer
-	res, err := Run(opts, &buf)
+	res, err := RunContext(context.Background(), opts, &buf)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}

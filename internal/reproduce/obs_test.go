@@ -2,6 +2,7 @@ package reproduce
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -26,7 +27,7 @@ func runInstrumented(t *testing.T, opts Options) obsArtifacts {
 	rec := obs.New()
 	opts.Obs = rec
 	var report bytes.Buffer
-	if _, err := Run(opts, &report); err != nil {
+	if _, err := RunContext(context.Background(), opts, &report); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	var m, tr, ev bytes.Buffer

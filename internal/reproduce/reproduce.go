@@ -237,13 +237,9 @@ type Result struct {
 	Elapsed time.Duration
 }
 
-// Run executes the configured sections, writing the report to w.
-func Run(opts Options, w io.Writer) (*Result, error) {
-	return RunContext(context.Background(), opts, w)
-}
-
-// RunContext is Run with cooperative cancellation threaded through every
-// section: sweeps and collections stop within one cell of the cancel,
+// RunContext executes the configured sections, writing the report to w,
+// with cooperative cancellation threaded through every section: sweeps
+// and collections stop within one cell of the cancel,
 // model training stops at a selection-step boundary, and the returned
 // error wraps the context's cause. A configured checkpoint journal is
 // left resumable — a rerun replays the completed cells and produces a
@@ -565,10 +561,7 @@ type familyFit struct {
 // unified column reuses the capped model (same dataset, kind and variable
 // budget) instead of re-running the full-width forward selection. Only
 // the results outlive the job, so the family's path and design are
-// garbage before the per-pair fits start. The family is not Released on
-// purpose: the linalg pools would then keep a family-sized design and
-// factorization alive from one reproduction to the next, which raised a
-// full reproduction's peak heap by about a fifth.
+// garbage before the per-pair fits start.
 func fitFamily(ctx context.Context, ds *core.Dataset, kind core.Kind, maxVars int) (*familyFit, error) {
 	f, err := core.NewFamily(ctx, ds, kind, max(maxVars, core.SweepMaxVars))
 	if err != nil {

@@ -2,6 +2,7 @@ package reproduce
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -16,7 +17,7 @@ func TestQuickRunSingleBoard(t *testing.T) {
 	opts.Boards = []string{"GTX 680"}
 
 	var buf bytes.Buffer
-	res, err := Run(opts, &buf)
+	res, err := RunContext(context.Background(), opts, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +51,7 @@ func TestRunRejectsUnknownBoard(t *testing.T) {
 	} {
 		opts := DefaultOptions()
 		opts.Boards = tc.boards
-		if _, err := Run(opts, &bytes.Buffer{}); err == nil || err.Error() != tc.want {
+		if _, err := RunContext(context.Background(), opts, &bytes.Buffer{}); err == nil || err.Error() != tc.want {
 			t.Errorf("boards %q: got %v, want %q", tc.boards, err, tc.want)
 		}
 	}
@@ -61,7 +62,7 @@ func TestFullRunHeadlines(t *testing.T) {
 		t.Skip("full reproduction is seconds-long; skipped in -short")
 	}
 	var buf bytes.Buffer
-	res, err := Run(DefaultOptions(), &buf)
+	res, err := RunContext(context.Background(), DefaultOptions(), &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +104,7 @@ func TestArtifactsDirectory(t *testing.T) {
 	opts.FutureWork = false
 	opts.Boards = []string{"GTX 680"}
 	opts.ArtifactsDir = dir
-	if _, err := Run(opts, &bytes.Buffer{}); err != nil {
+	if _, err := RunContext(context.Background(), opts, &bytes.Buffer{}); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"table1.csv", "table3.csv", "table4.csv", "fig1-gtx-680.csv", "fig4.txt"} {

@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 
 	"gpuperf/internal/arch"
 	"gpuperf/internal/bios"
@@ -125,7 +126,12 @@ func Run(seed int64) []Result {
 	}
 
 	// 5. Characterization shape: the Fig. 4 generation ladder.
-	sweeps, err := characterize.Table4(seed)
+	var boards []string
+	for _, spec := range arch.AllBoards() {
+		boards = append(boards, spec.Name)
+	}
+	sweeps, err := characterize.Sweep(context.Background(), boards, workloads.Table4(),
+		characterize.SweepOptions{Seed: seed, Workers: runtime.GOMAXPROCS(0)})
 	if err != nil {
 		add("fig4-ladder", false, "%v", err)
 	} else {

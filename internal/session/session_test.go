@@ -224,12 +224,12 @@ func TestPreCancelledContext(t *testing.T) {
 }
 
 // TestReproduceQuickMatchesPlainRun: the Session reproduction path must
-// be byte-identical to the pre-session reproduce.Run entry point.
+// be byte-identical to the session-free reproduce.RunContext entry point.
 func TestReproduceQuickMatchesPlainRun(t *testing.T) {
 	opts := reproduce.DefaultOptions()
 	reproduce.Quick(&opts)
 	var want bytes.Buffer
-	if _, err := reproduce.Run(opts, &want); err != nil {
+	if _, err := reproduce.RunContext(context.Background(), opts, &want); err != nil {
 		t.Fatal(err)
 	}
 	s := open(t)
@@ -238,7 +238,7 @@ func TestReproduceQuickMatchesPlainRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	if stripElapsed(got.String()) != stripElapsed(want.String()) {
-		t.Fatal("session reproduction differs from reproduce.Run")
+		t.Fatal("session reproduction differs from reproduce.RunContext")
 	}
 }
 

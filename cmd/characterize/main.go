@@ -127,12 +127,12 @@ func main() {
 			continue
 		}
 		name := figBench[n]
+		results, err := s.Sweep(ctx, []*workloads.Benchmark{workloads.ByName(name)})
+		if err != nil {
+			cliflags.Fatal("characterize", err)
+		}
 		for _, spec := range boards {
-			results, err := s.SweepBoard(ctx, spec.Name, []*workloads.Benchmark{workloads.ByName(name)})
-			if err != nil {
-				cliflags.Fatal("characterize", err)
-			}
-			curves := characterize.Curves(results[0], spec)
+			curves := characterize.Curves(results[spec.Name][0], spec)
 			title := fmt.Sprintf("Fig. %d — Performance and power efficiency of %s on %s", n, name, spec.Name)
 			emit(report.FigCurves(title, spec, curves))
 			if !*csv && !*md {
@@ -170,7 +170,7 @@ func main() {
 		}
 		results := repsRes[0]
 		var tr *validity.Triage
-		if cfg.Repetitions > 1 || cfg.TriageOut != "" || cfg.MinValid > 0 {
+		if s.TriageOn() {
 			tr = s.NewTriage()
 			if err := characterize.ObserveTriageReps(tr, "table4", repsRes); err != nil {
 				cliflags.Fatal("characterize", err)

@@ -71,7 +71,7 @@ func main() {
 
 	boards := s.Boards()
 	var tr *validity.Triage
-	if cfg.Repetitions > 1 || cfg.TriageOut != "" || cfg.MinValid > 0 {
+	if s.TriageOn() {
 		tr = s.NewTriage()
 	}
 	benchNames := make([]string, 0, len(workloads.ModelingSet()))

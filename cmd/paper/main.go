@@ -91,11 +91,11 @@ func main() {
 		}
 		return
 	}
-	var tweaks []func(*reproduce.Options)
+	sec := reproduce.DefaultSections()
 	if *quick {
-		tweaks = append(tweaks, reproduce.Quick)
+		reproduce.Quick(&sec)
 	}
-	res, err := s.Reproduce(ctx, w, tweaks...)
+	res, err := reproduce.Run(ctx, s, sec, w)
 	if err != nil {
 		cliflags.Fatal("paper", err)
 	}

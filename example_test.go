@@ -3,6 +3,7 @@ package gpuperf_test
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
 
 	"gpuperf"
@@ -56,6 +57,24 @@ func ExampleOpenSession() {
 		len(results["GTX 680"]), best.Pair != gpuperf.MustPair("H-H"))
 	// Output:
 	// 33 Table IV rows; backprop's best pair beats (H-H): true
+}
+
+// The paper's Section III report from an open session: QuickReport keeps
+// the characterization sections, and the result carries Fig. 4's mean
+// power-efficiency gain per board.
+func ExampleReproduce() {
+	s, err := gpuperf.OpenSession(gpuperf.WithBoards("GTX 680"))
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer s.Close()
+	res, err := gpuperf.Reproduce(context.Background(), s, io.Discard, gpuperf.QuickReport)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("GTX 680 mean gain %.1f%%\n", res.MeanImprovementPct["GTX 680"])
+	// Output:
+	// GTX 680 mean gain 28.8%
 }
 
 // Enumerate the frequency pairs a board's BIOS exposes (Table III).

@@ -508,9 +508,8 @@ func runSweep(ctx context.Context, sess *session.Session, benches []*workloads.B
 	if err := characterize.ObserveTriageReps(tr, "table4", repsRes); err != nil {
 		return "", nil, err
 	}
-	cfg := sess.Config()
 	var renderTr *validity.Triage
-	if cfg.Repetitions > 1 || cfg.MinValid > 0 {
+	if sess.TriageOn() {
 		renderTr = tr
 	}
 	tbl := report.Table4(sess.Boards(), repsRes[0], renderTr)

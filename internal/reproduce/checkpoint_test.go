@@ -1,6 +1,6 @@
 // The checkpoint tests live in an external test package: a reproduction
-// resumes from the journal session.Open opens and lends it, and the
-// session layer itself imports reproduce.
+// resumes from the journal its session opened, as cmd/paper -checkpoint
+// does.
 package reproduce_test
 
 import (
@@ -19,14 +19,8 @@ import (
 	"gpuperf/internal/session"
 )
 
-// measurementOnly trims a reproduction to the Section III sweeps.
-func measurementOnly(o *reproduce.Options) {
-	o.Apparatus = false
-	o.Modeling = false
-	o.Ablations = false
-	o.FutureWork = false
-	o.SelfCheck = false
-}
+// measurementOnly selects the Section III sweeps alone.
+var measurementOnly = reproduce.Sections{Characterization: true}
 
 // reproduceCheckpointed reproduces the GTX 480 sweeps through a session
 // that journals to cp, and returns the report.
@@ -42,12 +36,12 @@ func reproduceCheckpointed(t *testing.T, cp string, options ...session.Option) (
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	res, err := s.Reproduce(context.Background(), &buf, measurementOnly)
+	res, err := reproduce.Run(context.Background(), s, measurementOnly, &buf)
 	if cerr := s.Close(); err == nil {
 		err = cerr
 	}
 	if err != nil {
-		t.Fatalf("Reproduce: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
 	return buf.String(), res
 }

@@ -3,10 +3,12 @@ package reproduce
 import (
 	"bytes"
 	"context"
+	"io"
 	"strings"
 	"testing"
 
 	"gpuperf/internal/driver"
+	"gpuperf/internal/obs"
 )
 
 // stripElapsed drops the one wall-clock line of a report ("reproduction
@@ -60,5 +62,36 @@ func TestReportByteIdenticalAcrossModes(t *testing.T) {
 			}
 		}
 		t.Fatalf("report lengths differ: %d vs %d lines", len(refLines), len(fastLines))
+	}
+}
+
+// TestRunContextKeepsProcessCachingMode: a RunContext from DefaultOptions
+// runs at the process's launch-caching mode, because the session it opens
+// pins that mode for its lifetime. Under a pushed uncached mode no launch
+// is served from the cache; under the default mode some are.
+func TestRunContextKeepsProcessCachingMode(t *testing.T) {
+	count := func() (hits, launches int64) {
+		t.Helper()
+		opts := DefaultOptions()
+		opts.Boards = []string{"GTX 480"}
+		opts.Sections = Sections{Characterization: true}
+		rec := obs.New()
+		opts.Obs = rec
+		if _, err := RunContext(context.Background(), opts, io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		hits, _ = rec.Metrics().Total("driver_launch_cache_hits_total")
+		launches, _ = rec.Metrics().Total("driver_launches_total")
+		return hits, launches
+	}
+
+	restore := driver.PushLaunchCachingEnabled(false)
+	hits, launches := count()
+	restore()
+	if hits != 0 || launches == 0 {
+		t.Errorf("uncached process: %d of %d launches served from the cache, want 0 of more than 0", hits, launches)
+	}
+	if hits, launches := count(); hits == 0 {
+		t.Errorf("default mode: 0 of %d launches served from the cache", launches)
 	}
 }

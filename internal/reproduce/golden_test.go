@@ -1,5 +1,6 @@
-// The golden test lives in an external test package: it drives the
-// session layer, which itself imports reproduce.
+// The golden tests live in an external test package: they drive the
+// reproduction as cmd/paper does, through reproduce.Run on an open
+// session.
 package reproduce_test
 
 import (
@@ -85,7 +86,7 @@ func TestPaperFaultedGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = s.Reproduce(context.Background(), &bytes.Buffer{})
+	_, err = reproduce.Run(context.Background(), s, reproduce.DefaultSections(), &bytes.Buffer{})
 	if cerr := s.Close(); err == nil {
 		err = cerr
 	}
@@ -109,11 +110,15 @@ func TestPaperFaultedGolden(t *testing.T) {
 // than two and uneven over Section IV's eight (board, kind) fitting
 // jobs, so the pooled fits run concurrently and finish out of order even
 // on a one-CPU host.
-func checkGolden(t *testing.T, path string, opts []session.Option, tweaks ...func(*reproduce.Options)) {
+func checkGolden(t *testing.T, path string, opts []session.Option, tweaks ...func(*reproduce.Sections)) {
 	t.Helper()
 	golden, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
+	}
+	sec := reproduce.DefaultSections()
+	for _, tweak := range tweaks {
+		tweak(&sec)
 	}
 	for _, run := range []struct {
 		workers int
@@ -125,7 +130,7 @@ func checkGolden(t *testing.T, path string, opts []session.Option, tweaks ...fun
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		_, err = s.Reproduce(context.Background(), &buf, tweaks...)
+		_, err = reproduce.Run(context.Background(), s, sec, &buf)
 		if cerr := s.Close(); err == nil {
 			err = cerr
 		}

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"gpuperf/internal/driver"
 	"gpuperf/internal/obs"
 	"gpuperf/internal/trace"
 )
@@ -148,9 +147,8 @@ func TestObsNocacheDiffersOnlyInCacheCounters(t *testing.T) {
 	opts.Modeling = false
 
 	cached := runInstrumented(t, opts)
-	restore := driver.PushLaunchCachingEnabled(false)
+	opts.Cache = false
 	uncached := runInstrumented(t, opts)
-	restore()
 
 	cachedLines := strings.Split(cached.metrics, "\n")
 	uncachedLines := strings.Split(uncached.metrics, "\n")

@@ -1,9 +1,15 @@
-// Package reproduce orchestrates the complete reproduction: it reruns every
+// Package reproduce renders the complete reproduction: it reruns every
 // experiment of the paper in order — Section II apparatus tables, the
 // Section III characterization sweeps, the Section IV modeling study — plus
 // the repository's ablations and the Radeon future-work extension, and
-// renders everything into one text report. cmd/paper is a thin wrapper; the
-// integration tests drive the same code.
+// writes everything into one text report.
+//
+// The sweeps and collections are one measurement campaign, and a
+// session.Session is where a campaign is built: its boards, seed, fault
+// policy, checkpoint journal, launch-cache mode, recorder and repetition
+// cohort. Run renders the report from an open session; RunContext opens
+// one from Options, runs and closes it. cmd/paper is a thin wrapper over
+// Run; the integration tests drive the same code.
 package reproduce
 
 import (
@@ -12,7 +18,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 	"time"
@@ -21,183 +26,79 @@ import (
 	"gpuperf/internal/characterize"
 	"gpuperf/internal/core"
 	"gpuperf/internal/driver"
-	"gpuperf/internal/fault"
-	"gpuperf/internal/obs"
 	"gpuperf/internal/regress"
 	"gpuperf/internal/report"
 	"gpuperf/internal/selfcheck"
+	"gpuperf/internal/session"
 	"gpuperf/internal/validity"
 	"gpuperf/internal/workloads"
 )
 
-// Options configures a reproduction run.
-type Options struct {
-	Seed int64
-	// Sections toggles; all default to true via DefaultOptions.
+// Sections toggles the report's sections; DefaultSections turns every one
+// on.
+type Sections struct {
 	Apparatus        bool // Tables I & III
 	Characterization bool // Table IV, Figs. 1–4
 	Modeling         bool // Tables V–VIII, Figs. 5–11
 	Ablations        bool // DESIGN.md §6
 	FutureWork       bool // AMD Radeon extension
-	// Boards restricts the study (default: the paper's four boards).
-	Boards []string
-	// MaxVars is the explanatory-variable cap (default 10).
-	MaxVars int
-	// ArtifactsDir, when set, receives one CSV (tables) or text (figure
-	// panels) file per artifact, for external plotting.
-	ArtifactsDir string
 	// SelfCheck appends the apparatus invariant checks to the report and
 	// fails the run if any check fails.
 	SelfCheck bool
-	// Workers bounds the worker pools (0 or negative means GOMAXPROCS):
-	// the sweeps and collections, and Section IV's (board, kind) modeling
-	// fits. Every (benchmark, board) job owns its device and an
-	// independently derived noise seed, and every fitting job writes only
-	// its own results, so the report is byte-identical at any worker
-	// count; 1 is the bit-exact sequential reference.
-	Workers int
-
-	// Faults, when non-nil, runs the characterization and modeling
-	// sections under a fault-injection campaign: every boot, clock set
-	// and metered run may fail per the profile, retried up to MaxRetries
-	// times with backoff, with LaunchTimeout as the per-run watchdog.
-	// Cells/benchmarks that exhaust the budget degrade gracefully (Table
-	// IV shows "n/a (unstable)", models train without the benchmark) and
-	// a degradation summary section reports exactly what was lost.
-	// Ablations and future work always run fault-free — they are
-	// mechanism probes, not measurement campaigns.
-	Faults        *fault.Profile
-	MaxRetries    int
-	LaunchTimeout time.Duration
-	// Journal, when non-nil, is the checkpoint journal the run records
-	// completed sweep cells to and resumes from, so a killed run repays
-	// only unfinished cells. The caller keeps ownership and must Close it;
-	// session.Open is what opens one, and Session.ReproduceOptions lends
-	// it here.
-	Journal *characterize.Journal
-
-	// Obs, when non-nil, records the campaign: spans and events on the
-	// deterministic virtual clock plus the full metric set (driver, meter,
-	// fault, sweep, modeling, regression). Instrumented sections route
-	// through the resilient harness even fault-free — byte-identical output
-	// to the plain paths — and the recorded artifacts are a pure function
-	// of the seed, independent of Workers.
-	Obs *obs.Recorder
-
-	// Repetitions is the campaign's repetition-cohort size (0 or 1: the
-	// classic single run). Repetition 0 is bit-identical to a single run;
-	// later repetitions draw independent noise and fault streams, and the
-	// triage engine judges every characterization cell on cross-repetition
-	// agreement. The report's tables and figures always render repetition 0.
-	Repetitions int
-	// MinValid is the publishability floor in valid repetitions per cell
-	// (0: every repetition must be valid).
-	MinValid int
-	// TriageOut, when set, writes the machine-readable triage report
-	// (reports/baseline.json) to this path. Triage engages when TriageOut
-	// is set, Repetitions > 1 or MinValid > 0; otherwise the run is
-	// byte-identical to the pre-triage engine.
-	TriageOut string
-	// CodeVersion overrides the cohort's code-version stamp; empty
-	// resolves the running binary's VCS revision (or "unknown").
-	CodeVersion string
 }
 
-// triageOn reports whether the validity-triage engine engages.
-func (o *Options) triageOn() bool {
-	return o.TriageOut != "" || o.Repetitions > 1 || o.MinValid > 0
-}
-
-// workers resolves the configured pool width.
-func (o *Options) workers() int {
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// DefaultOptions mirrors the paper's configuration.
-func DefaultOptions() Options {
-	return Options{
-		Seed:             42,
+// DefaultSections selects the whole report.
+func DefaultSections() Sections {
+	return Sections{
 		Apparatus:        true,
 		Characterization: true,
 		Modeling:         true,
 		Ablations:        true,
 		FutureWork:       true,
 		SelfCheck:        true,
-		MaxVars:          core.MaxVariables,
-		MaxRetries:       fault.DefaultMaxRetries,
-		LaunchTimeout:    fault.DefaultLaunchTimeout,
 	}
 }
 
-// Quick trims an Options to the characterization sections only — the
-// CLI "-quick" toggle, shared by the command front ends and
-// session.Session.Reproduce tweaks.
-func Quick(o *Options) {
-	o.Modeling = false
-	o.Ablations = false
-	o.FutureWork = false
-	o.SelfCheck = false
+// Quick trims the sections to the characterization ones — the CLI
+// "-quick" toggle.
+func Quick(sec *Sections) {
+	sec.Modeling = false
+	sec.Ablations = false
+	sec.FutureWork = false
+	sec.SelfCheck = false
 }
 
-// harness bundles the fault campaign's runtime state: the retry policy the
-// resilient sweeps use, the checkpoint journal, and the degradation
-// bookkeeping the summary section renders.
+// Options configures a RunContext: the campaign session.Open builds, and
+// the report's sections. A reproduction reads every session field but
+// TrackPrefix, since it names its own phase tracks ("1.fig", "2.table4"),
+// and the fleet fields, since cmd/paper sends -fleet-size to
+// Session.Fleet instead of reproducing. Under a fault profile, cells and
+// benchmarks that exhaust the retry budget degrade gracefully (Table IV
+// shows "n/a (unstable)", models train without the benchmark) and a
+// degradation summary lists what was lost; the ablations and future work
+// always run fault-free, as mechanism probes rather than measurements.
+type Options struct {
+	session.Config
+	Sections
+}
+
+// DefaultOptions mirrors the paper's configuration at the process's
+// launch-caching mode, so a RunContext under a pushed uncached mode stays
+// uncached.
+func DefaultOptions() Options {
+	cfg := session.DefaultConfig()
+	cfg.Cache = driver.LaunchCachingEnabled()
+	return Options{Config: cfg, Sections: DefaultSections()}
+}
+
+// harness is a reproduction's degradation bookkeeping over its session:
+// the triage engine, and the degraded cells, dropped benchmarks and
+// retries the summary section renders.
 type harness struct {
-	use      bool
-	res      *fault.Resilience
-	journal  *characterize.Journal
 	triage   *validity.Triage
 	degraded []characterize.Degradation
 	dropped  map[string][]core.DroppedBench
 	retries  int
-}
-
-// campaignCohort assembles the run's cohort identity — the exact same
-// construction session.Open uses, so the triage report binds to the same
-// cohort as the journal a Session lends.
-func campaignCohort(opts Options, boardNames []string) validity.Cohort {
-	spec := ""
-	if opts.Faults != nil {
-		spec = opts.Faults.String()
-	}
-	code := opts.CodeVersion
-	if code == "" {
-		code = validity.ResolveCodeVersion()
-	}
-	return validity.Cohort{
-		Seed:        opts.Seed,
-		Boards:      boardNames,
-		Profile:     spec,
-		CodeVersion: code,
-	}
-}
-
-// newHarness resolves the fault/checkpoint/observability/triage options.
-// The fault harness engages when a fault profile, a journal or a recorder
-// is configured; a journal or recorder without faults runs a fault-free
-// campaign through the same code path. The triage engine engages
-// independently (Options.triageOn) — a fault-free repetition cohort still
-// gets judged.
-func newHarness(opts Options, cohort validity.Cohort) *harness {
-	h := &harness{dropped: map[string][]core.DroppedBench{}, journal: opts.Journal}
-	if opts.triageOn() {
-		h.triage = validity.NewTriage(cohort, opts.Repetitions, opts.MinValid, 0)
-	}
-	h.use = opts.Faults != nil || opts.Journal != nil || opts.Obs != nil
-	if !h.use {
-		return h
-	}
-	h.res = &fault.Resilience{
-		Campaign:      &fault.Campaign{Profile: opts.Faults, Seed: opts.Seed},
-		MaxRetries:    opts.MaxRetries,
-		LaunchTimeout: opts.LaunchTimeout,
-		Obs:           opts.Obs,
-	}
-	h.res.Observe()
-	return h
 }
 
 // note records a campaign's degradations and retry tally for the summary.
@@ -231,38 +132,37 @@ type Result struct {
 	Dropped        map[string][]core.DroppedBench
 
 	// Triage is the finalized validity report (nil unless the triage
-	// engine engaged — see Options.TriageOut/Repetitions/MinValid).
+	// engine engaged — see session.Session.TriageOn).
 	Triage *validity.Report
 
 	Elapsed time.Duration
 }
 
-// RunContext executes the configured sections, writing the report to w,
-// with cooperative cancellation threaded through every section: sweeps
-// and collections stop within one cell of the cancel,
-// model training stops at a selection-step boundary, and the returned
-// error wraps the context's cause. A configured checkpoint journal is
-// left resumable — a rerun replays the completed cells and produces a
-// byte-identical report.
+// RunContext opens a session from opts.Config, renders the opts.Sections
+// report from it with Run, and closes it.
 func RunContext(ctx context.Context, opts Options, w io.Writer) (*Result, error) {
-	start := time.Now() //gpulint:ignore determinism -- feeds only the elapsed line, which byte-identity goldens strip (grep -v)
-	if opts.MaxVars <= 0 {
-		opts.MaxVars = core.MaxVariables
-	}
-	if opts.Repetitions < 1 {
-		opts.Repetitions = 1
-	}
-	if opts.MinValid < 0 || opts.MinValid > opts.Repetitions {
-		return nil, fmt.Errorf("reproduce: min-valid %d outside [0, repetitions=%d]", opts.MinValid, opts.Repetitions)
-	}
-	boards, err := arch.ResolveBoards(opts.Boards)
+	s, err := session.Open(opts.Config)
 	if err != nil {
-		return nil, fmt.Errorf("reproduce: %w", err)
+		return nil, err
 	}
-	boardNames := make([]string, len(boards))
-	for i, spec := range boards {
-		boardNames[i] = spec.Name
+	res, err := Run(ctx, s, opts.Sections, w)
+	if cerr := s.Close(); err == nil && cerr != nil {
+		return nil, cerr
 	}
+	return res, err
+}
+
+// Run renders the selected sections of the reproduction from an open
+// session, writing the report to w, with cooperative cancellation
+// threaded through every section: sweeps and collections stop within one
+// cell of the cancel, model training stops at a selection-step boundary,
+// and the returned error wraps the context's cause. The session's
+// checkpoint journal is left resumable — a rerun replays the completed
+// cells and produces a byte-identical report.
+func Run(ctx context.Context, s *session.Session, sec Sections, w io.Writer) (*Result, error) {
+	start := time.Now() //gpulint:ignore determinism -- feeds only the elapsed line, which byte-identity goldens strip (grep -v)
+	cfg := s.Config()
+	boards := s.Boards()
 	res := &Result{
 		MeanImprovementPct: map[string]float64{},
 		PowerR2:            map[string]float64{},
@@ -271,74 +171,75 @@ func RunContext(ctx context.Context, opts Options, w io.Writer) (*Result, error)
 		PowerErrW:          map[string]float64{},
 		TimeErrPct:         map[string]float64{},
 	}
-	h := newHarness(opts, campaignCohort(opts, boardNames))
-	if opts.Obs != nil {
-		defer regress.Observe(opts.Obs.Metrics())()
+	h := &harness{dropped: map[string][]core.DroppedBench{}}
+	if s.TriageOn() {
+		h.triage = s.NewTriage()
+	}
+	if cfg.Obs != nil {
+		defer regress.Observe(cfg.Obs.Metrics())()
 	}
 
-	fmt.Fprintf(w, "gpuperf — full reproduction (seed %d)\n", opts.Seed)
+	fmt.Fprintf(w, "gpuperf — full reproduction (seed %d)\n", cfg.Seed)
 	fmt.Fprintf(w, "Abe et al., \"Power and Performance Characterization and Modeling of GPU-Accelerated Systems\", 2014\n\n")
 
-	if opts.Apparatus {
+	if sec.Apparatus {
 		fmt.Fprintln(w, report.Table1(boards).String())
 		fmt.Fprintln(w, report.Table3(boards).String())
-		if err := saveArtifact(opts.ArtifactsDir, "table1.csv", report.Table1(boards).CSV()); err != nil {
+		if err := saveArtifact(cfg.ArtifactsDir, "table1.csv", report.Table1(boards).CSV()); err != nil {
 			return nil, err
 		}
-		if err := saveArtifact(opts.ArtifactsDir, "table3.csv", report.Table3(boards).CSV()); err != nil {
-			return nil, err
-		}
-	}
-
-	if opts.Characterization {
-		if err := runCharacterization(ctx, opts, boards, h, res, w); err != nil {
+		if err := saveArtifact(cfg.ArtifactsDir, "table3.csv", report.Table3(boards).CSV()); err != nil {
 			return nil, err
 		}
 	}
 
-	if opts.Modeling {
-		if err := runModeling(ctx, opts, boards, h, res, w); err != nil {
+	if sec.Characterization {
+		if err := runCharacterization(ctx, s, h, res, w); err != nil {
 			return nil, err
 		}
 	}
 
-	if opts.Ablations {
-		if err := runAblations(ctx, opts, w); err != nil {
+	if sec.Modeling {
+		if err := runModeling(ctx, s, h, res, w); err != nil {
 			return nil, err
 		}
 	}
 
-	if opts.FutureWork {
-		if err := runFutureWork(ctx, opts, w); err != nil {
+	if sec.Ablations {
+		if err := runAblations(ctx, cfg, w); err != nil {
 			return nil, err
 		}
 	}
 
-	if h.use {
-		res.Retries = h.retries
-		res.DegradedCells = len(h.degraded)
-		res.Dropped = h.dropped
-		if h.journal != nil {
-			res.CheckpointHits = h.journal.Hits()
+	if sec.FutureWork {
+		if err := runFutureWork(ctx, cfg.Seed, w); err != nil {
+			return nil, err
 		}
-		writeDegradationSummary(h, w)
 	}
+
+	res.Retries = h.retries
+	res.DegradedCells = len(h.degraded)
+	res.Dropped = h.dropped
+	if j := s.Journal(); j != nil {
+		res.CheckpointHits = j.Hits()
+	}
+	writeDegradationSummary(h, w)
 
 	if h.triage != nil {
 		trep := h.triage.Finalize()
 		res.Triage = trep
 		writeTriageSummary(trep, w)
-		if opts.TriageOut != "" {
-			if err := trep.WriteFile(opts.TriageOut); err != nil {
+		if cfg.TriageOut != "" {
+			if err := trep.WriteFile(cfg.TriageOut); err != nil {
 				return nil, err
 			}
 		}
 	}
 
-	if opts.SelfCheck {
+	if sec.SelfCheck {
 		fmt.Fprintln(w, "== Apparatus self-check ==")
 		fmt.Fprintln(w)
-		checks := selfcheck.Run(opts.Seed)
+		checks := selfcheck.Run(cfg.Seed)
 		failed := 0
 		for _, c := range checks {
 			status := "ok  "
@@ -430,41 +331,25 @@ func saveArtifact(dir, name, content string) error {
 	return os.WriteFile(filepath.Join(dir, slug), []byte(content), 0o644)
 }
 
-func runCharacterization(ctx context.Context, opts Options, boards []*arch.Spec, h *harness, res *Result, w io.Writer) error {
+func runCharacterization(ctx context.Context, s *session.Session, h *harness, res *Result, w io.Writer) error {
 	fmt.Fprintln(w, "== Section III — power and performance characterization ==")
 	fmt.Fprintln(w)
+	boards := s.Boards()
+	artifacts := s.Config().ArtifactsDir
 
-	boardNames := make([]string, len(boards))
-	for i, spec := range boards {
-		boardNames[i] = spec.Name
-	}
-
-	// Every configuration — plain, fault campaign, checkpointed, observed —
-	// routes through the one unified engine; a fault-free sweep is its
-	// nil-Resilience configuration and byte-identical to the historical
-	// plain path. The track prefix keys the phase's virtual timelines
-	// ("1.fig", "2.table4" — the numbers make the sorted export layout
-	// follow campaign order). With Repetitions > 1 each sweep runs as a
-	// repetition cohort; the report renders repetition 0 (bit-identical to
-	// a single run) and the triage engine judges cells across the cohort
-	// under the named provenance table.
+	// Every sweep is the session's repetition cohort under a phase track
+	// prefix ("1.fig", "2.table4" — the numbers make the sorted export
+	// layout follow campaign order). The report renders repetition 0
+	// (bit-identical to a single run) and the triage engine judges cells
+	// across the cohort under the named provenance table.
 	sweep := func(prefix, table string, benches []*workloads.Benchmark) (map[string][]*characterize.BenchResult, error) {
-		reps, err := characterize.SweepReps(ctx, boardNames, benches, characterize.SweepOptions{
-			Seed:        opts.Seed,
-			Workers:     opts.workers(),
-			Res:         h.res,
-			Journal:     h.journal,
-			Obs:         opts.Obs,
-			TrackPrefix: prefix,
-		}, opts.Repetitions)
+		reps, err := s.RepeatUnder(ctx, prefix, benches)
 		if err != nil {
 			return nil, err
 		}
-		if h.use {
-			// The degradation summary covers the campaign itself (repetition
-			// 0); the cross-repetition story is the triage report's.
-			h.note(reps[0])
-		}
+		// The degradation summary covers the campaign itself (repetition
+		// 0); the cross-repetition story is the triage report's.
+		h.note(reps[0])
 		if h.triage != nil {
 			if err := characterize.ObserveTriageReps(h.triage, table, reps); err != nil {
 				return nil, err
@@ -503,7 +388,7 @@ func runCharacterization(ctx context.Context, opts Options, boards []*arch.Spec,
 			tbl := report.FigCurves(title, spec, characterize.Curves(sw, spec))
 			fmt.Fprintln(w, tbl.String())
 			name := fmt.Sprintf("fig%d-%s.csv", sc.fig, spec.Name)
-			if err := saveArtifact(opts.ArtifactsDir, name, tbl.CSV()); err != nil {
+			if err := saveArtifact(artifacts, name, tbl.CSV()); err != nil {
 				return err
 			}
 		}
@@ -521,10 +406,10 @@ func runCharacterization(ctx context.Context, opts Options, boards []*arch.Spec,
 	}
 	fmt.Fprintln(w, report.Table4(boards, all, h.triage).String())
 	fmt.Fprintln(w, report.Fig4(boards, all))
-	if err := saveArtifact(opts.ArtifactsDir, "table4.csv", report.Table4(boards, all, h.triage).CSV()); err != nil {
+	if err := saveArtifact(artifacts, "table4.csv", report.Table4(boards, all, h.triage).CSV()); err != nil {
 		return err
 	}
-	if err := saveArtifact(opts.ArtifactsDir, "fig4.txt", report.Fig4(boards, all)); err != nil {
+	if err := saveArtifact(artifacts, "fig4.txt", report.Fig4(boards, all)); err != nil {
 		return err
 	}
 	return nil
@@ -581,18 +466,18 @@ func fitFamily(ctx context.Context, ds *core.Dataset, kind core.Kind, maxVars in
 	return fit, nil
 }
 
-func runModeling(ctx context.Context, opts Options, boards []*arch.Spec, h *harness, res *Result, w io.Writer) error {
+func runModeling(ctx context.Context, s *session.Session, h *harness, res *Result, w io.Writer) error {
 	fmt.Fprintln(w, "== Section IV — statistical modeling ==")
 	fmt.Fprintln(w)
+	cfg := s.Config()
 
 	// Collect every board first, in board order. A board whose entire
 	// modeling set was sacrificed to the campaign has no models; the fits,
 	// tables and figures below cover the survivors.
 	var modeled []*arch.Spec
 	var datasets []*core.Dataset
-	for _, spec := range boards {
-		ds, err := core.CollectCtx(ctx, spec.Name, workloads.ModelingSet(),
-			core.CollectOptions{Seed: opts.Seed, Workers: opts.workers(), Res: h.res})
+	for _, spec := range s.Boards() {
+		ds, err := s.Collect(ctx, spec.Name, workloads.ModelingSet())
 		if err != nil {
 			return err
 		}
@@ -601,21 +486,19 @@ func runModeling(ctx context.Context, opts Options, boards []*arch.Spec, h *harn
 				return err
 			}
 		}
-		if h.use {
-			h.retries += ds.Retries
-			if len(ds.Dropped) > 0 {
-				h.dropped[spec.Name] = ds.Dropped
-				names := make([]string, len(ds.Dropped))
-				for i, d := range ds.Dropped {
-					names[i] = fmt.Sprintf("%s (%s)", d.Benchmark, d.Point)
-				}
-				fmt.Fprintf(w, "note: %s models trained without %s — retry budget exhausted\n\n",
-					spec.Name, strings.Join(names, ", "))
+		h.retries += ds.Retries
+		if len(ds.Dropped) > 0 {
+			h.dropped[spec.Name] = ds.Dropped
+			names := make([]string, len(ds.Dropped))
+			for i, d := range ds.Dropped {
+				names[i] = fmt.Sprintf("%s (%s)", d.Benchmark, d.Point)
 			}
-			if len(ds.Rows) == 0 {
-				fmt.Fprintf(w, "note: %s — no modeling data survived the fault campaign; models skipped\n\n", spec.Name)
-				continue
-			}
+			fmt.Fprintf(w, "note: %s models trained without %s — retry budget exhausted\n\n",
+				spec.Name, strings.Join(names, ", "))
+		}
+		if len(ds.Rows) == 0 {
+			fmt.Fprintf(w, "note: %s — no modeling data survived the fault campaign; models skipped\n\n", spec.Name)
+			continue
 		}
 		modeled = append(modeled, spec)
 		datasets = append(datasets, ds)
@@ -630,9 +513,9 @@ func runModeling(ctx context.Context, opts Options, boards []*arch.Spec, h *harn
 	cancelled := func(ctx context.Context) error {
 		return fmt.Errorf("reproduce: modeling cancelled: %w", context.Cause(ctx))
 	}
-	err := driver.Pool(ctx, opts.workers(), len(fits), cancelled, func(job int) error {
+	err := driver.Pool(ctx, cfg.Workers, len(fits), cancelled, func(job int) error {
 		var err error
-		fits[job], err = fitFamily(ctx, datasets[job/2], kinds[job%2], opts.MaxVars)
+		fits[job], err = fitFamily(ctx, datasets[job/2], kinds[job%2], cfg.MaxVars)
 		return err
 	})
 	if err != nil {
@@ -654,10 +537,10 @@ func runModeling(ctx context.Context, opts Options, boards []*arch.Spec, h *harn
 
 	fmt.Fprintln(w, report.Table56(r2, modeled).String())
 	fmt.Fprintln(w, report.Table78(evals, modeled).String())
-	if err := saveArtifact(opts.ArtifactsDir, "table5-6.csv", report.Table56(r2, modeled).CSV()); err != nil {
+	if err := saveArtifact(cfg.ArtifactsDir, "table5-6.csv", report.Table56(r2, modeled).CSV()); err != nil {
 		return err
 	}
-	if err := saveArtifact(opts.ArtifactsDir, "table7-8.csv", report.Table78(evals, modeled).CSV()); err != nil {
+	if err := saveArtifact(cfg.ArtifactsDir, "table7-8.csv", report.Table78(evals, modeled).CSV()); err != nil {
 		return err
 	}
 
@@ -668,7 +551,7 @@ func runModeling(ctx context.Context, opts Options, boards []*arch.Spec, h *harn
 			tbl := report.Fig56(title, fits[2*b+k].model.PerBenchmarkErrors(datasets[b].Rows))
 			fmt.Fprintln(w, tbl.String())
 			name := fmt.Sprintf("fig%d-%s.csv", 5+k, spec.Name)
-			if err := saveArtifact(opts.ArtifactsDir, name, tbl.CSV()); err != nil {
+			if err := saveArtifact(cfg.ArtifactsDir, name, tbl.CSV()); err != nil {
 				return err
 			}
 		}
@@ -700,12 +583,12 @@ func runModeling(ctx context.Context, opts Options, boards []*arch.Spec, h *harn
 	return nil
 }
 
-func runAblations(ctx context.Context, opts Options, w io.Writer) error {
+func runAblations(ctx context.Context, cfg session.Config, w io.Writer) error {
 	fmt.Fprintln(w, "== Ablations (DESIGN.md §6) ==")
 	fmt.Fprintln(w)
 
 	// Voltage-flat Kepler.
-	normal, err := sweepImprovement(ctx, arch.GTX680(), "backprop", opts.Seed)
+	normal, err := sweepImprovement(ctx, arch.GTX680(), "backprop", cfg.Seed)
 	if err != nil {
 		return err
 	}
@@ -713,7 +596,7 @@ func runAblations(ctx context.Context, opts Options, w io.Writer) error {
 	flat.CoreVoltLow = flat.CoreVoltHigh
 	flat.MemVoltLow = flat.MemVoltHigh
 	flat.VoltExponent = 1
-	flatImp, err := sweepImprovement(ctx, flat, "backprop", opts.Seed)
+	flatImp, err := sweepImprovement(ctx, flat, "backprop", cfg.Seed)
 	if err != nil {
 		return err
 	}
@@ -726,15 +609,15 @@ func runAblations(ctx context.Context, opts Options, w io.Writer) error {
 	// evaluates them at every pair). Ablations always run fault-free —
 	// they are mechanism probes, not measurement campaigns.
 	ds, err := core.CollectCtx(ctx, "GTX 680", workloads.ModelingSet(),
-		core.CollectOptions{Seed: opts.Seed, Workers: opts.workers()})
+		core.CollectOptions{Seed: cfg.Seed, Workers: cfg.Workers})
 	if err != nil {
 		return err
 	}
-	um, err := core.TrainCtx(ctx, ds, core.Power, opts.MaxVars)
+	um, err := core.TrainCtx(ctx, ds, core.Power, cfg.MaxVars)
 	if err != nil {
 		return err
 	}
-	nm, err := core.TrainNaive(ctx, ds, core.Power, opts.MaxVars)
+	nm, err := core.TrainNaive(ctx, ds, core.Power, cfg.MaxVars)
 	if err != nil {
 		return err
 	}
@@ -744,7 +627,7 @@ func runAblations(ctx context.Context, opts Options, w io.Writer) error {
 	return nil
 }
 
-func runFutureWork(ctx context.Context, opts Options, w io.Writer) error {
+func runFutureWork(ctx context.Context, seed int64, w io.Writer) error {
 	fmt.Fprintln(w, "== Future work — AMD Radeon (GCN) ==")
 	fmt.Fprintln(w)
 	spec := arch.RadeonHD7970()
@@ -752,7 +635,7 @@ func runFutureWork(ctx context.Context, opts Options, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	dev.Seed(opts.Seed)
+	dev.Seed(seed)
 	fmt.Fprintf(w, "board: %s (%s), %d stream processors, %d-counter profiler set\n",
 		spec.Name, spec.Generation, spec.TotalCores(), dev.CounterSet().Len())
 	for _, bench := range []string{"backprop", "streamcluster", "gaussian"} {

@@ -46,8 +46,8 @@ func TestRunRejectsUnknownBoard(t *testing.T) {
 		boards []string
 		want   string
 	}{
-		{[]string{"GTX 9999"}, `reproduce: unknown board "GTX 9999"`},
-		{[]string{"GTX 480", "GTX 480"}, `reproduce: board "GTX 480" listed twice`},
+		{[]string{"GTX 9999"}, `session: unknown board "GTX 9999"`},
+		{[]string{"GTX 480", "GTX 480"}, `session: board "GTX 480" listed twice`},
 	} {
 		opts := DefaultOptions()
 		opts.Boards = tc.boards

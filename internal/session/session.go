@@ -2,12 +2,13 @@
 // the full measurement-stack construction — board resolution, the fault
 // retry policy, the checkpoint journal, the launch-cache mode, the
 // observability recorder — and exposes the context-aware campaign
-// methods (Sweep, Collect, Model, Reproduce) every front end drives.
+// methods (Sweep, Repeat, Collect, Model, Fleet) every front end drives.
 //
 // The CLI commands build a Session from their shared flag block
-// (internal/cliflags) and the root package re-exports it as
-// gpuperf.Session; a future serving layer would hold many of them, one
-// per concurrent campaign.
+// (internal/cliflags), the root package re-exports it as
+// gpuperf.Session, and gpuperfd holds many of them, one per concurrent
+// campaign. The paper reproduction (internal/reproduce) is a client: it
+// renders its report from an open Session.
 //
 // Construction graph and ownership:
 //
@@ -22,9 +23,10 @@
 //	                                  restored by Close
 //
 // Everything a Session builds it also owns: Close releases the journal
-// and the cache toggle exactly once, and the campaign methods only
-// borrow. reproduce.RunContext receives the session's journal through
-// reproduce.Options.Journal precisely so the file is never double-opened.
+// and the cache toggle exactly once, and the campaign methods and the
+// session's clients only borrow. The journal is the session's alone —
+// Journal exposes it for reading, and nothing else opens the checkpoint
+// file.
 //
 // Cancellation contract: every campaign method takes a context and
 // checks it at cell boundaries — one (board, benchmark, pair)
@@ -39,7 +41,6 @@ package session
 import (
 	"context"
 	"fmt"
-	"io"
 	"runtime"
 	"sync/atomic"
 	"time"
@@ -52,7 +53,6 @@ import (
 	"gpuperf/internal/fault"
 	"gpuperf/internal/fleet"
 	"gpuperf/internal/obs"
-	"gpuperf/internal/reproduce"
 	"gpuperf/internal/validity"
 	"gpuperf/internal/workloads"
 )
@@ -87,7 +87,8 @@ type Config struct {
 	// Cache enables launch memoization (DefaultConfig turns it on; false
 	// is the uncached reference mode — output is identical either way).
 	Cache bool
-	// ArtifactsDir, when set, receives Reproduce's per-table/figure files.
+	// ArtifactsDir, when set, receives the reproduction's per-table/figure
+	// files.
 	ArtifactsDir string
 
 	// Repetitions is the campaign's repetition-cohort size (0 or 1: the
@@ -99,7 +100,7 @@ type Config struct {
 	// many valid repetitions (0: all of them).
 	MinValid int
 	// TriageOut, when set, writes the machine-readable triage report
-	// (reports/baseline.json) to this path after Reproduce.
+	// (reports/baseline.json) to this path after a reproduction.
 	TriageOut string
 	// CodeVersion overrides the cohort's code-version stamp; empty
 	// resolves the running binary's VCS revision (or "unknown").
@@ -183,7 +184,8 @@ func WithObs(rec *obs.Recorder) Option { return func(c *Config) { c.Obs = rec } 
 // mode; output is identical either way).
 func WithCache(enabled bool) Option { return func(c *Config) { c.Cache = enabled } }
 
-// WithArtifactsDir routes Reproduce's per-table/figure files to dir.
+// WithArtifactsDir routes the reproduction's per-table/figure files to
+// dir.
 func WithArtifactsDir(dir string) Option { return func(c *Config) { c.ArtifactsDir = dir } }
 
 // WithRepetitions sets the repetition-cohort size (see Config.Repetitions).
@@ -194,7 +196,7 @@ func WithRepetitions(n int) Option { return func(c *Config) { c.Repetitions = n 
 func WithMinValid(n int) Option { return func(c *Config) { c.MinValid = n } }
 
 // WithTriageOut writes the machine-readable triage report to path after
-// Reproduce.
+// a reproduction.
 func WithTriageOut(path string) Option { return func(c *Config) { c.TriageOut = path } }
 
 // WithCodeVersion pins the cohort's code-version stamp (tests mostly).
@@ -469,6 +471,14 @@ func (s *Session) NewTriage() *validity.Triage {
 	return validity.NewTriage(s.cohort, s.cfg.Repetitions, s.cfg.MinValid, 0)
 }
 
+// TriageOn reports whether the session's campaigns engage the triage
+// engine: a triage report was asked for, or the repetition policy has
+// something to judge. When it is off, a campaign's output carries no
+// triage verdicts.
+func (s *Session) TriageOn() bool {
+	return s.cfg.TriageOut != "" || s.cfg.Repetitions > 1 || s.cfg.MinValid > 0
+}
+
 // sweepOptions assembles the engine options shared by every sweep. An
 // empty trackPrefix falls back to the session's configured prefix.
 func (s *Session) sweepOptions(trackPrefix string) characterize.SweepOptions {
@@ -505,8 +515,15 @@ func (s *Session) Sweep(ctx context.Context, benches []*workloads.Benchmark) (ma
 // pair before metering.
 // Feed the result to a triage engine with characterize.ObserveTriageReps.
 func (s *Session) Repeat(ctx context.Context, benches []*workloads.Benchmark) ([]map[string][]*characterize.BenchResult, error) {
+	return s.RepeatUnder(ctx, "", benches)
+}
+
+// RepeatUnder is Repeat with the sweeps' tracks named under trackPrefix
+// instead of Config.TrackPrefix (empty keeps the session's), for a
+// campaign that lays out one track group per phase.
+func (s *Session) RepeatUnder(ctx context.Context, trackPrefix string, benches []*workloads.Benchmark) ([]map[string][]*characterize.BenchResult, error) {
 	s.plan(s.BoardNames(), len(benches), s.cfg.Repetitions)
-	return characterize.SweepReps(ctx, s.BoardNames(), benches, s.sweepOptions(""), s.cfg.Repetitions)
+	return characterize.SweepReps(ctx, s.BoardNames(), benches, s.sweepOptions(trackPrefix), s.cfg.Repetitions)
 }
 
 // Fleet runs the session's fleet campaign: Config.FleetSize jittered
@@ -552,17 +569,6 @@ func (s *Session) FleetProgress() ([]fleet.ShardProgress, bool) {
 	return s.fleetTracker.Snapshot(), true
 }
 
-// SweepBoard sweeps one board's benchmarks; the board need not be in the
-// session's resolved set.
-func (s *Session) SweepBoard(ctx context.Context, boardName string, benches []*workloads.Benchmark) ([]*characterize.BenchResult, error) {
-	s.plan([]string{boardName}, len(benches), 1)
-	m, err := characterize.Sweep(ctx, []string{boardName}, benches, s.sweepOptions(""))
-	if err != nil {
-		return nil, err
-	}
-	return m[boardName], nil
-}
-
 // Collect builds one board's modeling dataset through the unified
 // collection engine.
 func (s *Session) Collect(ctx context.Context, boardName string, benches []*workloads.Benchmark) (*core.Dataset, error) {
@@ -594,37 +600,4 @@ func (s *Session) Device(boardName string) (*driver.Device, error) {
 	}
 	dev.SetPowerFanout(s.cfg.PowerFanout)
 	return dev, nil
-}
-
-// ReproduceOptions translates the session configuration into
-// reproduce.Options — every section on, the session's journal lent via
-// Options.Journal (reproduce then never reopens the checkpoint file).
-func (s *Session) ReproduceOptions() reproduce.Options {
-	opts := reproduce.DefaultOptions()
-	opts.Seed = s.cfg.Seed
-	opts.Workers = s.cfg.Workers
-	opts.Boards = s.cfg.Boards
-	opts.MaxVars = s.cfg.MaxVars
-	opts.ArtifactsDir = s.cfg.ArtifactsDir
-	opts.Faults = s.cfg.Faults
-	opts.MaxRetries = s.cfg.MaxRetries
-	opts.LaunchTimeout = s.cfg.LaunchTimeout
-	opts.Journal = s.journal
-	opts.Obs = s.cfg.Obs
-	opts.Repetitions = s.cfg.Repetitions
-	opts.MinValid = s.cfg.MinValid
-	opts.TriageOut = s.cfg.TriageOut
-	opts.CodeVersion = s.cfg.CodeVersion
-	return opts
-}
-
-// Reproduce runs the full paper reproduction under the session
-// configuration, writing the report to w. Tweaks adjust the section
-// toggles (e.g. cmd/paper's -quick) before the run starts.
-func (s *Session) Reproduce(ctx context.Context, w io.Writer, tweaks ...func(*reproduce.Options)) (*reproduce.Result, error) {
-	opts := s.ReproduceOptions()
-	for _, t := range tweaks {
-		t(&opts)
-	}
-	return reproduce.RunContext(ctx, opts, w)
 }

@@ -1,13 +1,11 @@
 package session
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -15,7 +13,6 @@ import (
 	"gpuperf/internal/characterize"
 	"gpuperf/internal/core"
 	"gpuperf/internal/fault"
-	"gpuperf/internal/reproduce"
 	"gpuperf/internal/workloads"
 )
 
@@ -78,19 +75,12 @@ func TestSweepMatchesEngineReference(t *testing.T) {
 	want := engineSweep(t, benches)
 	for _, workers := range []int{1, 4} {
 		s := open(t, WithBoards("GTX 480"), WithWorkers(workers))
-		got, err := s.SweepBoard(context.Background(), "GTX 480", benches)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: session sweep differs from the reference", workers)
-		}
 		m, err := s.Sweep(context.Background(), benches)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(m["GTX 480"], want) {
-			t.Fatalf("workers=%d: multi-board sweep differs from the reference", workers)
+			t.Fatalf("workers=%d: session sweep differs from the reference", workers)
 		}
 	}
 }
@@ -124,8 +114,9 @@ func TestCollectAndModelMatchReference(t *testing.T) {
 	}
 }
 
-// TestJournalOwnership: the session opens the checkpoint journal, lends
-// it to campaigns, and Close (idempotent) releases it exactly once.
+// TestJournalOwnership: the session opens the checkpoint journal, its
+// campaigns record into it, and Close (idempotent) releases it exactly
+// once.
 func TestJournalOwnership(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.jsonl")
 	s, err := New(WithBoards("GTX 480"), WithWorkers(1), WithCheckpoint(path))
@@ -136,14 +127,11 @@ func TestJournalOwnership(t *testing.T) {
 		t.Fatal("checkpointed session has no journal")
 	}
 	benches := workloads.Table4()[:2]
-	if _, err := s.SweepBoard(context.Background(), "GTX 480", benches); err != nil {
+	if _, err := s.Sweep(context.Background(), benches); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.Journal().Len(); got == 0 {
 		t.Error("sweep recorded no cells in the session journal")
-	}
-	if opts := s.ReproduceOptions(); opts.Journal != s.Journal() {
-		t.Error("ReproduceOptions does not lend the session journal")
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -172,7 +160,7 @@ func TestJournalResumeAfterCancel(t *testing.T) {
 	// trip the context deterministically partway through: Err turns
 	// terminal after a fixed number of boundary checks.
 	ctx := &cancelAfter{Context: context.Background(), after: 8}
-	if _, err := s1.SweepBoard(ctx, "GTX 480", benches); !errors.Is(err, context.Canceled) {
+	if _, err := s1.Sweep(ctx, benches); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled sweep returned %v, want context.Canceled in the chain", err)
 	}
 	done := s1.Journal().Len()
@@ -192,14 +180,14 @@ func TestJournalResumeAfterCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	got, err := s2.SweepBoard(context.Background(), "GTX 480", benches)
+	got, err := s2.Sweep(context.Background(), benches)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s2.Journal().Hits() == 0 {
 		t.Error("resumed sweep replayed no journal cells")
 	}
-	if !reflect.DeepEqual(got, want) {
+	if !reflect.DeepEqual(got["GTX 480"], want) {
 		t.Fatal("resumed sweep differs from an uninterrupted run")
 	}
 }
@@ -216,29 +204,6 @@ func TestPreCancelledContext(t *testing.T) {
 	}
 	if _, err := s.Collect(ctx, "GTX 480", workloads.ModelingSet()[:2]); !errors.Is(err, context.Canceled) {
 		t.Errorf("Collect: %v", err)
-	}
-	var buf bytes.Buffer
-	if _, err := s.Reproduce(ctx, &buf, reproduce.Quick); !errors.Is(err, context.Canceled) {
-		t.Errorf("Reproduce: %v", err)
-	}
-}
-
-// TestReproduceQuickMatchesPlainRun: the Session reproduction path must
-// be byte-identical to the session-free reproduce.RunContext entry point.
-func TestReproduceQuickMatchesPlainRun(t *testing.T) {
-	opts := reproduce.DefaultOptions()
-	reproduce.Quick(&opts)
-	var want bytes.Buffer
-	if _, err := reproduce.RunContext(context.Background(), opts, &want); err != nil {
-		t.Fatal(err)
-	}
-	s := open(t)
-	var got bytes.Buffer
-	if _, err := s.Reproduce(context.Background(), &got, reproduce.Quick); err != nil {
-		t.Fatal(err)
-	}
-	if stripElapsed(got.String()) != stripElapsed(want.String()) {
-		t.Fatal("session reproduction differs from reproduce.RunContext")
 	}
 }
 
@@ -300,18 +265,4 @@ func (c *cancelAfter) Err() error {
 		return context.Canceled
 	}
 	return nil
-}
-
-// stripElapsed removes the wall-clock line, the only nondeterministic
-// byte range in a report.
-func stripElapsed(s string) string {
-	lines := strings.Split(s, "\n")
-	out := lines[:0]
-	for _, l := range lines {
-		if strings.HasPrefix(l, "reproduction completed in ") {
-			continue
-		}
-		out = append(out, l)
-	}
-	return strings.Join(out, "\n")
 }

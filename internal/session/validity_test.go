@@ -35,6 +35,26 @@ func TestSessionCohortIdentityAndValidation(t *testing.T) {
 	}
 }
 
+// TestTriageOn: triage engages when a report is asked for or the
+// repetition policy has something to judge, and a classic single-run
+// session stays off.
+func TestTriageOn(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		option Option
+		want   bool
+	}{
+		{"single run", WithSeed(42), false},
+		{"triage report", WithTriageOut("baseline.json"), true},
+		{"two repetitions", WithRepetitions(2), true},
+		{"min-valid floor", WithMinValid(1), true},
+	} {
+		if got := open(t, WithBoards("GTX 480"), tc.option).TriageOn(); got != tc.want {
+			t.Errorf("%s: TriageOn = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
 // TestSessionCohortStampedIntoMetrics: an instrumented session exposes
 // the campaign_cohort_info gauge carrying the cohort hash and code
 // version, so every recorded artifact names the campaign it measured.

@@ -1,6 +1,9 @@
 package gpuperf
 
 import (
+	"context"
+	"io"
+
 	"gpuperf/internal/obs"
 	"gpuperf/internal/reproduce"
 	"gpuperf/internal/session"
@@ -10,10 +13,11 @@ import (
 // Session is the campaign engine's front door: one value owning the full
 // measurement-stack configuration (seed, worker pool, boards, fault
 // policy, checkpoint journal, launch cache, observability) and exposing
-// the context-aware campaign methods Sweep, SweepBoard, Collect, Model,
-// Reproduce and the Device factory. Build one with OpenSession and
-// release it with Close; see internal/session for the construction graph
-// and the cancellation contract.
+// the context-aware campaign methods Sweep, Repeat, Collect, Model and
+// Fleet and the Device factory; Reproduce renders the paper report from
+// one. Build one with OpenSession and release it with Close; see
+// internal/session for the construction graph and the cancellation
+// contract.
 type Session = session.Session
 
 // SessionConfig is the resolved configuration behind a Session
@@ -23,10 +27,9 @@ type SessionConfig = session.Config
 // SessionOption is a functional option for OpenSession.
 type SessionOption = session.Option
 
-// ReportOptions selects the report sections and campaign parameters of
-// Session.Reproduce; tweak them via the variadic tweaks argument, e.g.
-// QuickReport.
-type ReportOptions = reproduce.Options
+// ReportSections selects the sections of a Reproduce report; tweak them
+// via Reproduce's variadic tweaks argument, e.g. QuickReport.
+type ReportSections = reproduce.Sections
 
 // ReportResult summarizes a finished reproduction run.
 type ReportResult = reproduce.Result
@@ -68,8 +71,20 @@ var (
 )
 
 // QuickReport trims a reproduction to the characterization sections only
-// — Session.Reproduce's equivalent of the paper command's -quick flag.
+// — Reproduce's equivalent of the paper command's -quick flag.
 var QuickReport = reproduce.Quick
+
+// Reproduce runs the paper reproduction on an open session, writing the
+// report to w. Every section runs unless a tweak turns it off.
+//
+//	_, err := gpuperf.Reproduce(ctx, s, os.Stdout, gpuperf.QuickReport)
+func Reproduce(ctx context.Context, s *Session, w io.Writer, tweaks ...func(*ReportSections)) (*ReportResult, error) {
+	sec := reproduce.DefaultSections()
+	for _, t := range tweaks {
+		t(&sec)
+	}
+	return reproduce.Run(ctx, s, sec, w)
+}
 
 // NewRecorder builds an observability recorder for SessionWithObs.
 func NewRecorder() *Recorder { return obs.New() }

@@ -35,7 +35,7 @@ import (
 func main() {
 	addr := flag.String("addr", "127.0.0.1:9780", "listen address")
 	boards := flag.String("boards", "", `served fleet, comma-separated board names (empty: the paper's four boards)`)
-	dataDir := flag.String("data-dir", "", "directory for campaign checkpoint journals and triage reports (required)")
+	dataDir := flag.String("data-dir", "", "directory for campaign checkpoint journals, reports and triage reports (required)")
 	retention := flag.Int("retention", 0, "per-device per-scope power-sample history depth (0: 1200 ≈ one minute)")
 	sampleInterval := flag.Duration("sample-interval", time.Second, "idle power heartbeat period")
 	drainTimeout := flag.Duration("drain-timeout", time.Minute, "graceful-shutdown budget for in-flight campaigns")

@@ -201,7 +201,7 @@ func sweepBenchR(ctx context.Context, boardName string, b *workloads.Benchmark, 
 		return out, nil
 	}
 	if opts.Obs != nil {
-		dev.Observe(opts.Obs, track.Name())
+		dev.Observe(opts.Obs, track)
 	}
 	dev.SetPowerFanout(opts.Fanout)
 	dev.Seed(sweepSeed(opts.Seed, b.Name))

@@ -153,7 +153,7 @@ func collectBenchR(ctx context.Context, boardName string, b *workloads.Benchmark
 	}
 	defer dev.Release() // the collector booted it and nothing keeps it past the job
 	if res.Obs != nil {
-		dev.Observe(res.Obs, track.Name())
+		dev.Observe(res.Obs, track)
 	}
 	fh := fnv.New64a()
 	_, _ = fh.Write([]byte(b.Name)) // fnv: hash.Hash.Write never errors

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
+	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -120,13 +122,16 @@ type CampaignStatus struct {
 }
 
 // Campaign is one submitted job: a session.Session run by a dedicated
-// goroutine under a cancellable context.
+// goroutine under a cancellable context. A finished campaign keeps only
+// what its status JSON shows; its rendered report and its triage report
+// stay on disk beside its journal, and /report and /triage serve them
+// from there.
 type Campaign struct {
-	id         string
-	req        CampaignRequest
-	checkpoint string
-	cancel     context.CancelFunc
-	done       chan struct{}
+	id     string
+	req    CampaignRequest
+	path   string // DataDir/campaign-<id>; the journal, report and triage files add an extension
+	cancel context.CancelFunc
+	done   chan struct{}
 
 	mu          sync.Mutex
 	state       string
@@ -134,9 +139,15 @@ type Campaign struct {
 	sess        *session.Session      // set while running (progress introspection)
 	final       session.Progress      // last progress snapshot after the session closed
 	finalShards []fleet.ShardProgress // last per-shard snapshot, fleet campaigns only
-	report      string                // rendered report, terminal states only
-	triage      *validity.Report
+	triage      *TriageStatus         // set once the triage report is on disk
 }
+
+// Campaign file extensions under DataDir, after "campaign-<id>".
+const (
+	journalExt = ".journal"
+	reportExt  = ".report"      // the rendered report, written before the campaign completes
+	triageExt  = ".triage.json" // the triage report, sweeps only
+)
 
 // Status snapshots the campaign for its status JSON.
 func (c *Campaign) Status() CampaignStatus {
@@ -147,7 +158,7 @@ func (c *Campaign) Status() CampaignStatus {
 		Kind:       c.req.Kind,
 		State:      c.state,
 		Request:    c.req,
-		Checkpoint: c.checkpoint,
+		Checkpoint: c.path + journalExt,
 		Error:      c.errMsg,
 	}
 	if c.sess != nil {
@@ -157,17 +168,20 @@ func (c *Campaign) Status() CampaignStatus {
 		st.Shards = c.finalShards
 	}
 	if c.triage != nil {
-		counts := make(map[string]int, len(c.triage.Counts))
-		for class, n := range c.triage.Counts {
-			counts[string(class)] = n
-		}
-		st.Triage = &TriageStatus{
-			Publishable: c.triage.Publishable(),
-			Summary:     c.triage.Summary(),
-			Counts:      counts,
-		}
+		t := *c.triage
+		t.Counts = maps.Clone(t.Counts)
+		st.Triage = &t
 	}
 	return st
+}
+
+// triageStatus summarizes a finalized triage report for the status JSON.
+func triageStatus(r *validity.Report) *TriageStatus {
+	counts := make(map[string]int, len(r.Counts))
+	for class, n := range r.Counts {
+		counts[string(class)] = n
+	}
+	return &TriageStatus{Publishable: r.Publishable(), Summary: r.Summary(), Counts: counts}
 }
 
 // Done returns a channel closed when the campaign reaches a terminal
@@ -285,12 +299,12 @@ func (s *Server) Submit(req CampaignRequest) (*Campaign, error) {
 	id := strconv.Itoa(s.seq)
 	ctx, cancel := context.WithCancel(context.Background())
 	c := &Campaign{
-		id:         id,
-		req:        req,
-		checkpoint: filepath.Join(s.cfg.DataDir, "campaign-"+id+".journal"),
-		cancel:     cancel,
-		done:       make(chan struct{}),
-		state:      StatePending,
+		id:     id,
+		req:    req,
+		path:   filepath.Join(s.cfg.DataDir, "campaign-"+id),
+		cancel: cancel,
+		done:   make(chan struct{}),
+		state:  StatePending,
 	}
 	s.campaigns[id] = c
 	s.order = append(s.order, id)
@@ -333,10 +347,13 @@ func (s *Server) Campaigns() []CampaignStatus {
 func (c *Campaign) Cancel() { c.cancel() }
 
 // sessionConfig translates a validated request into the session
-// configuration the runner opens. Cache is always on (see
-// CampaignRequest.NoCache); the daemon's recorder and collector are
-// shared across campaigns, with per-campaign track prefixes keeping
-// their virtual-time tracks apart.
+// configuration the runner opens. A request that names no board runs on
+// the served fleet, whatever the kind. Cache is always on (see
+// CampaignRequest.NoCache). The daemon's recorder and collector are
+// shared across campaigns: every campaign's counters land in the one
+// registry, and its tracks, which the recorder does not keep, advance
+// only the virtual cursors the campaign's own jobs read. The
+// per-campaign track prefix names them as a CLI run's would be named.
 func (s *Server) sessionConfig(c *Campaign, profile *fault.Profile) session.Config {
 	cfg := session.DefaultConfig()
 	cfg.Seed = c.req.Seed
@@ -344,6 +361,9 @@ func (s *Server) sessionConfig(c *Campaign, profile *fault.Profile) session.Conf
 		cfg.Workers = c.req.Workers
 	}
 	cfg.Boards = c.req.Boards
+	if len(cfg.Boards) == 0 {
+		cfg.Boards = s.cfg.Boards
+	}
 	cfg.Faults = profile
 	if c.req.MaxRetries > 0 {
 		cfg.MaxRetries = c.req.MaxRetries
@@ -355,7 +375,7 @@ func (s *Server) sessionConfig(c *Campaign, profile *fault.Profile) session.Conf
 		cfg.Repetitions = c.req.Repetitions
 	}
 	cfg.MinValid = c.req.MinValid
-	cfg.Checkpoint = c.checkpoint
+	cfg.Checkpoint = c.path + journalExt
 	cfg.Cache = true
 	cfg.Obs = s.rec
 	cfg.PowerFanout = s.col
@@ -418,16 +438,23 @@ func (s *Server) run(ctx context.Context, c *Campaign, profile *fault.Profile, b
 		}
 		return
 	}
+	// Both files are on disk before the campaign reads as completed, so
+	// /report and /triage never see a completed campaign without them.
+	var tst *TriageStatus
 	if trep != nil {
-		if werr := trep.WriteFile(filepath.Join(s.cfg.DataDir, "campaign-"+c.id+".triage.json")); werr != nil {
+		if werr := trep.WriteFile(c.path + triageExt); werr != nil {
 			fail(StateFailed, werr)
 			return
 		}
+		tst = triageStatus(trep)
+	}
+	if werr := os.WriteFile(c.path+reportExt, []byte(rendered), 0o644); werr != nil {
+		fail(StateFailed, fmt.Errorf("daemon: %w", werr))
+		return
 	}
 	c.mu.Lock()
 	c.state = StateCompleted
-	c.report = rendered
-	c.triage = trep
+	c.triage = tst
 	c.final, c.finalShards = sess.ProgressShards() // stays visible after the session closes
 	c.sess = nil
 	c.mu.Unlock()
@@ -544,19 +571,18 @@ func runModel(ctx context.Context, sess *session.Session, benches []*workloads.B
 	return b.String(), nil
 }
 
-// Report returns the campaign's rendered report once completed.
-func (c *Campaign) Report() (string, bool) {
+// ReportPath returns the file holding the campaign's rendered report,
+// once the campaign has completed.
+func (c *Campaign) ReportPath() (string, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.state != StateCompleted {
-		return "", false
-	}
-	return c.report, true
+	return c.path + reportExt, c.state == StateCompleted
 }
 
-// Triage returns the campaign's finalized triage report, when present.
-func (c *Campaign) Triage() (*validity.Report, bool) {
+// TriagePath returns the file holding the campaign's triage report, once
+// one has been written: a completed sweep's.
+func (c *Campaign) TriagePath() (string, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.triage, c.triage != nil
+	return c.path + triageExt, c.triage != nil
 }

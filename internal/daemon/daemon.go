@@ -1,6 +1,6 @@
 // Package daemon is the serving layer: a long-running gpuperfd process
-// owns a fleet of simulated devices and a shared observability recorder,
-// and exposes the campaign engine over HTTP (launch payloads stay in the
+// owns a fleet of simulated devices and a shared metrics registry, and
+// exposes the campaign engine over HTTP (launch payloads stay in the
 // caches of the devices each campaign boots) —
 //
 //	GET    /metrics                     live Prometheus text exposition
@@ -10,8 +10,8 @@
 //	GET    /api/v1/campaigns            list campaign statuses
 //	GET    /api/v1/campaigns/{id}       one campaign's status JSON
 //	DELETE /api/v1/campaigns/{id}       cancel (journal stays resumable)
-//	GET    /api/v1/campaigns/{id}/report rendered report (completed only)
-//	GET    /api/v1/campaigns/{id}/triage machine-readable triage report
+//	GET    /api/v1/campaigns/{id}/report rendered report (completed only, from DataDir)
+//	GET    /api/v1/campaigns/{id}/triage machine-readable triage report (from DataDir)
 //	GET    /api/v1/power                per-device recent power, JSON
 //
 // Scrape-safety contract: /metrics renders a Registry.Snapshot — a
@@ -29,6 +29,15 @@
 // replays the completed cells. Artifacts are byte-identical to the same
 // campaign run through cmd/characterize at the same seed: the daemon
 // adds live telemetry (the collector fan-out), never noise.
+//
+// A daemon serves campaigns for as long as it runs, so nothing a
+// campaign measured stays in memory after it. The recorder keeps no
+// tracks and no trace events (obs.NewTrackFree): campaign counters land
+// in the registry, and each sweep job's track lives only as long as the
+// job. A finished campaign keeps its status alone, triage summary
+// included; its rendered report (campaign-<id>.report) and triage report
+// (campaign-<id>.triage.json) are written beside its journal before it
+// reads as completed, and /report and /triage serve those files.
 package daemon
 
 import (
@@ -49,8 +58,8 @@ type Config struct {
 	// Campaign requests may restrict to a subset; boards outside the
 	// fleet are rejected at submission.
 	Boards []string
-	// DataDir receives per-campaign checkpoint journals and triage
-	// reports. Required.
+	// DataDir receives each campaign's checkpoint journal, rendered
+	// report and triage report. Required.
 	DataDir string
 	// Retention bounds the collector's per-(device, scope) sample
 	// history (≤ 0: collector.DefaultRetention).
@@ -72,8 +81,8 @@ type fleetMetrics struct {
 }
 
 // Server is one running daemon: the shared recorder, the telemetry
-// collector and the campaign table. Build with New, shut down with
-// Drain. Safe for concurrent use by the HTTP stack.
+// collector and the table of campaign statuses. Build with New, shut
+// down with Drain. Safe for concurrent use by the HTTP stack.
 type Server struct {
 	cfg    Config
 	rec    *obs.Recorder
@@ -105,7 +114,7 @@ func New(cfg Config) (*Server, error) {
 			cfg.Boards = append(cfg.Boards, spec.Name)
 		}
 	}
-	rec := obs.New()
+	rec := obs.NewTrackFree()
 	col, err := collector.New(rec.Metrics(), cfg.Boards, cfg.Retention)
 	if err != nil {
 		return nil, fmt.Errorf("daemon: %w", err)
@@ -137,8 +146,11 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Recorder returns the daemon's shared observability recorder — every
-// campaign's counters and tracks land here.
+// Recorder returns the daemon's shared observability recorder. Every
+// campaign's counters land in its registry, which /metrics renders. It
+// keeps no tracks and no events (obs.NewTrackFree): nothing the daemon
+// serves reads them, and a recorder that kept them would grow with every
+// campaign for as long as the daemon runs.
 func (s *Server) Recorder() *obs.Recorder { return s.rec }
 
 // Collector returns the live power-telemetry collector.

@@ -4,7 +4,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"os"
 
 	"gpuperf/internal/power"
 )
@@ -137,13 +139,12 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	text, ok := c.Report()
+	path, ok := c.ReportPath()
 	if !ok {
 		writeError(w, http.StatusConflict, "campaign "+c.id+" is "+c.Status().State+", report available when completed")
 		return
 	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprint(w, text)
+	serveFile(w, path, "text/plain; charset=utf-8")
 }
 
 func (s *Server) handleTriage(w http.ResponseWriter, r *http.Request) {
@@ -151,15 +152,26 @@ func (s *Server) handleTriage(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	trep, ok := c.Triage()
+	path, ok := c.TriagePath()
 	if !ok {
 		writeError(w, http.StatusConflict, "campaign "+c.id+" has no triage report yet")
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	if err := trep.WriteJSON(w); err != nil {
-		return // client gone mid-body
+	serveFile(w, path, "application/json")
+}
+
+// serveFile streams a finished campaign's file, the bytes the campaign
+// wrote, without holding it in memory. A file removed from DataDir since
+// is a 500.
+func serveFile(w http.ResponseWriter, path, contentType string) {
+	f, err := os.Open(path)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err.Error())
+		return
 	}
+	defer f.Close()
+	w.Header().Set("Content-Type", contentType)
+	_, _ = io.Copy(w, f) // client gone mid-body; nothing to recover
 }
 
 // devicePower is one device's entry in the GET /api/v1/power response.

@@ -84,7 +84,7 @@ func TestProfiledLaunchHitsUnprofiledPrecompute(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := obs.New()
-	d.Observe(rec, "t")
+	d.Observe(rec, rec.Track("t"))
 	k := testKernel(4 * d.Spec().SMCount)
 	if _, err := d.PrecomputePairs([]*gpu.KernelDesc{k}, []clock.Pair{d.Clocks()}); err != nil {
 		t.Fatal(err)

@@ -60,9 +60,10 @@ type cachedLaunch struct {
 
 // newCachedLaunch folds a noiseless kernel result, evaluated at clk, into
 // a launch payload with this device's power model. It only reads the
-// result: a launch miss releases its own result afterwards, and a timing
-// table's results are shared and never released. The phase's switching
-// activity scales the energy events, never the profiler counters.
+// result and keeps no reference to it: a launch miss reuses its result
+// storage for the next miss, and a timing table's results are shared.
+// The phase's switching activity scales the energy events, never the
+// profiler counters.
 func (d *Device) newCachedLaunch(res *gpu.KernelResult, clk *clock.State) *cachedLaunch {
 	cl := &cachedLaunch{time: res.Time, acts: res.Activities}
 	for _, ph := range res.Phases {

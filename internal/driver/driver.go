@@ -72,6 +72,11 @@ type Device struct {
 	// caching is off or nothing was precomputed.
 	table *gpu.TimingTable
 
+	// miss is the device's own result storage for launches that miss the
+	// cache, made at the first miss: the simulator evaluates into it and
+	// the payload is folded from it before the next launch.
+	miss *gpu.KernelResult
+
 	// Instrumentation (see obs.go); nil unless Observe attached a recorder.
 	obs *driverObs
 	// fanout, when non-nil, receives live scope-tagged power samples from
@@ -247,7 +252,9 @@ func (d *Device) SetClocks(p clock.Pair) error {
 	}
 	if o := d.obs; o != nil {
 		o.clockSets.Inc()
-		o.track.Instant("set clocks " + p.String())
+		if o.track.Recording() {
+			o.track.Instant("set clocks " + p.String())
+		}
 	}
 	return nil
 }
@@ -329,17 +336,21 @@ func (d *Device) launch(k *gpu.KernelDesc) (*cachedLaunch, error) {
 		if cl, ok := d.cache[key]; ok {
 			if o != nil {
 				o.hitsDevice.Inc()
-				o.track.Instant("launch cache hit",
-					obs.Arg{Key: "kernel", Value: k.Name}, obs.Arg{Key: "cache", Value: "device"})
+				if o.track.Recording() {
+					o.track.Instant("launch cache hit",
+						obs.Arg{Key: "kernel", Value: k.Name}, obs.Arg{Key: "cache", Value: "device"})
+				}
 			}
 			return cl, nil
 		}
 	}
-	res, err := d.sim.RunKernel(k)
-	if err != nil {
+	if d.miss == nil {
+		d.miss = new(gpu.KernelResult)
+	}
+	if err := d.sim.RunKernelInto(k, d.miss); err != nil {
 		return nil, err
 	}
-	cl := d.newCachedLaunch(res, d.clk)
+	cl := d.newCachedLaunch(d.miss, d.clk)
 	if d.cache != nil {
 		if o != nil {
 			o.misses.Inc()
@@ -480,13 +491,17 @@ func (d *Device) RunMetered(name string, ks []*gpu.KernelDesc, hostGapSeconds, m
 	// Lay the run out on the virtual timeline: the whole-run parent slice
 	// first (so trace viewers nest the children under it), then the first
 	// iteration's kernels, the host gap, and one slice standing in for the
-	// remaining tiled iterations. The cursor ends exactly out.Time later.
+	// remaining tiled iterations. The cursor ends exactly out.Time later,
+	// on an event-free track too: each slice moves it by its own rounded
+	// duration.
 	var runStart int64
 	if o != nil {
 		runStart = o.track.Now()
-		o.track.SliceAt(name, runStart, out.Time,
-			obs.Arg{Key: "pair", Value: d.clk.Pair().String()},
-			obs.Arg{Key: "iterations", Value: strconv.Itoa(iters)})
+		if o.track.Recording() {
+			o.track.SliceAt(name, runStart, out.Time,
+				obs.Arg{Key: "pair", Value: d.clk.Pair().String()},
+				obs.Arg{Key: "iterations", Value: strconv.Itoa(iters)})
+		}
 		for _, ksl := range kslices {
 			o.track.Slice(ksl.name, ksl.dur)
 		}
@@ -519,7 +534,7 @@ func (d *Device) RunMetered(name string, ks []*gpu.KernelDesc, hostGapSeconds, m
 		return nil, fmt.Errorf("driver: workload %q: %w", name, err)
 	}
 	out.Measurement = m
-	if o != nil {
+	if o != nil && o.track.Recording() {
 		periodUS := int64(math.Round(d.inst.SamplePeriod * 1e6))
 		for i, w := range m.Samples {
 			if m.Valid != nil && !m.Valid[i] {

@@ -20,26 +20,29 @@ type driverObs struct {
 }
 
 // Observe attaches a recorder to the device: driver events (launches,
-// cache hits/misses, clock transitions, reboots) are counted per board and
-// traced on the named track, and the meter's per-measurement counts are
-// registered alongside. Passing a nil recorder detaches. Counts one boot.
-func (d *Device) Observe(rec *obs.Recorder, track string) {
+// cache hits/misses, clock transitions, reboots) are counted per board in
+// rec's registry and traced on track, and the meter's per-measurement
+// counts are registered alongside. track is the job's own track, handed
+// down rather than looked up by name: the device's runs advance the
+// cursor the job reads, and a NewTrackFree recorder would answer a second
+// lookup with a second cursor. Passing a nil recorder detaches. Counts
+// one boot.
+func (d *Device) Observe(rec *obs.Recorder, track *obs.Track) {
 	if rec == nil {
 		d.obs = nil
 		d.inst.Obs = nil
 		return
 	}
-	d.obs = newDriverObs(rec, d.spec.Name, track)
+	d.obs = newDriverObs(rec.Metrics(), d.spec.Name, track)
 	d.obs.boots.Inc()
 	d.inst.Obs = newMeterObs(rec.Metrics(), d.spec.Name)
 }
 
 // newDriverObs registers the per-board driver metrics.
-func newDriverObs(rec *obs.Recorder, board, track string) *driverObs {
-	reg := rec.Metrics()
+func newDriverObs(reg *obs.Registry, board string, track *obs.Track) *driverObs {
 	bl := obs.L("board", board)
 	return &driverObs{
-		track:      rec.Track(track),
+		track:      track,
 		boots:      reg.Counter("driver_boots_total", "devices booted under observation", bl),
 		reboots:    reg.Counter("driver_reboots_total", "golden-image reflashes after detected hangs", bl),
 		clockSets:  reg.Counter("driver_clock_transitions_total", "successful VBIOS-patch clock transitions", bl),

@@ -107,7 +107,7 @@ func TestTableKernelLaunchHits(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := obs.New()
-	d.Observe(rec, "t")
+	d.Observe(rec, rec.Track("t"))
 	if _, err := d.PrecomputeTable(tab, tab.Pairs()); err != nil {
 		t.Fatal(err)
 	}
@@ -207,6 +207,50 @@ func BenchmarkLaunchHit(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestLaunchMissAllocs pins what an uncached launch allocates: the
+// compiled kernel, the payload and its waveform, and the launch result
+// with its copy of the waveform. The simulator evaluates into result
+// storage the device owns, made at its first miss, so no later miss
+// allocates a result or its phases.
+func TestLaunchMissAllocs(t *testing.T) {
+	const want = 7
+	d, err := OpenBoard("GTX 680")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.DisableLaunchCache()
+	k := workloads.ByName("backprop").Kernels(1)[0]
+	if _, err := d.Launch(k); err != nil { // the first miss makes the storage
+		t.Fatal(err)
+	}
+	n := testing.AllocsPerRun(100, func() {
+		if _, err := d.Launch(k); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n != want {
+		t.Errorf("an uncached launch allocates %v objects, want %d", n, want)
+	}
+}
+
+// BenchmarkLaunchMiss times an uncached launch: the device compiles the
+// kernel and evaluates it at the programmed pair on every call, as every
+// launch of a -nocache run and of an uncached reference does.
+func BenchmarkLaunchMiss(b *testing.B) {
+	d, err := OpenBoard("GTX 680")
+	if err != nil {
+		b.Fatal(err)
+	}
+	d.DisableLaunchCache()
+	k := workloads.ByName("backprop").Kernels(1)[0]
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := d.Launch(k); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -46,14 +46,16 @@ func allKernels(t *testing.T) []*gpu.KernelDesc {
 
 // TestRunPairsBitIdenticalToRunKernel is the model-equivalence property:
 // for every board, every kernel of the workload suite, and every
-// BIOS-exposed frequency pair, both the batched path (RunPairs) and the
-// per-launch path (RunKernel) must reproduce the frozen uncompiled
+// BIOS-exposed frequency pair, the batched path (RunPairs) and the
+// per-launch paths (RunKernel, and RunKernelInto into one result reused
+// across every kernel and pair) must reproduce the frozen uncompiled
 // reference bit for bit — time, per-phase durations, bottlenecks,
 // events, and the full activity vector. The seed-42 golden artifacts
 // encode these floats, so "close" is not enough; comparisons use exact
 // bit patterns.
 func TestRunPairsBitIdenticalToRunKernel(t *testing.T) {
 	kernels := allKernels(t)
+	var into gpu.KernelResult
 	for _, spec := range arch.AllBoards() {
 		pairs := clock.ValidPairs(spec)
 		clk := clock.NewState(spec)
@@ -85,6 +87,11 @@ func TestRunPairsBitIdenticalToRunKernel(t *testing.T) {
 					t.Fatalf("%s/%s@%s: RunKernel: %v", spec.Name, k.Name, p, err)
 				}
 				compareResults(t, spec.Name, k.Name, p, got, want)
+
+				if err := sim.RunKernelInto(k, &into); err != nil {
+					t.Fatalf("%s/%s@%s: RunKernelInto: %v", spec.Name, k.Name, p, err)
+				}
+				compareResults(t, spec.Name, k.Name, p, &into, want)
 			}
 			if err := clk.SetPair(clock.DefaultPair()); err != nil {
 				t.Fatal(err)

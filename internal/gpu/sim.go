@@ -148,6 +148,24 @@ func (s *Sim) RunKernel(k *KernelDesc) (*KernelResult, error) {
 	return ck.eval(s.clk), nil
 }
 
+// RunKernelInto is RunKernel into a result the caller owns: res is
+// overwritten, and its Phases storage is reused when it holds every
+// phase, so a caller that folds each result before the next launch
+// allocates no result.
+func (s *Sim) RunKernelInto(k *KernelDesc, res *KernelResult) error {
+	ck, err := s.Compile(k)
+	if err != nil {
+		return err
+	}
+	phases := res.Phases[:0]
+	if cap(phases) < len(ck.phases) {
+		phases = make([]PhaseResult, 0, len(ck.phases))
+	}
+	*res = KernelResult{Phases: phases}
+	ck.evalInto(s.clk, res)
+	return nil
+}
+
 // irregularity maps (kernel, grid) to a deterministic value in [-1, 1] via
 // FNV hashing; it seeds the per-run timing deviation.
 func irregularity(name string, blocks int) float64 {

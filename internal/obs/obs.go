@@ -26,6 +26,22 @@
 // Everything is strictly opt-in and nil-safe: a nil *Recorder (and every
 // handle derived from one) turns the entire layer into pointer checks, so
 // uninstrumented runs pay no allocations and no locks.
+//
+// The two constructors differ in what they keep:
+//
+//   - New keeps every track by name, with its events: the recorder of a
+//     batch run, which may write a trace or an event log.
+//   - NewTrackFree keeps no track at all: Track returns a fresh
+//     event-free track on every call, which only its caller holds. It is
+//     gpuperfd's recorder, which serves campaigns for as long as it runs
+//     and exports no events, so its tracks must not outlive their jobs.
+//
+// Cursors still matter without events, because one metric reads one:
+// characterize_sim_microseconds_total adds each sweep job's cursor when
+// the job ends. So an event-free track advances its cursor exactly as a
+// recording one does, and code that instruments a job hands the job's
+// *Track down rather than looking it up by name again: under
+// NewTrackFree a second lookup returns a second cursor.
 package obs
 
 import (
@@ -75,17 +91,25 @@ type Event struct {
 func (e *Event) End() int64 { return e.Start + e.Dur }
 
 // Recorder is one campaign's instrumentation sink: a set of virtual-time
-// tracks plus a metrics registry. The zero value is not usable; call New.
-// All methods are safe on a nil receiver and safe for concurrent use.
+// tracks plus a metrics registry. The zero value is not usable; call New
+// or NewTrackFree. All methods are safe on a nil receiver and safe for
+// concurrent use.
 type Recorder struct {
 	mu     sync.Mutex
 	reg    *Registry
-	tracks map[string]*Track
+	tracks map[string]*Track // nil: tracks are not kept (NewTrackFree)
 }
 
-// New returns an empty recorder.
+// New returns an empty recorder that keeps every track and its events.
 func New() *Recorder {
 	return &Recorder{reg: NewRegistry(), tracks: map[string]*Track{}}
+}
+
+// NewTrackFree returns an empty recorder that keeps no track: every
+// Track call returns a fresh event-free track, which its caller alone
+// holds. Its metrics registry is the only state that outlives a job.
+func NewTrackFree() *Recorder {
+	return &Recorder{reg: NewRegistry()}
 }
 
 // Enabled reports whether a sink is attached.
@@ -102,16 +126,20 @@ func (r *Recorder) Metrics() *Registry {
 
 // Track returns (creating if needed) the named virtual timeline. Track
 // names sort the export layout, so callers prefix them by campaign phase
-// ("fig/GTX 480/backprop", "table4/…") to keep phases contiguous.
+// ("fig/GTX 480/backprop", "table4/…") to keep phases contiguous. A
+// NewTrackFree recorder returns a new track on every call.
 func (r *Recorder) Track(name string) *Track {
 	if r == nil {
 		return nil
+	}
+	if r.tracks == nil {
+		return &Track{name: name}
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	t := r.tracks[name]
 	if t == nil {
-		t = &Track{name: name}
+		t = &Track{name: name, record: true}
 		r.tracks[name] = t
 	}
 	return t
@@ -168,14 +196,17 @@ func (r *Recorder) Layout() []TrackExport {
 func usec(seconds float64) int64 { return int64(math.Round(seconds * 1e6)) }
 
 // Track is one virtual timeline: a monotonically advancing cursor of
-// simulated microseconds plus the events recorded against it. A track is
-// normally written by the single goroutine that owns its unit of work,
-// but all methods lock so unforeseen sharing stays race-free. All methods
-// are safe on a nil receiver.
+// simulated microseconds plus, on a New recorder's tracks, the events
+// recorded against it. An event-free track moves its cursor exactly as a
+// recording one does and drops the events. A track is normally written
+// by the single goroutine that owns its unit of work, but all methods
+// lock so unforeseen sharing stays race-free. All methods are safe on a
+// nil receiver.
 type Track struct {
 	mu     sync.Mutex
 	name   string
 	cursor int64
+	record bool // events are kept (a New recorder's track)
 	events []Event
 }
 
@@ -186,6 +217,10 @@ func (t *Track) Name() string {
 	}
 	return t.name
 }
+
+// Recording reports whether the track keeps events, so callers can skip
+// building the annotations of events an event-free track would drop.
+func (t *Track) Recording() bool { return t != nil && t.record }
 
 // Now returns the cursor in virtual microseconds.
 func (t *Track) Now() int64 {
@@ -219,7 +254,9 @@ func (t *Track) Slice(name string, seconds float64, args ...Arg) {
 		d = 0
 	}
 	t.mu.Lock()
-	t.events = append(t.events, Event{Name: name, Kind: KindSlice, Start: t.cursor, Dur: d, Args: args})
+	if t.record {
+		t.events = append(t.events, Event{Name: name, Kind: KindSlice, Start: t.cursor, Dur: d, Args: args})
+	}
 	t.cursor += d
 	t.mu.Unlock()
 }
@@ -228,7 +265,7 @@ func (t *Track) Slice(name string, seconds float64, args ...Arg) {
 // without moving the cursor — the shape of a parent span whose children
 // advanced the cursor already.
 func (t *Track) SliceAt(name string, startUS int64, seconds float64, args ...Arg) {
-	if t == nil {
+	if !t.Recording() {
 		return
 	}
 	d := usec(seconds)
@@ -242,7 +279,7 @@ func (t *Track) SliceAt(name string, startUS int64, seconds float64, args ...Arg
 
 // Instant records a point event at the cursor.
 func (t *Track) Instant(name string, args ...Arg) {
-	if t == nil {
+	if !t.Recording() {
 		return
 	}
 	t.mu.Lock()
@@ -252,13 +289,16 @@ func (t *Track) Instant(name string, args ...Arg) {
 
 // Sample records a counter sample at the cursor.
 func (t *Track) Sample(counter string, v float64, extra ...NumArg) {
+	if !t.Recording() {
+		return
+	}
 	t.SampleAt(counter, t.Now(), v, extra...)
 }
 
 // SampleAt records a counter sample at an explicit virtual time — the
 // meter's 50 ms windows land inside the metered run this way.
 func (t *Track) SampleAt(counter string, tsUS int64, v float64, extra ...NumArg) {
-	if t == nil {
+	if !t.Recording() {
 		return
 	}
 	t.mu.Lock()
@@ -278,9 +318,10 @@ type Span struct {
 
 // Begin opens a span at the cursor. The span closes at the cursor's
 // position when End is called, so the enclosed instrumentation advances
-// the clock for it.
+// the clock for it. An event-free track opens no span: End would only
+// record an event.
 func (t *Track) Begin(name string, args ...Arg) *Span {
-	if t == nil {
+	if !t.Recording() {
 		return nil
 	}
 	return &Span{t: t, name: name, start: t.Now(), args: args}

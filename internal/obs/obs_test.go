@@ -139,6 +139,47 @@ func TestSpanCoversChildSlices(t *testing.T) {
 	}
 }
 
+// TestTrackFreeTracksKeepCursors: the same instrumentation moves a
+// track-free recorder's track exactly as it moves a recording one's, one
+// rounded slice at a time, and records nothing. A second lookup by the
+// same name hands out a fresh track, and the recorder lays out none.
+func TestTrackFreeTracksKeepCursors(t *testing.T) {
+	drive := func(tr *Track) int64 {
+		tr.Advance(0.0015)
+		span := tr.Begin("parent", Arg{Key: "k", Value: "v"})
+		tr.Slice("k1", 0.0000014)
+		tr.Slice("k2", 0.0021)
+		tr.SliceAt("tile", 0, 1)
+		tr.Instant("retry")
+		tr.Sample("watts", 112.5)
+		tr.SampleAt("watts", 10, 110)
+		span.End()
+		return tr.Now()
+	}
+	want := drive(New().Track("t"))
+	if want != 3601 {
+		t.Fatalf("recording track cursor %d, want 3601", want)
+	}
+	rec := NewTrackFree()
+	tr := rec.Track("t")
+	if tr.Recording() {
+		t.Error("track keeps events")
+	}
+	if got := drive(tr); got != want {
+		t.Errorf("cursor %d, want %d", got, want)
+	}
+	if again := rec.Track("t"); again == tr || again.Now() != 0 {
+		t.Errorf("second lookup returned the same track = %v at cursor %d, want a fresh one", again == tr, again.Now())
+	}
+	var ev strings.Builder
+	if err := rec.WriteEvents(&ev); err != nil || ev.Len() != 0 {
+		t.Errorf("wrote events %q (%v)", ev.String(), err)
+	}
+	if n := len(rec.Layout()); n != 0 {
+		t.Errorf("layout holds %d tracks, want 0", n)
+	}
+}
+
 func TestNilSafety(t *testing.T) {
 	var rec *Recorder
 	if rec.Enabled() {
@@ -176,6 +217,9 @@ func TestNilSafety(t *testing.T) {
 	}
 	if rec.Layout() != nil {
 		t.Error("nil recorder has a layout")
+	}
+	if tr.Recording() {
+		t.Error("nil track claims to record")
 	}
 	stop := rec.StartProgressCtx(context.Background(), nil, time.Second)
 	stop()

@@ -72,6 +72,12 @@ func faultedOptions(t *testing.T) []session.Option {
 // harness counters behind them. The report must match at every worker
 // count and cache mode, the metrics exposition at the sequential
 // reference (the pool-width gauge is the one worker-dependent series).
+//
+// The exposition must match under both recorders: the event-keeping one
+// of a CLI run and the track-free one gpuperfd serves with. The golden
+// carries characterize_sim_microseconds_total, which reads the sweep
+// jobs' cursors, so a device that traced onto a track of its own instead
+// of its job's would leave the track-free run's cursors at zero.
 func TestPaperFaultedGolden(t *testing.T) {
 	opts := faultedOptions(t)
 	checkGolden(t, "testdata/paper-faulted-gtx680-seed42.golden", opts)
@@ -80,25 +86,30 @@ func TestPaperFaultedGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := obs.New()
-	s, err := session.New(append(opts, session.WithSeed(42), session.WithWorkers(1),
-		session.WithObs(rec), session.WithCodeVersion("golden"))...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = reproduce.Run(context.Background(), s, reproduce.DefaultSections(), &bytes.Buffer{})
-	if cerr := s.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	var m bytes.Buffer
-	if err := rec.WriteMetrics(&m); err != nil {
-		t.Fatal(err)
-	}
-	if got := m.String(); got != string(golden) {
-		t.Fatalf("metrics diverged from the golden exposition at line %d", firstDiffLine(got, string(golden)))
+	for _, r := range []struct {
+		name string
+		rec  *obs.Recorder
+	}{{"events", obs.New()}, {"track-free", obs.NewTrackFree()}} {
+		s, err := session.New(append(opts, session.WithSeed(42), session.WithWorkers(1),
+			session.WithObs(r.rec), session.WithCodeVersion("golden"))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = reproduce.Run(context.Background(), s, reproduce.DefaultSections(), &bytes.Buffer{})
+		if cerr := s.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m bytes.Buffer
+		if err := r.rec.WriteMetrics(&m); err != nil {
+			t.Fatal(err)
+		}
+		if got := m.String(); got != string(golden) {
+			t.Fatalf("%s recorder: metrics diverged from the golden exposition at line %d",
+				r.name, firstDiffLine(got, string(golden)))
+		}
 	}
 }
 

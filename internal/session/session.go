@@ -596,7 +596,7 @@ func (s *Session) Device(boardName string) (*driver.Device, error) {
 	}
 	dev.Seed(s.cfg.Seed)
 	if s.cfg.Obs != nil {
-		dev.Observe(s.cfg.Obs, "device/"+boardName)
+		dev.Observe(s.cfg.Obs, s.cfg.Obs.Track("device/"+boardName))
 	}
 	dev.SetPowerFanout(s.cfg.PowerFanout)
 	return dev, nil

@@ -39,7 +39,7 @@ func main() {
 	board := flag.String("board", "", "restrict to one board")
 	bench := flag.String("bench", "",
 		"comma-separated benchmark restriction for fleet campaigns (default: the Table IV set)")
-	camp := cliflags.Register(flag.CommandLine)
+	camp := cliflags.Register(flag.CommandLine, cliflags.Faults, cliflags.Pool, cliflags.Sweep, cliflags.Fleet)
 	flag.Parse()
 
 	stopProf, err := camp.StartProfiling()

@@ -6,12 +6,16 @@
 //
 //	gpusim -board "GTX 680" -bench backprop -pair H-L [-scale 2] [-profile]
 //
-// The device comes from the shared campaign session, so the campaign flag
-// block (-seed, -faults, -max-retries, …) behaves exactly as in the sweep
-// commands; an interrupt (Ctrl-C) aborts the metered run.
+// The device comes from a campaign session, and gpusim takes the core
+// campaign flags (-seed, -nocache and the observability and profile
+// outputs) plus -faults and -launch-timeout, which behave as in the sweep
+// commands. gpusim makes a single attempt: a transient fault fails the
+// run with exit 1, and an injected hang ends when the -launch-timeout
+// watchdog fires. An interrupt (Ctrl-C) aborts the metered run.
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -40,7 +44,7 @@ func main() {
 	traceOut := flag.String("trace", "", "write a Chrome/Perfetto trace JSON of the run to this path")
 	list := flag.Bool("list", false, "list boards and benchmarks, then exit")
 	jsonOut := flag.Bool("json", false, "emit the run summary as JSON instead of text")
-	camp := cliflags.Register(flag.CommandLine)
+	camp := cliflags.Register(flag.CommandLine, cliflags.Faults)
 	flag.Parse()
 
 	stopProf, err := camp.StartProfiling()
@@ -61,7 +65,6 @@ func main() {
 		return
 	}
 
-	camp.NoFleet("gpusim")
 	cfg, err := camp.Config(*board)
 	if err != nil {
 		cliflags.Usage("gpusim", err)
@@ -113,7 +116,9 @@ func main() {
 	if *profile {
 		dev.EnableProfiler()
 	}
-	rr, err := dev.RunMeteredCtx(ctx, name, kernels, hostGap, characterize.MinRunSeconds)
+	runCtx, cancel := context.WithTimeout(ctx, cfg.LaunchTimeout)
+	rr, err := dev.RunMeteredCtx(runCtx, name, kernels, hostGap, characterize.MinRunSeconds)
+	cancel()
 	if err != nil {
 		cliflags.Fatal("gpusim", err)
 	}

@@ -35,7 +35,7 @@ func main() {
 	vars := flag.Int("vars", core.MaxVariables, "explanatory-variable cap")
 	saveDir := flag.String("save", "", "directory to write trained models and datasets as JSON")
 	diagnose := flag.Bool("diagnose", false, "print per-variable VIF and standardized coefficients")
-	camp := cliflags.Register(flag.CommandLine)
+	camp := cliflags.Register(flag.CommandLine, cliflags.Faults, cliflags.Pool)
 	flag.Parse()
 
 	stopProf, err := camp.StartProfiling()
@@ -48,7 +48,6 @@ func main() {
 	if *board != "" {
 		restrict = []string{*board}
 	}
-	camp.NoFleet("model")
 	cfg, err := camp.Config(restrict...)
 	if err != nil {
 		cliflags.Usage("model", err)

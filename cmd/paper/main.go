@@ -17,6 +17,8 @@
 //	paper -trace-out t.json -metrics-out m.txt
 //	                           record the campaign: Perfetto trace + metrics
 //
+// paper takes every campaign flag but the fleet group (-fleet-size,
+// -shards, -jitter-profile): fleet campaigns run through characterize.
 // An interrupt (Ctrl-C) cancels the campaign at the next cell boundary;
 // with -checkpoint the journal stays resumable.
 package main
@@ -27,10 +29,8 @@ import (
 	"os"
 
 	"gpuperf/internal/cliflags"
-	"gpuperf/internal/report"
 	"gpuperf/internal/reproduce"
 	"gpuperf/internal/session"
-	"gpuperf/internal/workloads"
 )
 
 func main() {
@@ -38,7 +38,7 @@ func main() {
 	quick := flag.Bool("quick", false, "characterization only (skip modeling, ablations, future work)")
 	board := flag.String("board", "", "restrict to one board")
 	artifacts := flag.String("artifacts", "", "also write per-table/figure CSVs into this directory")
-	camp := cliflags.Register(flag.CommandLine)
+	camp := cliflags.Register(flag.CommandLine, cliflags.Faults, cliflags.Pool, cliflags.Sweep)
 	flag.Parse()
 
 	stopProf, err := camp.StartProfiling()
@@ -77,19 +77,6 @@ func main() {
 		}
 		defer f.Close()
 		w = f
-	}
-	if cfg.FleetSize >= 1 {
-		// A fleet campaign replaces the paper reproduction with the
-		// population report over the Table IV set.
-		rep, err := s.Fleet(ctx, workloads.Table4())
-		if err != nil {
-			cliflags.Fatal("paper", err)
-		}
-		fmt.Fprint(w, report.FleetSummary(rep))
-		if err := camp.WriteArtifacts(cfg.Obs); err != nil {
-			cliflags.Fatal("paper", err)
-		}
-		return
 	}
 	sec := reproduce.DefaultSections()
 	if *quick {

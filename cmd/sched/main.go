@@ -7,14 +7,15 @@
 //	sched -board "GTX 680" -jobs backprop,sgemm,lbm -budget 80
 //	sched -jobs backprop,sgemm -deadline 0.5
 //
-// The device comes from the shared campaign session, so -seed, -nocache
-// and the observability flags behave as in the sweep commands.
-// The sweeps run one fault-free attempt per pair, so sched rejects -faults
-// with a usage error; run fault campaigns with characterize or paper.
+// The device comes from a campaign session, and sched takes the core
+// campaign flags only (-seed, -nocache and the observability and profile
+// outputs), which behave as in the sweep commands. Its sweeps run one
+// fault-free attempt per pair on one device, so it takes no fault, retry,
+// pool, journal or fleet flag; run fault campaigns with characterize or
+// paper.
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -44,10 +45,6 @@ func main() {
 		jobs[i] = strings.TrimSpace(jobs[i])
 	}
 
-	camp.NoFleet("sched")
-	if camp.Faults != "" {
-		cliflags.Usage("sched", errors.New("-faults is not supported: sched's sweeps run one fault-free attempt per pair; run fault campaigns with characterize or paper"))
-	}
 	cfg, err := camp.Config(*board)
 	if err != nil {
 		cliflags.Usage("sched", err)

@@ -31,8 +31,6 @@ func chaosRes(t *testing.T, spec string, seed int64) *fault.Resilience {
 		Campaign:      &fault.Campaign{Profile: profile(t, spec), Seed: seed},
 		MaxRetries:    10,
 		LaunchTimeout: 30 * time.Millisecond,
-		BackoffBase:   time.Microsecond,
-		BackoffMax:    10 * time.Microsecond,
 		Sleep:         func(time.Duration) {},
 	}
 }

@@ -1,11 +1,19 @@
-// Package cliflags is the one definition of the campaign flag block the
-// command front ends share. Every campaign command (paper, characterize,
-// model, gpusim, sched) registers the identical, identically-documented
-// set — seed, workers, cache mode, fault profile, retry policy,
-// checkpoint, and the observability outputs — and translates it to a
-// session.Config with Campaign.Config. Command-specific flags (-quick,
-// -table, -fig, …) stay in the commands; the campaign vocabulary lives
-// here so it cannot drift between them again.
+// Package cliflags defines the campaign flags the command front ends
+// share, in groups, and translates them to a session.Config with
+// Campaign.Config. Every campaign command registers the core flags
+// (-seed -nocache -trace-out -metrics-out -events-out -cpuprofile
+// -memprofile) and the groups it acts on, so no command accepts a flag it
+// would ignore:
+//
+//	sched         core
+//	gpusim        core + Faults
+//	model         core + Faults + Pool
+//	paper         core + Faults + Pool + Sweep
+//	characterize  core + Faults + Pool + Sweep + Fleet
+//
+// A flag a command does not register keeps its default in the Config.
+// Command-specific flags (-quick, -table, -fig, …) stay in the commands;
+// the campaign vocabulary lives here so it cannot drift between them.
 package cliflags
 
 import (
@@ -27,8 +35,8 @@ import (
 	"gpuperf/internal/trace"
 )
 
-// Campaign holds the parsed shared flag block. Zero value is not ready;
-// build one with Register.
+// Campaign holds the parsed flags. Zero value is not ready; build one
+// with Register.
 type Campaign struct {
 	Seed          int64
 	Workers       int
@@ -51,48 +59,83 @@ type Campaign struct {
 	JitterProfile string
 }
 
-// Register installs the shared campaign flag block on fs (flag.CommandLine
-// in the commands) and returns the destination struct. Call before
-// fs.Parse.
-func Register(fs *flag.FlagSet) *Campaign {
-	c := &Campaign{}
-	fs.Int64Var(&c.Seed, "seed", 42, "measurement-noise seed")
-	fs.IntVar(&c.Workers, "workers", runtime.GOMAXPROCS(0),
-		"pool width of the sweeps, collections and modeling fits; 1 is the bit-exact sequential reference (output is identical at any width)")
+// Group is a set of campaign flags a command registers beside the core
+// flags.
+type Group int
+
+const (
+	// Faults is -faults -launch-timeout: a fault profile and the
+	// per-run watchdog that ends an injected hang.
+	Faults Group = iota
+	// Pool is -workers -max-retries -progress -triage-out: a pooled
+	// campaign that retries transient faults, reports its progress and
+	// triages what it lost.
+	Pool
+	// Sweep is -checkpoint -repetitions -min-valid: journaled,
+	// repeated characterization sweeps.
+	Sweep
+	// Fleet is -fleet-size -shards -jitter-profile: the population
+	// campaign.
+	Fleet
+)
+
+// Register installs the core flags and the given groups on fs
+// (flag.CommandLine in the commands) and returns the destination struct.
+// Call before fs.Parse.
+func Register(fs *flag.FlagSet, groups ...Group) *Campaign {
+	c := &Campaign{
+		Seed:          42,
+		Workers:       runtime.GOMAXPROCS(0),
+		MaxRetries:    fault.DefaultMaxRetries,
+		LaunchTimeout: fault.DefaultLaunchTimeout,
+		Repetitions:   1,
+		Shards:        1,
+	}
+	fs.Int64Var(&c.Seed, "seed", c.Seed, "measurement-noise seed")
 	fs.BoolVar(&c.NoCache, "nocache", false,
 		"disable launch memoization (uncached reference mode; output is identical either way)")
-	fs.StringVar(&c.Faults, "faults", "",
-		`fault-injection profile, e.g. "launch.hang:0.02,meter.drop:0.001" (empty: fault-free)`)
-	fs.IntVar(&c.MaxRetries, "max-retries", fault.DefaultMaxRetries,
-		"transient-fault retry budget per boot/clock-set/metered run")
-	fs.DurationVar(&c.LaunchTimeout, "launch-timeout", fault.DefaultLaunchTimeout,
-		"per-run watchdog deadline for hung launches")
-	fs.StringVar(&c.Checkpoint, "checkpoint", "",
-		"journal completed characterization sweep cells to this path and resume from it (modeling collections are not journaled)")
-	fs.IntVar(&c.Repetitions, "repetitions", 1,
-		"repetition-cohort size: run each characterization sweep N times with independent noise/fault streams and triage every cell on cross-repetition agreement (1: classic single run)")
-	fs.IntVar(&c.MinValid, "min-valid", 0,
-		"publishability floor in valid repetitions per cell (0: every repetition must be valid)")
-	fs.StringVar(&c.TriageOut, "triage-out", "",
-		"write the machine-readable validity-triage report (JSON) to this path, e.g. reports/baseline.json")
+	for _, g := range groups {
+		switch g {
+		case Faults:
+			fs.StringVar(&c.Faults, "faults", "",
+				`fault-injection profile, e.g. "launch.hang:0.02,meter.drop:0.001" (empty: fault-free)`)
+			fs.DurationVar(&c.LaunchTimeout, "launch-timeout", c.LaunchTimeout,
+				"per-run watchdog deadline for hung launches")
+		case Pool:
+			fs.IntVar(&c.Workers, "workers", c.Workers,
+				"pool width of the sweeps, collections and modeling fits; 1 is the bit-exact sequential reference (output is identical at any width)")
+			fs.IntVar(&c.MaxRetries, "max-retries", c.MaxRetries,
+				"transient-fault retry budget per boot/clock-set/metered run")
+			fs.BoolVar(&c.Progress, "progress", false,
+				"print a periodic one-line campaign status to stderr (implies instrumentation)")
+			fs.StringVar(&c.TriageOut, "triage-out", "",
+				"write the machine-readable validity-triage report (JSON) to this path, e.g. reports/baseline.json")
+		case Sweep:
+			fs.StringVar(&c.Checkpoint, "checkpoint", "",
+				"journal completed characterization sweep cells to this path and resume from it (modeling collections are not journaled)")
+			fs.IntVar(&c.Repetitions, "repetitions", c.Repetitions,
+				"repetition-cohort size: run each characterization sweep N times with independent noise/fault streams and triage every cell on cross-repetition agreement (1: classic single run)")
+			fs.IntVar(&c.MinValid, "min-valid", 0,
+				"publishability floor in valid repetitions per cell (0: every repetition must be valid)")
+		case Fleet:
+			fs.IntVar(&c.FleetSize, "fleet-size", 0,
+				"run a fleet campaign over N jittered devices generated from the board set (0: the classic per-board campaign)")
+			fs.IntVar(&c.Shards, "shards", c.Shards,
+				"partition fleet devices across N shard pipelines, each with its own checkpoint journal (the report is byte-identical at any shard count)")
+			fs.StringVar(&c.JitterProfile, "jitter-profile", "",
+				`per-device parameter spread for fleet campaigns: a preset (default, none, tight, loose) or "key:fraction" pairs, e.g. "corevolt:0.03,leak:0.08"`)
+		}
+	}
 	fs.StringVar(&c.TraceOut, "trace-out", "",
 		"write a Chrome/Perfetto trace of the campaign to this path")
 	fs.StringVar(&c.MetricsOut, "metrics-out", "",
 		"write Prometheus-style metrics exposition to this path")
 	fs.StringVar(&c.EventsOut, "events-out", "",
 		"write the raw instrumentation events as JSONL to this path")
-	fs.BoolVar(&c.Progress, "progress", false,
-		"print a periodic one-line campaign status to stderr (implies instrumentation)")
 	fs.StringVar(&c.CPUProfile, "cpuprofile", "",
 		"write a pprof CPU profile of the campaign to this path")
 	fs.StringVar(&c.MemProfile, "memprofile", "",
 		"write a pprof heap profile at campaign exit to this path")
-	fs.IntVar(&c.FleetSize, "fleet-size", 0,
-		"run a fleet campaign over N jittered devices generated from the board set (0: the classic per-board campaign)")
-	fs.IntVar(&c.Shards, "shards", 1,
-		"partition fleet devices across N shard pipelines, each with its own checkpoint journal (the report is byte-identical at any shard count)")
-	fs.StringVar(&c.JitterProfile, "jitter-profile", "",
-		`per-device parameter spread for fleet campaigns: a preset (default, none, tight, loose) or "key:fraction" pairs, e.g. "corevolt:0.03,leak:0.08"`)
 	return c
 }
 
@@ -139,7 +182,7 @@ func (c *Campaign) StartProfiling() (func(), error) {
 	}, nil
 }
 
-// Config validates the block and translates it to a session.Config:
+// Config validates the flags and translates them to a session.Config:
 // parsed fault profile, an observability recorder when any output flag
 // asked for one, cache mode, and the checkpoint path, with boards
 // restricting the campaign when non-empty.
@@ -181,6 +224,11 @@ func (c *Campaign) Config(boards ...string) (session.Config, error) {
 		return cfg, fmt.Errorf("-shards/-jitter-profile require -fleet-size ≥ 1")
 	}
 	if c.FleetSize >= 1 {
+		// A fleet runs once and is not triaged; gpuperfd refuses
+		// repetitions and min_valid on a fleet the same way.
+		if c.Repetitions > 1 || c.MinValid != 0 || c.TriageOut != "" {
+			return cfg, fmt.Errorf("-repetitions, -min-valid and -triage-out do not apply to fleet campaigns (-fleet-size)")
+		}
 		if _, err := fleet.ParseJitterProfile(c.JitterProfile); err != nil {
 			return cfg, err
 		}
@@ -192,15 +240,6 @@ func (c *Campaign) Config(boards ...string) (session.Config, error) {
 		cfg.Obs = obs.New()
 	}
 	return cfg, nil
-}
-
-// NoFleet rejects the fleet flag block for commands that have no fleet
-// campaign path (model, gpusim, sched), with the usage exit code. Call
-// after fs.Parse, before Config.
-func (c *Campaign) NoFleet(cmd string) {
-	if c.FleetSize != 0 || c.Shards != 1 || c.JitterProfile != "" {
-		Usage(cmd, fmt.Errorf("fleet campaigns are not supported by %s; use characterize or paper", cmd))
-	}
 }
 
 // Instrumented reports whether any flag asked for an observability

@@ -109,14 +109,18 @@ type TriageStatus struct {
 
 // CampaignStatus is the status JSON for one campaign.
 type CampaignStatus struct {
-	ID         string           `json:"id"`
-	Kind       string           `json:"kind"`
-	State      string           `json:"state"`
-	Request    CampaignRequest  `json:"request"`
-	Progress   session.Progress `json:"progress"`
-	Checkpoint string           `json:"checkpoint"`
-	Error      string           `json:"error,omitempty"`
-	Triage     *TriageStatus    `json:"triage,omitempty"`
+	ID       string           `json:"id"`
+	Kind     string           `json:"kind"`
+	State    string           `json:"state"`
+	Request  CampaignRequest  `json:"request"`
+	Progress session.Progress `json:"progress"`
+	// Checkpoint is the campaign's journal path,
+	// DataDir/campaign-<id>.journal. A fleet campaign writes no file
+	// there: shard N journals to Checkpoint+".shardN", one file per
+	// entry of Shards.
+	Checkpoint string        `json:"checkpoint"`
+	Error      string        `json:"error,omitempty"`
+	Triage     *TriageStatus `json:"triage,omitempty"`
 	// Shards is the per-shard fleet progress, fleet campaigns only.
 	Shards []fleet.ShardProgress `json:"shards,omitempty"`
 }

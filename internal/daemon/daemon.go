@@ -23,10 +23,12 @@
 // the discipline gpulint's obscheck analyzer enforces.
 //
 // Campaigns are ordinary session.Sessions: each gets its own checkpoint
-// journal under DataDir and a context cancelled by DELETE or by Drain,
-// so a SIGTERM shutdown stops every in-flight campaign at a cell
-// boundary with its journal resumable — resubmitting the same campaign
-// replays the completed cells. Artifacts are byte-identical to the same
+// journal under DataDir (campaign-<id>.journal, the status JSON's
+// "checkpoint"; a fleet campaign instead writes one journal per shard,
+// campaign-<id>.journal.shard0 … .shard<S-1>) and a context cancelled by
+// DELETE or by Drain, so a SIGTERM shutdown stops every in-flight
+// campaign at a cell boundary with its journal resumable — resubmitting
+// the same campaign replays the completed cells. Artifacts are byte-identical to the same
 // campaign run through cmd/characterize at the same seed: the daemon
 // adds live telemetry (the collector fan-out), never noise.
 //

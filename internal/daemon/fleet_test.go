@@ -2,7 +2,11 @@ package daemon
 
 import (
 	"encoding/json"
+	"errors"
+	"io/fs"
 	"net/http"
+	"os"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -11,9 +15,11 @@ import (
 
 // TestDaemonFleetCampaign covers the fleet campaign path end-to-end: a
 // kind="fleet" submission runs a sharded population sweep, the terminal
-// status JSON carries per-shard progress, the rendered report is the
-// fleet population summary, and /metrics exposes every gpuperf_fleet_*
-// family with values consistent with the campaign that just ran.
+// status JSON carries per-shard progress, each shard journals to
+// <checkpoint>.shard<N> (nothing is written at the checkpoint path
+// itself), the rendered report is the fleet population summary, and
+// /metrics exposes every gpuperf_fleet_* family with values consistent
+// with the campaign that just ran.
 func TestDaemonFleetCampaign(t *testing.T) {
 	_, ts, _ := newTestServer(t, "GTX 680")
 
@@ -24,7 +30,7 @@ func TestDaemonFleetCampaign(t *testing.T) {
 		Boards:        []string{"GTX 680"},
 		Benchmarks:    []string{"backprop"},
 		FleetSize:     6,
-		Shards:        2,
+		Shards:        3,
 		JitterProfile: "tight",
 	}
 	code, st, body := postCampaign(t, ts.URL, req)
@@ -36,8 +42,16 @@ func TestDaemonFleetCampaign(t *testing.T) {
 	if final.Progress.Planned == 0 || final.Progress.Done != final.Progress.Planned {
 		t.Fatalf("final progress: %+v", final.Progress)
 	}
-	if len(final.Shards) != 2 {
-		t.Fatalf("terminal status shards = %+v, want 2 entries", final.Shards)
+	if len(final.Shards) != req.Shards {
+		t.Fatalf("terminal status shards = %+v, want %d entries", final.Shards, req.Shards)
+	}
+	for s := 0; s < req.Shards; s++ {
+		if _, err := os.Stat(final.Checkpoint + ".shard" + strconv.Itoa(s)); err != nil {
+			t.Errorf("shard %d journal: %v", s, err)
+		}
+	}
+	if _, err := os.Stat(final.Checkpoint); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("fleet campaign left a file at its checkpoint path %s (stat: %v)", final.Checkpoint, err)
 	}
 	var devDone, cells int64
 	for _, sp := range final.Shards {
@@ -66,6 +80,7 @@ func TestDaemonFleetCampaign(t *testing.T) {
 		"gpuperf_fleet_rows_folded_total",
 		`gpuperf_fleet_shard_cells_total{shard="0"}`,
 		`gpuperf_fleet_shard_cells_total{shard="1"}`,
+		`gpuperf_fleet_shard_cells_total{shard="2"}`,
 	} {
 		if !strings.Contains(exp, fam) {
 			t.Errorf("exposition missing %q", fam)

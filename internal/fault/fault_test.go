@@ -184,22 +184,18 @@ func TestErrorClassification(t *testing.T) {
 }
 
 func TestBackoff(t *testing.T) {
-	r := &Resilience{BackoffBase: time.Millisecond, BackoffMax: 8 * time.Millisecond}
-	prevCeil := time.Duration(0)
+	r := &Resilience{}
 	for attempt := 0; attempt < 8; attempt++ {
 		d := r.Backoff("scope", attempt)
-		ideal := time.Millisecond << attempt
-		if ideal > 8*time.Millisecond {
-			ideal = 8 * time.Millisecond
+		ideal := DefaultBackoffBase << attempt
+		if ideal > DefaultBackoffMax {
+			ideal = DefaultBackoffMax
 		}
 		if d < ideal/2 || d >= ideal {
 			t.Errorf("attempt %d: backoff %v outside [%v, %v)", attempt, d, ideal/2, ideal)
 		}
 		if d2 := r.Backoff("scope", attempt); d2 != d {
 			t.Errorf("attempt %d: backoff not deterministic (%v vs %v)", attempt, d, d2)
-		}
-		if ideal > prevCeil {
-			prevCeil = ideal
 		}
 	}
 	if r.Backoff("other-scope", 3) == r.Backoff("scope", 3) {

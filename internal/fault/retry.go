@@ -28,10 +28,6 @@ type Resilience struct {
 	// LaunchTimeout arms the per-launch watchdog; <= 0 disables it (an
 	// injected hang then fails fast instead of blocking).
 	LaunchTimeout time.Duration
-	// BackoffBase/BackoffMax shape the capped exponential backoff between
-	// attempts; zero values take the package defaults.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
 	// Sleep is the pause implementation, injectable so tests run at full
 	// speed; nil means time.Sleep.
 	Sleep func(time.Duration)
@@ -98,24 +94,18 @@ func (r *Resilience) Injector(scope string, attempt int) *Injector {
 	return in
 }
 
-// Backoff returns the pause before retry #attempt (zero-based): a capped
-// exponential with deterministic jitter in [d/2, d), derived by hashing
-// (scope, attempt) so concurrent workers desynchronize without any global
-// rand — reruns pause identically, keeping retry traces reproducible.
+// Backoff returns the pause before retry #attempt (zero-based): an
+// exponential from DefaultBackoffBase capped at DefaultBackoffMax, with
+// deterministic jitter in [d/2, d), derived by hashing (scope, attempt)
+// so concurrent workers desynchronize without any global rand — reruns
+// pause identically, keeping retry traces reproducible.
 func (r *Resilience) Backoff(scope string, attempt int) time.Duration {
-	base, max := DefaultBackoffBase, DefaultBackoffMax
-	if r != nil && r.BackoffBase > 0 {
-		base = r.BackoffBase
-	}
-	if r != nil && r.BackoffMax > 0 {
-		max = r.BackoffMax
-	}
-	d := base
-	for i := 0; i < attempt && d < max; i++ {
+	d := DefaultBackoffBase
+	for i := 0; i < attempt && d < DefaultBackoffMax; i++ {
 		d *= 2
 	}
-	if d > max {
-		d = max
+	if d > DefaultBackoffMax {
+		d = DefaultBackoffMax
 	}
 	if d <= 1 {
 		return d

@@ -71,8 +71,9 @@ func Quick(sec *Sections) {
 // Options configures a RunContext: the campaign session.Open builds, and
 // the report's sections. A reproduction reads every session field but
 // TrackPrefix, since it names its own phase tracks ("1.fig", "2.table4"),
-// and the fleet fields, since cmd/paper sends -fleet-size to
-// Session.Fleet instead of reproducing. Under a fault profile, cells and
+// and the fleet fields, since a reproduction runs no fleet campaign
+// (cmd/characterize -fleet-size does, through Session.Fleet; cmd/paper
+// takes no fleet flag). Under a fault profile, cells and
 // benchmarks that exhaust the retry budget degrade gracefully (Table IV
 // shows "n/a (unstable)", models train without the benchmark) and a
 // degradation summary lists what was lost; the ablations and future work

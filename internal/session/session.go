@@ -4,8 +4,8 @@
 // observability recorder — and exposes the context-aware campaign
 // methods (Sweep, Repeat, Collect, Model, Fleet) every front end drives.
 //
-// The CLI commands build a Session from their shared flag block
-// (internal/cliflags), the root package re-exports it as
+// The CLI commands build a Session from the campaign flags they
+// register (internal/cliflags), the root package re-exports it as
 // gpuperf.Session, and gpuperfd holds many of them, one per concurrent
 // campaign. The paper reproduction (internal/reproduce) is a client: it
 // renders its report from an open Session.
@@ -588,7 +588,7 @@ func (s *Session) Model(ctx context.Context, ds *core.Dataset, kind core.Kind) (
 // use so their measurements share the campaign configuration. Only
 // gpusim's one-shot run draws faults from the attached injector: sched's
 // sweeps measure fault-free (see characterize.SweepBenchmark), so sched
-// rejects -faults.
+// takes no -faults flag.
 func (s *Session) Device(boardName string) (*driver.Device, error) {
 	dev, err := driver.OpenBoardWithFaults(boardName, s.res.Injector("device|"+boardName, 0))
 	if err != nil {

@@ -14,13 +14,15 @@
 //	GET    /api/v1/campaigns/{id}/triage machine-readable triage report (from DataDir)
 //	GET    /api/v1/power                per-device recent power, JSON
 //
-// Scrape-safety contract: /metrics renders a Registry.Snapshot — a
-// consistent deep copy taken under the registry lock — so scrapes run
-// concurrently with campaigns registering series, and the live text is
-// byte-identical to what the artifact writer (obs.Recorder.WriteMetrics)
-// would emit for the same state. HTTP handlers never register metric
-// handles; every family is created in New (collector included), which is
-// the discipline gpulint's obscheck analyzer enforces.
+// Scrape-safety contract: /metrics renders a Registry.Snapshot — a copy
+// of every series' values beside the exposition order the registry keeps
+// (rebuilt as a new value under the registry lock only after a series is
+// added, never changed in place) — so scrapes run concurrently with
+// campaigns registering series, and the live text is byte-identical to
+// what the artifact writer (obs.Recorder.WriteMetrics) would emit for the
+// same state. HTTP handlers never register metric handles; every family
+// is created in New (collector included), which is the discipline
+// gpulint's obscheck analyzer enforces.
 //
 // Campaigns are ordinary session.Sessions: each gets its own checkpoint
 // journal under DataDir (campaign-<id>.journal, the status JSON's

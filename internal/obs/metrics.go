@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"fmt"
 	"io"
 	"sort"
 	"strconv"
@@ -27,8 +26,9 @@ func L(key, value string) Label { return Label{Key: key, Value: value} }
 // — so concurrent updates commute exactly and the exposition text is a
 // pure function of the multiset of updates. All methods are nil-safe.
 type Registry struct {
-	mu   sync.Mutex
-	fams map[string]*family
+	mu    sync.Mutex
+	fams  map[string]*family
+	order *order // exposition order as of the last Snapshot; nil once a series is added
 }
 
 // NewRegistry returns an empty registry.
@@ -41,6 +41,10 @@ type family struct {
 	micro   bool   // value is fixed-point micro-units (FloatGauge)
 	buckets []float64
 	series  map[string]*series
+	// sorted is series in label order as of the last Snapshot, nil once a
+	// series is added. Snapshots share it, so it is replaced, never
+	// changed in place.
+	sorted []*series
 }
 
 type series struct {
@@ -96,6 +100,8 @@ func (r *Registry) seriesForMicro(name, help, kind string, micro bool, buckets [
 			s.bucket = make([]int64, len(f.buckets)+1) // +1 for +Inf
 		}
 		f.series[key] = s
+		f.sorted = nil
+		r.order = nil
 	}
 	return s
 }
@@ -289,97 +295,116 @@ func (r *Registry) Total(name string) (total int64, ok bool) {
 	return total, true
 }
 
-// formatMicro renders a fixed-point micro-unit sum as a decimal with
+// appendMicro appends a fixed-point micro-unit value as a decimal with
 // trailing zeros trimmed (deterministic: pure integer formatting).
-func formatMicro(mic int64) string {
-	neg := mic < 0
-	if neg {
-		mic = -mic
+func appendMicro(b []byte, mic int64) []byte {
+	u := uint64(mic)
+	if mic < 0 {
+		b = append(b, '-')
+		u = -u
 	}
-	whole, frac := mic/1e6, mic%1e6
-	s := strconv.FormatInt(whole, 10)
+	b = strconv.AppendUint(b, u/1e6, 10)
+	frac := u % 1e6
 	if frac != 0 {
-		fs := fmt.Sprintf("%06d", frac)
-		fs = strings.TrimRight(fs, "0")
-		s += "." + fs
+		b = append(b, '.')
 	}
-	if neg {
-		s = "-" + s
+	for d := uint64(1e5); frac != 0; d /= 10 {
+		b = append(b, byte('0'+frac/d))
+		frac %= d
 	}
-	return s
+	return b
 }
 
-// formatLe renders a bucket bound the way Prometheus does.
-func formatLe(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+// order is a registry's exposition order: families sorted by name, each
+// family's series sorted by rendered label string. Snapshots share it,
+// so it is immutable once built; the first Snapshot after a registration
+// builds a new one, re-sorting only the families that gained a series.
+type order struct {
+	fams  []famOrder
+	nvals int // values one snapshot copies
+}
 
-// Snapshot is an immutable point-in-time copy of a registry: families
-// sorted by name, series sorted by rendered label string, every value
-// read atomically. It is the scrape-safe read path — a live /metrics
-// handler renders a Snapshot while campaigns keep registering series and
-// bumping counters — and the only path the artifact writer uses too, so
-// live and artifact expositions are byte-identical by construction.
+type famOrder struct {
+	f      *family // read only for the fields fixed at registration
+	series []*series
+}
+
+// stride is the values a snapshot copies per series of the family: the
+// value, or a histogram's count, sum and bucket counts (+Inf included).
+func (f *family) stride() int {
+	if f.kind == "histogram" {
+		return len(f.buckets) + 3
+	}
+	return 1
+}
+
+// exposition returns the registry's order, building it if a series was
+// added since the last call. The caller holds r.mu.
+func (r *Registry) exposition() *order {
+	if r.order != nil {
+		return r.order
+	}
+	fams := make([]famOrder, 0, len(r.fams))
+	nvals := 0
+	for _, f := range r.fams {
+		if f.sorted == nil {
+			ss := make([]*series, 0, len(f.series))
+			for _, s := range f.series {
+				ss = append(ss, s)
+			}
+			sort.Slice(ss, func(i, j int) bool { return ss[i].labels < ss[j].labels })
+			f.sorted = ss
+		}
+		fams = append(fams, famOrder{f: f, series: f.sorted})
+		nvals += f.stride() * len(f.sorted)
+	}
+	sort.Slice(fams, func(i, j int) bool { return fams[i].f.name < fams[j].f.name })
+	r.order = &order{fams: fams, nvals: nvals}
+	return r.order
+}
+
+// Snapshot is an immutable point-in-time copy of a registry's values:
+// every counter and gauge value and every histogram count, sum and
+// bucket count, each read atomically, in one slice laid out in the
+// registry's exposition order. The order itself (families sorted by
+// name, series by rendered label string) is not copied: the registry
+// keeps it and rebuilds it, as a new value, only on the first Snapshot
+// after a series is added, so every snapshot holding it renders the
+// series it was taken with. It is the scrape-safe read path — a live
+// /metrics handler renders a Snapshot while campaigns keep registering
+// series and bumping counters — and the only path the artifact writer
+// uses too, so live and artifact expositions are byte-identical by
+// construction.
 type Snapshot struct {
-	fams []famSnap
+	order *order
+	vals  []int64 // per series in order: its value, or a histogram's count, sum and bucket counts
 }
 
-type famSnap struct {
-	name    string
-	help    string
-	kind    string
-	micro   bool
-	buckets []float64
-	series  []seriesSnap
-}
-
-type seriesSnap struct {
-	labels string
-	val    int64
-	sumMic int64
-	bucket []int64
-}
-
-// Snapshot copies the registry under its lock. The disabled-sink fast
-// path is untouched: a nil registry snapshots to nil, and the handles'
-// atomic updates never take this lock.
+// Snapshot takes the exposition order under the registry lock and then
+// copies the values. The disabled-sink fast path is untouched: a nil
+// registry snapshots to nil, and the handles' atomic updates never take
+// this lock.
 func (r *Registry) Snapshot() *Snapshot {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.fams))
-	for n := range r.fams {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	snap := &Snapshot{fams: make([]famSnap, 0, len(names))}
-	for _, n := range names {
-		f := r.fams[n]
-		fs := famSnap{name: f.name, help: f.help, kind: f.kind, micro: f.micro, buckets: f.buckets}
-		keys := make([]string, 0, len(f.series))
-		for k := range f.series {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		fs.series = make([]seriesSnap, 0, len(keys))
-		for _, k := range keys {
-			s := f.series[k]
-			ss := seriesSnap{
-				labels: s.labels,
-				val:    atomic.LoadInt64(&s.val),
-				sumMic: atomic.LoadInt64(&s.sumMic),
-			}
-			if s.bucket != nil {
-				ss.bucket = make([]int64, len(s.bucket))
+	o := r.exposition()
+	r.mu.Unlock()
+	vals := make([]int64, 0, o.nvals)
+	for _, fo := range o.fams {
+		hist := fo.f.kind == "histogram"
+		for _, s := range fo.series {
+			vals = append(vals, atomic.LoadInt64(&s.val))
+			if hist {
+				vals = append(vals, atomic.LoadInt64(&s.sumMic))
 				for i := range s.bucket {
-					ss.bucket[i] = atomic.LoadInt64(&s.bucket[i])
+					vals = append(vals, atomic.LoadInt64(&s.bucket[i]))
 				}
 			}
-			fs.series = append(fs.series, ss)
 		}
-		snap.fams = append(snap.fams, fs)
 	}
-	return snap
+	return &Snapshot{order: o, vals: vals}
 }
 
 // Total sums every series of a family in the snapshot, mirroring
@@ -388,17 +413,26 @@ func (s *Snapshot) Total(name string) (total int64, ok bool) {
 	if s == nil {
 		return 0, false
 	}
-	for i := range s.fams {
-		if s.fams[i].name != name {
-			continue
+	vals := s.vals
+	for _, fo := range s.order.fams {
+		stride := fo.f.stride()
+		n := stride * len(fo.series)
+		if fo.f.name == name {
+			for i := 0; i < n; i += stride {
+				total += vals[i]
+			}
+			return total, true
 		}
-		for j := range s.fams[i].series {
-			total += s.fams[i].series[j].val
-		}
-		return total, true
+		vals = vals[n:]
 	}
 	return 0, false
 }
+
+// renderBuf is the size of the one buffer a render writes through. A
+// render hands it to the writer once it is half full, so the exposition
+// reaches the writer in chunks and is never held whole; only a series
+// longer than half the buffer grows it.
+const renderBuf = 16 << 10
 
 // WriteText renders the snapshot's Prometheus text exposition: families
 // sorted by name, series sorted by rendered label string, histogram
@@ -409,32 +443,44 @@ func (s *Snapshot) WriteText(w io.Writer) error {
 	if s == nil {
 		return nil
 	}
-	var b strings.Builder
-	for i := range s.fams {
-		f := &s.fams[i]
-		fmt.Fprintf(&b, "# HELP %s %s\n", f.name, f.help)
-		fmt.Fprintf(&b, "# TYPE %s %s\n", f.name, f.kind)
-		for j := range f.series {
-			sr := &f.series[j]
+	b := make([]byte, 0, renderBuf)
+	vals := s.vals
+	for _, fo := range s.order.fams {
+		f := fo.f
+		b = append(b, "# HELP "...)
+		b = append(b, f.name...)
+		b = append(b, ' ')
+		b = append(b, f.help...)
+		b = append(b, "\n# TYPE "...)
+		b = append(b, f.name...)
+		b = append(b, ' ')
+		b = append(b, f.kind...)
+		b = append(b, '\n')
+		stride := f.stride()
+		for _, sr := range fo.series {
 			switch {
 			case f.kind == "histogram":
-				writeHistogram(&b, f, sr)
+				b = appendHistogram(b, f, sr.labels, vals[:stride])
 			case f.micro:
-				if sr.labels == "" {
-					fmt.Fprintf(&b, "%s %s\n", f.name, formatMicro(sr.val))
-				} else {
-					fmt.Fprintf(&b, "%s{%s} %s\n", f.name, sr.labels, formatMicro(sr.val))
-				}
+				b = appendMicro(appendName(b, f.name, "", sr.labels), vals[0])
+				b = append(b, '\n')
 			default:
-				if sr.labels == "" {
-					fmt.Fprintf(&b, "%s %d\n", f.name, sr.val)
-				} else {
-					fmt.Fprintf(&b, "%s{%s} %d\n", f.name, sr.labels, sr.val)
+				b = strconv.AppendInt(appendName(b, f.name, "", sr.labels), vals[0], 10)
+				b = append(b, '\n')
+			}
+			vals = vals[stride:]
+			if len(b) >= renderBuf/2 {
+				if _, err := w.Write(b); err != nil {
+					return err
 				}
+				b = b[:0]
 			}
 		}
 	}
-	_, err := io.WriteString(w, b.String())
+	if len(b) == 0 {
+		return nil
+	}
+	_, err := w.Write(b)
 	return err
 }
 
@@ -448,29 +494,43 @@ func (r *Registry) WriteText(w io.Writer) error {
 	return r.Snapshot().WriteText(w)
 }
 
-// writeHistogram renders one histogram series with cumulative buckets.
-func writeHistogram(b *strings.Builder, f *famSnap, s *seriesSnap) {
+// appendName appends a sample's name, its suffix, its labels in braces
+// if it has any, and the space before its value.
+func appendName(b []byte, name, suffix, labels string) []byte {
+	b = append(b, name...)
+	b = append(b, suffix...)
+	if labels != "" {
+		b = append(b, '{')
+		b = append(b, labels...)
+		b = append(b, '}')
+	}
+	return append(b, ' ')
+}
+
+// appendHistogram appends one histogram series with cumulative buckets
+// from its snapshot values: count, sum, then one count per bucket.
+func appendHistogram(b []byte, f *family, labels string, v []int64) []byte {
 	var cum int64
-	join := func(extra string) string {
-		if s.labels == "" {
-			return extra
+	for i, n := range v[2:] {
+		cum += n
+		b = append(b, f.name...)
+		b = append(b, "_bucket{"...)
+		if labels != "" {
+			b = append(b, labels...)
+			b = append(b, ',')
 		}
-		if extra == "" {
-			return s.labels
+		b = append(b, `le="`...)
+		if i < len(f.buckets) {
+			b = strconv.AppendFloat(b, f.buckets[i], 'g', -1, 64)
+		} else {
+			b = append(b, "+Inf"...)
 		}
-		return s.labels + "," + extra
+		b = append(b, `"} `...)
+		b = strconv.AppendInt(b, cum, 10)
+		b = append(b, '\n')
 	}
-	for i, le := range f.buckets {
-		cum += s.bucket[i]
-		fmt.Fprintf(b, "%s_bucket{%s} %d\n", f.name, join(`le="`+formatLe(le)+`"`), cum)
-	}
-	cum += s.bucket[len(f.buckets)]
-	fmt.Fprintf(b, "%s_bucket{%s} %d\n", f.name, join(`le="+Inf"`), cum)
-	if lbl := join(""); lbl == "" {
-		fmt.Fprintf(b, "%s_sum %s\n", f.name, formatMicro(s.sumMic))
-		fmt.Fprintf(b, "%s_count %d\n", f.name, s.val)
-	} else {
-		fmt.Fprintf(b, "%s_sum{%s} %s\n", f.name, lbl, formatMicro(s.sumMic))
-		fmt.Fprintf(b, "%s_count{%s} %d\n", f.name, lbl, s.val)
-	}
+	b = appendMicro(appendName(b, f.name, "_sum", labels), v[1])
+	b = append(b, '\n')
+	b = strconv.AppendInt(appendName(b, f.name, "_count", labels), v[0], 10)
+	return append(b, '\n')
 }

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -300,10 +301,11 @@ func TestFormatMicro(t *testing.T) {
 		{1_000_000, "1"},
 		{500, "0.0005"},
 		{-2_500_000, "-2.5"},
+		{math.MinInt64, "-9223372036854.775808"},
 	}
 	for _, c := range cases {
-		if got := formatMicro(c.mic); got != c.want {
-			t.Errorf("formatMicro(%d) = %q, want %q", c.mic, got, c.want)
+		if got := string(appendMicro([]byte("x="), c.mic)); got != "x="+c.want {
+			t.Errorf("appendMicro(%d) = %q, want %q", c.mic, got, "x="+c.want)
 		}
 	}
 }

@@ -6,10 +6,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 
 	"gpuperf/internal/clock"
@@ -25,9 +26,9 @@ import (
 // (v2) journal is a hard error: the journal is preserved on disk and the
 // caller must either restore the configuration or point the campaign at a
 // different checkpoint path. Legacy (v1) journals carry only (seed,
-// profile): a matching one is migrated in place, a mismatched or
-// unparseable one is backed up to <path>.stale — never silently
-// truncated — and the campaign starts fresh.
+// profile): a matching one is migrated to the current header, a
+// mismatched or unparseable one is backed up to <path>.stale — never
+// silently truncated — and the campaign starts fresh.
 //
 // Because every cell's noise stream is scoped to the cell (SeedScoped), a
 // resumed run is byte-identical to an uninterrupted one — the journal
@@ -58,6 +59,16 @@ func (h journalHeader) cohort() validity.Cohort {
 	return validity.Cohort{Seed: h.Seed, Boards: h.Boards, Profile: h.Profile, CodeVersion: h.CodeVersion}
 }
 
+// headerLine is the header line, without its newline, that a journal
+// bound to cohort c starts with.
+func headerLine(c validity.Cohort) ([]byte, error) {
+	return json.Marshal(journalHeader{
+		Kind: "header", Version: journalVersion,
+		Seed: c.Seed, Profile: c.Profile,
+		Boards: c.Boards, CodeVersion: c.CodeVersion, Cohort: c.Hash(),
+	})
+}
+
 type journalCell struct {
 	Kind   string     `json:"kind"` // "cell"
 	Board  string     `json:"board"`
@@ -71,10 +82,6 @@ type journalCell struct {
 type JournalConfig struct {
 	// Cohort is the campaign identity the journal is bound to.
 	Cohort validity.Cohort
-	// FsyncHeader forces an fsync after the header and replayed cells are
-	// rewritten on open, so a crash in the first sweep cell cannot leave
-	// a headerless (and therefore unresumable) file behind.
-	FsyncHeader bool
 	// Warn receives human-readable salvage notes — corrupt lines skipped,
 	// stale journals backed up, v1 journals migrated. nil logs to stderr.
 	Warn func(format string, args ...any)
@@ -109,17 +116,15 @@ func (e *CohortMismatchError) Error() string {
 type Journal struct {
 	mu    sync.Mutex
 	f     *os.File
-	cells map[string]PairResult
+	cells map[cellKey]PairResult
 	hits  int
 }
 
-func cellKey(board, bench string, rep int, p clock.Pair) string {
-	key := board + "|" + bench + "|" + p.String()
-	if rep > 0 {
-		// Repetition 0 keeps the v1 key shape so migrated journals replay.
-		key += "|rep" + strconv.Itoa(rep)
-	}
-	return key
+// cellKey addresses one journaled cell.
+type cellKey struct {
+	board, bench string
+	rep          int
+	pair         clock.Pair
 }
 
 // OpenJournalCohort opens (or creates) a checkpoint journal at path,
@@ -134,143 +139,258 @@ func cellKey(board, bench string, rep int, p clock.Pair) string {
 //     header does not parse at all — is backed up to <path>.stale with a
 //     warning naming both configurations, and the campaign starts fresh.
 //
-// The file is rewritten on open so a line half-written by a crash cannot
-// poison later parses.
+// A loaded journal that is intact — its header is the one this cohort
+// writes, every cell line is exactly what Record writes, no line was
+// skipped, re-verdicted or repeated, and the file ends in a newline — is
+// opened for appending and not written to. Any other loaded journal is
+// repaired: its header and cells, sorted by (board, bench, rep, pair),
+// are written to <path>.tmp, which is synced and renamed over path, and
+// then the directory is synced. A journal is never truncated in place,
+// so a crash during an open leaves the old journal or the repaired one,
+// and a line half-written by a crash costs only itself.
 func OpenJournalCohort(path string, cfg JournalConfig) (*Journal, error) {
-	j := &Journal{cells: make(map[string]PairResult)}
-	if data, err := os.ReadFile(path); err == nil {
-		keep, lerr := j.load(path, data, cfg)
-		if lerr != nil {
-			return nil, lerr
-		}
-		if !keep {
-			// Stale or foreign journal: preserve the evidence, start fresh.
-			if err := os.Rename(path, path+".stale"); err != nil {
-				return nil, fmt.Errorf("characterize: checkpoint: backing up stale journal: %w", err)
-			}
-			cfg.warn("stale journal backed up to %s.stale", path)
-		}
-	} else if !os.IsNotExist(err) {
+	header, err := headerLine(cfg.Cohort)
+	if err != nil {
 		return nil, fmt.Errorf("characterize: checkpoint: %w", err)
+	}
+	j := &Journal{cells: make(map[cellKey]PairResult)}
+	keep, intact, err := j.load(path, cfg, header)
+	switch {
+	case errors.Is(err, fs.ErrNotExist):
+	case err != nil:
+		return nil, err
+	case !keep:
+		// Stale or foreign journal: preserve the evidence, start fresh.
+		if err := os.Rename(path, path+".stale"); err != nil {
+			return nil, fmt.Errorf("characterize: checkpoint: backing up stale journal: %w", err)
+		}
+		cfg.warn("stale journal backed up to %s.stale", path)
+	case intact:
+		if j.f, err = os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0); err != nil {
+			return nil, fmt.Errorf("characterize: checkpoint: %w", err)
+		}
+		return j, nil
+	default:
+		if j.f, err = rewriteJournal(path, header, j.lines()); err != nil {
+			return nil, fmt.Errorf("characterize: checkpoint: %w", err)
+		}
+		return j, nil
 	}
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, fmt.Errorf("characterize: checkpoint: %w", err)
 	}
+	if _, err := f.Write(append(header, '\n')); err != nil {
+		_ = f.Close()
+		return nil, fmt.Errorf("characterize: checkpoint: %w", err)
+	}
 	j.f = f
-	w := bufio.NewWriter(f)
-	enc := json.NewEncoder(w)
-	c := cfg.Cohort
-	header := journalHeader{
-		Kind: "header", Version: journalVersion,
-		Seed: c.Seed, Profile: c.Profile,
-		Boards: c.Boards, CodeVersion: c.CodeVersion, Cohort: c.Hash(),
-	}
-	if err := enc.Encode(header); err != nil {
-		_ = f.Close()
-		return nil, fmt.Errorf("characterize: checkpoint: %w", err)
-	}
-	for _, line := range j.lines() {
-		if err := enc.Encode(line); err != nil {
-			_ = f.Close()
-			return nil, fmt.Errorf("characterize: checkpoint: %w", err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		_ = f.Close()
-		return nil, fmt.Errorf("characterize: checkpoint: %w", err)
-	}
-	if cfg.FsyncHeader {
-		if err := f.Sync(); err != nil {
-			_ = f.Close()
-			return nil, fmt.Errorf("characterize: checkpoint: %w", err)
-		}
-	}
 	return j, nil
 }
 
-// load parses a prior journal. It returns keep=false when the file is a
-// stale or foreign journal the caller should back up, and a non-nil error
-// only for the hard cohort-mismatch case. Undecodable interior lines —
-// a truncated trailing line from a crash, or arbitrary corruption from a
-// torn write — are skipped with a warning, never fatal.
-func (j *Journal) load(path string, data []byte, cfg JournalConfig) (keep bool, err error) {
-	// Split manually rather than with bufio.Scanner: a corrupt line of
-	// arbitrary length (a torn write can splice lines together) must cost
-	// only itself, never abort the scan on a token-size limit.
-	first := true
-	migrate := false
-	for i, line := range bytes.Split(data, []byte("\n")) {
-		lineNo := i + 1
+// repairWriter wraps the temporary file a repair writes. Tests replace it
+// to fail the write after any number of bytes.
+var repairWriter = func(f *os.File) io.Writer { return f }
+
+// rewriteJournal replaces the journal at path with header and cells
+// without truncating it in place: the bytes go to path.tmp, created with
+// the journal's permissions, which is synced and renamed over path
+// before the directory is synced. It returns the new journal open for
+// appending; on an error the old journal is still at path.
+func rewriteJournal(path string, header []byte, cells []journalCell) (*os.File, error) {
+	st, err := os.Stat(path)
+	if err != nil {
+		return nil, err
+	}
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC|os.O_APPEND, st.Mode().Perm())
+	if err != nil {
+		return nil, err
+	}
+	w := bufio.NewWriter(repairWriter(f))
+	enc := json.NewEncoder(w)
+	_, err = w.Write(append(header, '\n'))
+	for i := 0; err == nil && i < len(cells); i++ {
+		err = enc.Encode(&cells[i])
+	}
+	if err == nil {
+		err = w.Flush()
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		_ = f.Close()
+		_ = os.Remove(tmp)
+		return nil, err
+	}
+	if err := syncDir(filepath.Dir(path)); err != nil {
+		_ = f.Close()
+		return nil, err
+	}
+	return f, nil
+}
+
+// syncDir makes a rename in dir durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// load parses the journal at path in one streaming pass. It returns
+// keep=false when the file is a stale or foreign journal the caller
+// should back up, and a non-nil error for the hard cohort-mismatch case
+// or a failed open or read (fs.ErrNotExist for a missing journal).
+// Undecodable interior lines — a truncated trailing line from a crash,
+// or arbitrary corruption from a torn write — are skipped with a
+// warning, never fatal. intact reports that the file holds exactly
+// header and the lines Record writes, each cell once, and ends in a
+// newline: such a journal can be appended to as it is.
+func (j *Journal) load(path string, cfg JournalConfig, header []byte) (keep, intact bool, err error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return false, false, fmt.Errorf("characterize: checkpoint: %w", err)
+	}
+	defer func() { _ = f.Close() }() // read-only
+	// Lines have no length limit: a corrupt line of arbitrary length (a
+	// torn write can splice lines together) must cost only itself.
+	br := bufio.NewReaderSize(f, 64<<10)
+	var (
+		long    []byte // a line longer than br's buffer, assembled
+		dec     cellDecoder
+		c       journalCell
+		first   = true
+		migrate = false
+	)
+	intact = true
+	for lineNo := 1; ; lineNo++ {
+		line, rerr := br.ReadSlice('\n')
+		if rerr == bufio.ErrBufferFull {
+			long = append(long[:0], line...)
+			for rerr == bufio.ErrBufferFull {
+				line, rerr = br.ReadSlice('\n')
+				long = append(long, line...)
+			}
+			line = long
+		}
+		if rerr != nil && rerr != io.EOF {
+			return false, false, fmt.Errorf("characterize: checkpoint: %w", rerr)
+		}
+		if n := len(line); n > 0 && line[n-1] == '\n' {
+			line = line[:n-1]
+		} else if n > 0 {
+			intact = false // the last line lacks its newline
+		}
 		if len(line) == 0 {
+			if rerr == io.EOF {
+				break
+			}
+			intact = false
 			continue
 		}
 		if first {
 			first = false
-			var h journalHeader
-			if json.Unmarshal(line, &h) != nil || h.Kind != "header" {
-				cfg.warn("journal %s has no parseable header", path)
-				return false, nil
-			}
-			switch h.Version {
-			case journalVersion:
-				if old := h.cohort(); !old.Equal(cfg.Cohort) {
-					return false, &CohortMismatchError{Path: path, Old: old, New: cfg.Cohort}
+			if !bytes.Equal(line, header) {
+				intact = false
+				if keep, migrate, err = checkHeader(path, line, cfg); !keep || err != nil {
+					return false, false, err
 				}
-			case journalVersionLegacy:
-				if h.Seed != cfg.Cohort.Seed || h.Profile != cfg.Cohort.Profile {
-					cfg.warn("legacy journal %s was recorded under seed=%d profile=%q; campaign is seed=%d profile=%q",
-						path, h.Seed, h.Profile, cfg.Cohort.Seed, cfg.Cohort.Profile)
-					return false, nil
-				}
-				migrate = true
-				cfg.warn("migrating legacy (v1) journal %s to v%d", path, journalVersion)
-			default:
-				cfg.warn("journal %s has unknown version %d", path, h.Version)
-				return false, nil
 			}
-			continue
+		} else if !j.loadCell(path, lineNo, line, cfg, &dec, &c, migrate) {
+			intact = false
 		}
-		var c journalCell
-		if json.Unmarshal(line, &c) != nil || c.Kind != "cell" {
-			cfg.warn("journal %s: skipping corrupt line %d", path, lineNo)
-			continue
+		if rerr == io.EOF {
+			break
 		}
-		if _, perr := clock.ParsePair(c.Pair); perr != nil {
-			cfg.warn("journal %s: skipping corrupt line %d (bad pair %q)", path, lineNo, c.Pair)
-			continue
-		}
-		if c.Result.Pair.String() != c.Pair {
-			// Pair key disagrees with the payload: corrupt line.
-			cfg.warn("journal %s: skipping corrupt line %d (pair key mismatch)", path, lineNo)
-			continue
-		}
-		if c.Rep < 0 {
-			cfg.warn("journal %s: skipping corrupt line %d (negative rep)", path, lineNo)
-			continue
-		}
-		if migrate || !validity.KnownClass(c.Result.Verdict.Class) {
-			// v1 cells predate run verdicts; re-verdict from the recorded
-			// fault bookkeeping, which classification is a pure function of.
-			c.Result.Verdict = c.Result.Classify()
-		}
-		j.cells[cellKey(c.Board, c.Bench, c.Rep, c.Result.Pair)] = c.Result
 	}
-	return true, nil
+	return true, intact && !first, nil
+}
+
+// checkHeader judges a header line that is not the cohort's own:
+// keep=false marks a journal to back up as stale, migrate a legacy (v1)
+// journal whose cells must be re-verdicted, and a *CohortMismatchError a
+// journal bound to another cohort.
+func checkHeader(path string, line []byte, cfg JournalConfig) (keep, migrate bool, err error) {
+	var h journalHeader
+	if json.Unmarshal(line, &h) != nil || h.Kind != "header" {
+		cfg.warn("journal %s has no parseable header", path)
+		return false, false, nil
+	}
+	switch h.Version {
+	case journalVersion:
+		if old := h.cohort(); !old.Equal(cfg.Cohort) {
+			return false, false, &CohortMismatchError{Path: path, Old: old, New: cfg.Cohort}
+		}
+		return true, false, nil
+	case journalVersionLegacy:
+		if h.Seed != cfg.Cohort.Seed || h.Profile != cfg.Cohort.Profile {
+			cfg.warn("legacy journal %s was recorded under seed=%d profile=%q; campaign is seed=%d profile=%q",
+				path, h.Seed, h.Profile, cfg.Cohort.Seed, cfg.Cohort.Profile)
+			return false, false, nil
+		}
+		cfg.warn("migrating legacy (v1) journal %s to v%d", path, journalVersion)
+		return true, true, nil
+	default:
+		cfg.warn("journal %s has unknown version %d", path, h.Version)
+		return false, false, nil
+	}
+}
+
+// loadCell decodes one cell line into the journal, skipping it with a
+// warning when it is corrupt. It reports whether the line is exactly
+// what Record writes and was kept as it stands: decoded on dec's fast
+// path, not re-verdicted, and the first line for its cell.
+func (j *Journal) loadCell(path string, lineNo int, line []byte, cfg JournalConfig, dec *cellDecoder, c *journalCell, migrate bool) bool {
+	asWritten := dec.decode(line, c)
+	if !asWritten {
+		*c = journalCell{}
+		if json.Unmarshal(line, c) != nil || c.Kind != "cell" {
+			cfg.warn("journal %s: skipping corrupt line %d", path, lineNo)
+			return false
+		}
+	}
+	if _, perr := clock.ParsePair(c.Pair); perr != nil {
+		cfg.warn("journal %s: skipping corrupt line %d (bad pair %q)", path, lineNo, c.Pair)
+		return false
+	}
+	if c.Result.Pair.String() != c.Pair {
+		// Pair key disagrees with the payload: corrupt line.
+		cfg.warn("journal %s: skipping corrupt line %d (pair key mismatch)", path, lineNo)
+		return false
+	}
+	if c.Rep < 0 {
+		cfg.warn("journal %s: skipping corrupt line %d (negative rep)", path, lineNo)
+		return false
+	}
+	if migrate || !validity.KnownClass(c.Result.Verdict.Class) {
+		// v1 cells predate run verdicts; re-verdict from the recorded
+		// fault bookkeeping, which classification is a pure function of.
+		c.Result.Verdict = c.Result.Classify()
+		asWritten = false
+	}
+	k := cellKey{board: c.Board, bench: c.Bench, rep: c.Rep, pair: c.Result.Pair}
+	if _, dup := j.cells[k]; dup {
+		asWritten = false // a repair keeps the last line of a cell only
+	}
+	j.cells[k] = c.Result
+	return asWritten
 }
 
 // lines returns the retained cells as journal lines in a stable order.
 func (j *Journal) lines() []journalCell {
 	out := make([]journalCell, 0, len(j.cells))
 	for k, r := range j.cells {
-		// The key is board|bench|pair[|repN]; neither boards, benches nor
-		// pairs contain the separator.
-		parts := strings.SplitN(k, "|", 4)
-		rep := 0
-		if len(parts) == 4 {
-			rep, _ = strconv.Atoi(strings.TrimPrefix(parts[3], "rep"))
-		}
-		out = append(out, journalCell{Kind: "cell", Board: parts[0], Bench: parts[1], Pair: r.Pair.String(), Rep: rep, Result: r})
+		out = append(out, journalCell{Kind: "cell", Board: k.board, Bench: k.bench, Pair: r.Pair.String(), Rep: k.rep, Result: r})
 	}
 	sort.Slice(out, func(a, b int) bool {
 		if out[a].Board != out[b].Board {
@@ -291,7 +411,7 @@ func (j *Journal) lines() []journalCell {
 func (j *Journal) Lookup(board, bench string, rep int, p clock.Pair) (PairResult, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	r, ok := j.cells[cellKey(board, bench, rep, p)]
+	r, ok := j.cells[cellKey{board: board, bench: bench, rep: rep, pair: p}]
 	if ok {
 		j.hits++
 	}
@@ -305,21 +425,23 @@ func (j *Journal) Lookup(board, bench string, rep int, p clock.Pair) (PairResult
 func (j *Journal) Contains(board, bench string, rep int, p clock.Pair) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	_, ok := j.cells[cellKey(board, bench, rep, p)]
+	_, ok := j.cells[cellKey{board: board, bench: bench, rep: rep, pair: p}]
 	return ok
 }
 
-// Record appends a completed cell, writing its line through to the
-// operating system in one unbuffered write without an fsync: the cell
-// survives a crash of the process at any later point, but not a power
-// loss or an operating-system crash, which can drop writes the kernel
-// has not yet flushed (ROADMAP item 8).
+// Record appends a completed cell to the end of the journal file (which
+// OpenJournalCohort opened for appending), writing its line through to
+// the operating system in one unbuffered write without an fsync: the
+// cell survives a crash of the process at any later point, but not a
+// power loss or an operating-system crash, which can drop writes the
+// kernel has not yet flushed (ROADMAP item 8). A crash inside the write
+// leaves a torn last line, which the next open skips and repairs away.
 //
 //gpulint:deterministic
 func (j *Journal) Record(board, bench string, rep int, r PairResult) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.cells[cellKey(board, bench, rep, r.Pair)] = r
+	j.cells[cellKey{board: board, bench: bench, rep: rep, pair: r.Pair}] = r
 	line, err := json.Marshal(journalCell{Kind: "cell", Board: board, Bench: bench, Pair: r.Pair.String(), Rep: rep, Result: r})
 	if err != nil {
 		return fmt.Errorf("characterize: checkpoint: %w", err)
@@ -370,12 +492,8 @@ type CellRecord struct {
 // unattributable file returns ErrForeignJournal. The fleet orchestrator
 // reads per-shard journals through this to merge checkpoints on resume.
 func ReadJournalCells(path string, cfg JournalConfig) ([]CellRecord, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("characterize: checkpoint: %w", err)
-	}
-	j := &Journal{cells: make(map[string]PairResult)}
-	keep, err := j.load(path, data, cfg)
+	j := &Journal{cells: make(map[cellKey]PairResult)}
+	keep, _, err := j.load(path, cfg, nil)
 	if err != nil {
 		return nil, err
 	}

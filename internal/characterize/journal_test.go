@@ -222,33 +222,81 @@ func TestJournalSkipsCorruptInteriorLines(t *testing.T) {
 	}
 }
 
-// TestJournalFsyncHeader: the fsync-on-open option still produces a
-// loadable journal (the sync itself is not observable in a test, but the
-// option must not corrupt the write path).
-func TestJournalFsyncHeader(t *testing.T) {
+// TestJournalRepairRoundTrips: a journal whose last line a crash tore is
+// repaired on open; the repaired journal takes new cells, and its next
+// open finds it intact and replays every cell.
+func TestJournalRepairRoundTrips(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "j")
 	cohort := testCohort(3, "")
-	j, err := OpenJournalCohort(path, JournalConfig{Cohort: cohort, FsyncHeader: true})
+	j, err := OpenJournalCohort(path, JournalConfig{Cohort: cohort})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := clock.ParsePair("(M-M)")
+	pMM, err := clock.ParsePair("(M-M)")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cell := PairResult{Pair: p, TimePerIter: 1, AvgWatts: 1, EnergyPerIter: 1, Confidence: 1}
-	cell.Verdict = cell.Classify()
-	if err := j.Record("B", "x", 0, cell); err != nil {
+	pLH, err := clock.ParsePair("(L-H)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := PairResult{Pair: pMM, TimePerIter: 1, AvgWatts: 1, EnergyPerIter: 1, Confidence: 1}
+	a.Verdict = a.Classify()
+	b := PairResult{Pair: pLH, TimePerIter: 2, AvgWatts: 3, EnergyPerIter: 6, Confidence: 1}
+	b.Verdict = b.Classify()
+	if err := j.Record("B", "x", 0, a); err != nil {
 		t.Fatal(err)
 	}
 	j.Close()
-	j2, err := OpenJournalCohort(path, JournalConfig{Cohort: cohort, FsyncHeader: true})
+	if err := os.Chmod(path, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer j2.Close()
-	if got, ok := j2.Lookup("B", "x", 0, p); !ok || got != cell {
-		t.Errorf("fsync journal round trip: %+v (ok=%v)", got, ok)
+	if _, err := f.WriteString(`{"kind":"cell","board":"B","be`); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	var warnings []string
+	j2, err := OpenJournalCohort(path, JournalConfig{Cohort: cohort, Warn: collectWarn(&warnings)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(warnings) != 1 || !strings.Contains(warnings[0], "skipping corrupt line 3") {
+		t.Errorf("torn line not reported: %q", warnings)
+	}
+	if err := j2.Record("B", "x", 1, b); err != nil {
+		t.Fatal(err)
+	}
+	j2.Close()
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Errorf("repair left its temporary file behind: %v", err)
+	}
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Mode().Perm() != 0o600 {
+		t.Errorf("repaired journal's mode is %v, want the journal's 0600", st.Mode())
+	}
+
+	noRepair(t)
+	j3, err := OpenJournalCohort(path, JournalConfig{Cohort: cohort})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j3.Close()
+	if got, ok := j3.Lookup("B", "x", 0, pMM); !ok || got != a {
+		t.Errorf("repaired cell: %+v (ok=%v), want %+v", got, ok, a)
+	}
+	if got, ok := j3.Lookup("B", "x", 1, pLH); !ok || got != b {
+		t.Errorf("cell recorded after the repair: %+v (ok=%v), want %+v", got, ok, b)
+	}
+	if j3.Len() != 2 {
+		t.Errorf("journal holds %d cells, want 2", j3.Len())
 	}
 }
 
@@ -298,8 +346,9 @@ func FuzzJournalLoad(f *testing.F) {
 			t.Errorf("intact trailing cell lost to interior corruption (%+v, ok=%v)", got, ok)
 		}
 		j2.Close()
-		// The salvaged journal must reload cleanly — rewrite-on-open
-		// normalized whatever the fuzzer injected.
+		// The salvaged journal must reload cleanly: an open that skipped
+		// or re-decoded an injected line repaired the file, and one that
+		// kept every line as written left it as it was.
 		j3, err := OpenJournalCohort(path, JournalConfig{Cohort: cohort, Warn: func(string, ...any) {}})
 		if err != nil {
 			t.Fatalf("salvaged journal does not reload: %v", err)

@@ -192,8 +192,22 @@ func (r *Recorder) Layout() []TrackExport {
 }
 
 // usec converts simulated seconds to virtual microseconds, rounding half
-// away from zero so the conversion is reproducible.
-func usec(seconds float64) int64 { return int64(math.Round(seconds * 1e6)) }
+// away from zero so the conversion is reproducible. It is total: NaN maps
+// to 0, and a value beyond int64's range (±Inf included) saturates to
+// ±math.MaxInt64 by its sign, where a bare conversion's result would be
+// left to the platform.
+func usec(seconds float64) int64 {
+	m := math.Round(seconds * 1e6)
+	switch {
+	case math.IsNaN(m):
+		return 0
+	case m >= math.MaxInt64: // float64(math.MaxInt64) is 2⁶³, one past it
+		return math.MaxInt64
+	case m <= -math.MaxInt64:
+		return -math.MaxInt64
+	}
+	return int64(m)
+}
 
 // Track is one virtual timeline: a monotonically advancing cursor of
 // simulated microseconds plus, on a New recorder's tracks, the events

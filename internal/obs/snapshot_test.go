@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -274,6 +275,44 @@ func TestFloatGaugeRendersMicroDecimal(t *testing.T) {
 	}
 	if !strings.Contains(b.String(), `power_watts{scope="gpu"} -0.5`) {
 		t.Fatalf("unexpected negative render:\n%s", b.String())
+	}
+}
+
+// TestOutOfRangeValuesSaturate: a float gauge set to, or a histogram
+// observing, a value micro-units cannot hold renders ±MaxInt64 micro-units
+// by its sign, NaN renders 0, and the exposition stays well-formed.
+func TestOutOfRangeValuesSaturate(t *testing.T) {
+	const max = "9223372036854.775807"
+	for _, c := range []struct {
+		v    float64
+		want string
+	}{
+		{math.Inf(1), max},
+		{math.Inf(-1), "-" + max},
+		{math.NaN(), "0"},
+		{1e13, max},
+		{-1e13, "-" + max},
+		{9e12, "9000000000000"},
+		{-9e12, "-9000000000000"},
+		{math.MaxInt64 / 1e6, max},
+		{-math.MaxInt64 / 1e6, "-" + max},
+	} {
+		reg := NewRegistry()
+		reg.FloatGauge("g", "gauge").Set(c.v)
+		reg.Histogram("h", "histogram", []float64{1}).Observe(c.v)
+		var b strings.Builder
+		if err := reg.WriteText(&b); err != nil {
+			t.Fatal(err)
+		}
+		text := b.String()
+		for _, line := range []string{"g " + c.want, "h_sum " + c.want} {
+			if !strings.Contains(text, "\n"+line+"\n") {
+				t.Errorf("%v: exposition lacks %q:\n%s", c.v, line, text)
+			}
+		}
+		if err := ValidateExposition(strings.NewReader(text)); err != nil {
+			t.Errorf("%v: %v\n%s", c.v, err, text)
+		}
 	}
 }
 

@@ -56,9 +56,11 @@ type Report struct {
 //gpulint:deterministic
 func (t *Triage) Finalize() *Report {
 	t.mu.Lock()
-	keys := make([]cellKey, 0, len(t.runs))
-	for k := range t.runs {
-		keys = append(keys, k)
+	var keys []cellKey
+	for g, pairs := range t.runs {
+		for pair := range pairs {
+			keys = append(keys, cellKey{g, pair})
+		}
 	}
 	t.mu.Unlock()
 	sort.Slice(keys, func(a, b int) bool {
@@ -88,7 +90,7 @@ func (t *Triage) Finalize() *Report {
 	}
 	for _, k := range keys {
 		t.mu.Lock()
-		runs := append([]Run(nil), t.runs[k]...)
+		runs := append([]Run(nil), t.runs[k.groupKey][k.Pair]...)
 		t.mu.Unlock()
 		sort.Slice(runs, func(a, b int) bool { return runs[a].Rep < runs[b].Rep })
 		verdict, valid := t.judge(runs)

@@ -27,9 +27,16 @@ type Run struct {
 	Confidence float64 `json:"confidence,omitempty"`
 }
 
-// cellKey addresses one measured cell within one table's provenance.
+// groupKey addresses one benchmark's cells on one board within one
+// table's provenance: the group BenchVerdict judges.
+type groupKey struct {
+	Table, Board, Bench string
+}
+
+// cellKey addresses one measured cell.
 type cellKey struct {
-	Table, Board, Bench, Pair string
+	groupKey
+	Pair string
 }
 
 // Triage accumulates runs across repetitions and tables and judges
@@ -42,7 +49,7 @@ type Triage struct {
 	tolerance   float64
 
 	mu   sync.Mutex
-	runs map[cellKey][]Run
+	runs map[groupKey]map[string][]Run // by group, then by pair
 }
 
 // NewTriage builds a triage engine for one cohort. repetitions is the
@@ -64,7 +71,7 @@ func NewTriage(cohort Cohort, repetitions, minValid int, tolerance float64) *Tri
 		repetitions: repetitions,
 		minValid:    minValid,
 		tolerance:   tolerance,
-		runs:        map[cellKey][]Run{},
+		runs:        map[groupKey]map[string][]Run{},
 	}
 }
 
@@ -83,16 +90,21 @@ func (t *Triage) Observe(table, board, bench, pair string, run Run) error {
 		return fmt.Errorf("validity: unclassified run for %s/%s/%s@%s rep %d",
 			table, board, bench, pair, run.Rep)
 	}
-	key := cellKey{Table: table, Board: board, Bench: bench, Pair: pair}
+	g := groupKey{Table: table, Board: board, Bench: bench}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for _, r := range t.runs[key] {
+	pairs := t.runs[g]
+	for _, r := range pairs[pair] {
 		if r.Rep == run.Rep {
 			return fmt.Errorf("validity: duplicate observation for %s/%s/%s@%s rep %d",
 				table, board, bench, pair, run.Rep)
 		}
 	}
-	t.runs[key] = append(t.runs[key], run)
+	if pairs == nil {
+		pairs = map[string][]Run{}
+		t.runs[g] = pairs
+	}
+	pairs[pair] = append(pairs[pair], run)
 	return nil
 }
 
@@ -218,7 +230,7 @@ func ObserveModeling(t *Triage, board string, benches []string, dropped map[stri
 // renderer consults before printing a best pair.
 func (t *Triage) CellVerdict(table, board, bench, pair string) (Verdict, bool) {
 	t.mu.Lock()
-	runs := t.runs[cellKey{Table: table, Board: board, Bench: bench, Pair: pair}]
+	runs := t.runs[groupKey{Table: table, Board: board, Bench: bench}][pair]
 	t.mu.Unlock()
 	if len(runs) == 0 {
 		return Verdict{}, false
@@ -233,30 +245,30 @@ func (t *Triage) CellVerdict(table, board, bench, pair string) (Verdict, bool) {
 // unmeasured. A non-valid group reports the first offending pair's
 // verdict (pairs in lexical order).
 func (t *Triage) BenchVerdict(table, board, bench string) (Verdict, bool) {
+	type cell struct {
+		pair string
+		runs []Run
+	}
 	t.mu.Lock()
-	var keys []cellKey
-	for k := range t.runs {
-		if k.Table == table && k.Board == board && k.Bench == bench {
-			keys = append(keys, k)
-		}
+	group := t.runs[groupKey{Table: table, Board: board, Bench: bench}]
+	cells := make([]cell, 0, len(group))
+	for pair, runs := range group {
+		cells = append(cells, cell{pair, runs})
 	}
 	t.mu.Unlock()
-	if len(keys) == 0 {
+	if len(cells) == 0 {
 		return Verdict{}, false
 	}
-	sort.Slice(keys, func(a, b int) bool { return keys[a].Pair < keys[b].Pair })
+	sort.Slice(cells, func(a, b int) bool { return cells[a].pair < cells[b].pair })
 	out := Verdict{Class: Valid}
-	for _, k := range keys {
-		v, ok := t.CellVerdict(table, board, bench, k.Pair)
-		if !ok {
-			continue
-		}
+	for _, c := range cells {
+		v, _ := t.judge(c.runs)
 		if v.Class != Valid {
 			return Verdict{Class: v.Class,
-				Reason: fmt.Sprintf("pair %s: %s", k.Pair, v.Reason)}, true
+				Reason: fmt.Sprintf("pair %s: %s", c.pair, v.Reason)}, true
 		}
 		if v.Reason != "" && out.Reason == "" {
-			out.Reason = fmt.Sprintf("pair %s: %s", k.Pair, v.Reason)
+			out.Reason = fmt.Sprintf("pair %s: %s", c.pair, v.Reason)
 		}
 	}
 	return out, true

@@ -45,14 +45,15 @@ func pollHeapPeak(stop <-chan struct{}, peak chan<- uint64) {
 	}
 }
 
-// runCampaign submits a request in-process and waits for it to complete.
+// runCampaign submits a request in-process and waits for its run to
+// return, session closed, as Drain waits for every run.
 func runCampaign(t *testing.T, srv *Server, req CampaignRequest) CampaignStatus {
 	t.Helper()
 	c, err := srv.Submit(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-c.Done()
+	srv.wg.Wait()
 	st := c.Status()
 	if st.State != StateCompleted {
 		t.Fatalf("campaign %s ended %s: %s", st.ID, st.State, st.Error)

@@ -135,7 +135,6 @@ type Campaign struct {
 	req    CampaignRequest
 	path   string // DataDir/campaign-<id>; the journal, report and triage files add an extension
 	cancel context.CancelFunc
-	done   chan struct{}
 
 	mu          sync.Mutex
 	state       string
@@ -187,10 +186,6 @@ func triageStatus(r *validity.Report) *TriageStatus {
 	}
 	return &TriageStatus{Publishable: r.Publishable(), Summary: r.Summary(), Counts: counts}
 }
-
-// Done returns a channel closed when the campaign reaches a terminal
-// state.
-func (c *Campaign) Done() <-chan struct{} { return c.done }
 
 // RequestError is a campaign submission the server rejected; the HTTP
 // layer maps it to 400.
@@ -307,7 +302,6 @@ func (s *Server) Submit(req CampaignRequest) (*Campaign, error) {
 		req:    req,
 		path:   filepath.Join(s.cfg.DataDir, "campaign-"+id),
 		cancel: cancel,
-		done:   make(chan struct{}),
 		state:  StatePending,
 	}
 	s.campaigns[id] = c
@@ -397,7 +391,6 @@ func (s *Server) sessionConfig(c *Campaign, profile *fault.Profile) session.Conf
 // and the checkpoint journal stays resumable.
 func (s *Server) run(ctx context.Context, c *Campaign, profile *fault.Profile, benches []*workloads.Benchmark) {
 	defer s.wg.Done()
-	defer close(c.done)
 	fail := func(state string, err error) {
 		c.mu.Lock()
 		c.state = state

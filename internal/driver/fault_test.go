@@ -28,8 +28,8 @@ func TestBootFailInjection(t *testing.T) {
 	if err == nil {
 		t.Fatal("certain boot failure still booted")
 	}
-	if !fault.IsTransient(err) {
-		t.Errorf("boot failure not transient: %v", err)
+	if pt, ok := fault.PointOf(err); !ok || pt != fault.BootFail {
+		t.Errorf("boot failure is not an injected boot.fail: %v", err)
 	}
 	// Zero probability boots normally and leaves the injector attached.
 	c0 := faultCampaign(t, "boot.fail:0,launch.hang:0", 1)
@@ -58,8 +58,8 @@ func TestClockSetFailInjection(t *testing.T) {
 	if err == nil {
 		t.Fatal("certain clock-set failure succeeded")
 	}
-	if !fault.IsTransient(err) {
-		t.Errorf("clock-set failure not transient: %v", err)
+	if pt, ok := fault.PointOf(err); !ok || pt != fault.ClockSetFail {
+		t.Errorf("clock-set failure is not an injected clockset.fail: %v", err)
 	}
 	if d.Clocks() != before {
 		t.Errorf("failed clock set moved the clocks: %s -> %s", before, d.Clocks())

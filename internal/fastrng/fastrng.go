@@ -170,13 +170,6 @@ var (
 	_ rand.Source64 = (*Source)(nil)
 )
 
-// New returns a seeded Source.
-func New(seed int64) *Source {
-	s := &Source{}
-	s.Seed(seed)
-	return s
-}
-
 // Stream is a Source together with the rand.Rand that draws from it,
 // allocated as one unit so a pool can recycle both (see Get and Put).
 // Reseed through the Source to reuse both; see the package comment for

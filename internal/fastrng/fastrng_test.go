@@ -20,7 +20,7 @@ func testSeeds() []int64 {
 func TestRawStreamMatchesMathRand(t *testing.T) {
 	for _, seed := range testSeeds() {
 		ref := rand.NewSource(seed).(rand.Source64)
-		got := New(seed)
+		got := &Get(seed).Source
 		for i := 0; i < 2000; i++ {
 			if g, w := got.Uint64(), ref.Uint64(); g != w {
 				t.Fatalf("seed %d draw %d: Uint64 = %#x, want %#x", seed, i, g, w)
@@ -82,7 +82,7 @@ func TestReseedMatchesFreshSource(t *testing.T) {
 }
 
 func TestManySequentialSeeds(t *testing.T) {
-	src := New(0)
+	src := &Get(0).Source
 	for seed := int64(-300); seed < 300; seed++ {
 		src.Seed(seed)
 		ref := rand.NewSource(seed).(rand.Source64)
@@ -107,7 +107,7 @@ func TestReseedAtEveryLazyPhase(t *testing.T) {
 		2, 3, 4, 7, 8, 15, 16, 31, 32, 63, 64, 127, 128, 255, 256}
 	for _, k := range ks {
 		for _, seed := range testSeeds() {
-			src := New(seed ^ 0x5eed)
+			src := &Get(seed ^ 0x5eed).Source
 			for i := 0; i < k; i++ {
 				src.Uint64()
 			}
@@ -131,14 +131,14 @@ func TestReseedAtEveryLazyPhase(t *testing.T) {
 // TestSeedAllocates pins the zero-allocation property of in-place
 // reseeding — the profiled win over rand.New(rand.NewSource(seed)).
 func TestSeedAllocates(t *testing.T) {
-	src := New(1)
+	src := &Get(1).Source
 	if n := testing.AllocsPerRun(100, func() { src.Seed(12345) }); n != 0 {
 		t.Fatalf("Seed allocates %v objects per call, want 0", n)
 	}
 }
 
 func BenchmarkSeedInPlace(b *testing.B) {
-	src := New(1)
+	src := &Get(1).Source
 	for i := 0; i < b.N; i++ {
 		src.Seed(int64(i))
 	}

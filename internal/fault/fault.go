@@ -91,14 +91,6 @@ func (e *Error) Error() string {
 
 func (e *Error) Unwrap() error { return e.Err }
 
-// IsTransient reports whether err is (or wraps) an injected fault and is
-// therefore worth retrying. Real errors — invalid pairs, broken specs —
-// are never transient.
-func IsTransient(err error) bool {
-	var fe *Error
-	return errors.As(err, &fe)
-}
-
 // PointOf extracts the fault point from a classified error chain.
 func PointOf(err error) (Point, bool) {
 	var fe *Error

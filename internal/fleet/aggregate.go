@@ -329,13 +329,6 @@ func (a *Aggregate) ConsumeBench(r *characterize.BenchResult) {
 	b.ext.add(deviceValue{Micro: imp, Board: r.Board})
 }
 
-// RowsFolded reports how many cells the fold has consumed.
-func (a *Aggregate) RowsFolded() int64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.rows
-}
-
 // Merge folds another Aggregate into this one. Exact integer merges
 // throughout: Merge(x, Merge(y, z)) and Merge(Merge(x, y), z) produce
 // identical state for any grouping and order — the property the

@@ -57,9 +57,6 @@ func New(seed int64, baseBoards []string, size int, jitter JitterProfile) (*Flee
 // Size reports the fleet's device count.
 func (f *Fleet) Size() int { return f.size }
 
-// Jitter reports the fleet's jitter profile.
-func (f *Fleet) Jitter() JitterProfile { return f.jitter }
-
 // BaseNames lists the base board names, in round-robin order.
 func (f *Fleet) BaseNames() []string {
 	out := make([]string, len(f.bases))

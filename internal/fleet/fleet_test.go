@@ -317,9 +317,10 @@ func TestShardCountByteIdentity(t *testing.T) {
 }
 
 // TestResumeAcrossShardCounts runs a checkpointed campaign at 4 shards,
-// then resumes the finished campaign at 2 shards: every cell replays
-// from the merged journals, leftover shard files are absorbed, and the
-// report stays byte-identical.
+// then resumes the finished campaign at 2 shards: pooling leaves every
+// shard file in place, every cell replays from the merged journals, the
+// leftover shard files are retired after that, and the report stays
+// byte-identical.
 func TestResumeAcrossShardCounts(t *testing.T) {
 	benches := testBenches(t, "backprop")
 	dir := t.TempDir()
@@ -331,6 +332,16 @@ func TestResumeAcrossShardCounts(t *testing.T) {
 	rep1, err := Run(context.Background(), first)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Pooling renames nothing: a process that dies before the pooled
+	// cells are recorded in the new journals loses none of them.
+	if _, err := mergeShardJournals(ckpt, 2, first.Cohort(), t.Logf); err != nil {
+		t.Fatal(err)
+	}
+	for s := 0; s < 4; s++ {
+		if _, err := os.Stat(ShardPath(ckpt, s)); err != nil {
+			t.Errorf("shard %d journal moved by pooling: %v", s, err)
+		}
 	}
 
 	var replayed int64
@@ -351,7 +362,7 @@ func TestResumeAcrossShardCounts(t *testing.T) {
 	if !bytes.Equal(reportJSON(t, rep1), reportJSON(t, rep2)) {
 		t.Error("resumed report differs from original")
 	}
-	// Old shards 2 and 3 must have been absorbed.
+	// Old shards 2 and 3 are retired once their cells are recorded.
 	for _, s := range []int{2, 3} {
 		if _, err := os.Stat(ShardPath(ckpt, s)); !os.IsNotExist(err) {
 			t.Errorf("shard %d journal still present after resharded resume", s)
@@ -376,7 +387,9 @@ func TestMergeShardJournalsRobustness(t *testing.T) {
 	}
 
 	// Tear shard 0 (truncate mid-line), duplicate shard 1's cells into a
-	// surplus shard file, and drop a fully corrupt shard file alongside.
+	// surplus shard file, drop a fully corrupt shard file alongside, and
+	// list a shard file that is gone by the time the merge reads it (a
+	// dangling symlink, which the scan still lists).
 	s0, err := os.ReadFile(ShardPath(ckpt, 0))
 	if err != nil {
 		t.Fatal(err)
@@ -394,6 +407,9 @@ func TestMergeShardJournalsRobustness(t *testing.T) {
 	if err := os.WriteFile(ShardPath(ckpt, 9), []byte("not a journal\nat all\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	if err := os.Symlink(filepath.Join(dir, "gone"), ShardPath(ckpt, 5)); err != nil {
+		t.Fatal(err)
+	}
 
 	second := fleetOpts(6, 3)
 	second.Benches = benches
@@ -404,7 +420,7 @@ func TestMergeShardJournalsRobustness(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(reportJSON(t, rep1), reportJSON(t, rep2)) {
-		t.Error("report differs after torn/duplicated/corrupt shard files")
+		t.Error("report differs after torn/duplicated/corrupt/vanished shard files")
 	}
 	if _, err := os.Stat(ShardPath(ckpt, 9) + ".quarantined"); err != nil {
 		t.Errorf("corrupt shard file not quarantined: %v", err)

@@ -3,6 +3,7 @@ package fleet
 import (
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -18,13 +19,17 @@ import (
 // deliberately excludes the shard count, so a campaign interrupted at
 // -shards 8 can resume at -shards 2. On resume the orchestrator pools
 // every existing shard file's salvageable cells (the torn-line-safe
-// codec from the single-board journal), redistributes them to the cells'
-// owning shards under the new layout, and renames absorbed leftover
-// files (old indices ≥ the new shard count) to <file>.merged. A shard
-// file that cannot be attributed at all — no parseable header, unknown
-// version — is quarantined to <file>.quarantined and its shard starts
-// fresh; a file provably bound to a different cohort is a hard error,
-// exactly like the single-board journal.
+// codec from the single-board journal) and records them in their owning
+// shards' journals under the new layout. Only then are the surplus files
+// (old indices ≥ the new shard count) retired to <file>.merged, so a
+// process that dies at any point before keeps every cell in some file a
+// later resume reads. Record writes through to the OS, so this covers
+// process death; power loss, which could drop written pages, is out of
+// scope here as it is for Journal.Record. A shard file that cannot be
+// attributed at all — no parseable header, unknown version — is
+// quarantined to <file>.quarantined and its shard starts fresh; a file
+// provably bound to a different cohort is a hard error, exactly like the
+// single-board journal.
 
 // ShardPath names shard s's checkpoint journal under the campaign's
 // base checkpoint path.
@@ -36,17 +41,17 @@ var shardFileRe = regexp.MustCompile(`\.shard(\d+)$`)
 
 // mergedPool is the outcome of pooling existing shard journals.
 type mergedPool struct {
-	cells       []characterize.CellRecord
-	quarantined []string // files set aside as unattributable
-	absorbed    []string // files renamed .merged (index ≥ new shard count)
+	cells   []characterize.CellRecord
+	surplus []string // pooled files whose index ≥ the new shard count, to retire once recorded
 }
 
 // mergeShardJournals pools the salvageable cells of every existing
 // <base>.shard<k> file under the fleet cohort. Foreign files are
-// quarantined (renamed, recorded, skipped); a *CohortMismatchError is
-// returned as the hard error it is. Files whose index no longer maps to
-// a shard under the new layout are renamed to <file>.merged after
-// pooling so a later resume does not re-read them.
+// quarantined (renamed and skipped), and a file that vanished since the
+// scan is skipped; a *CohortMismatchError is returned as the hard error
+// it is. Nothing else is renamed: files whose index no longer maps to a
+// shard under the new layout are listed in surplus for the caller to
+// retire once their cells are recorded.
 func mergeShardJournals(base string, shards int, cohort validity.Cohort, warn func(string, ...any)) (*mergedPool, error) {
 	matches, err := filepath.Glob(base + ".shard*")
 	if err != nil {
@@ -85,9 +90,8 @@ func mergeShardJournals(base string, shards int, cohort validity.Cohort, warn fu
 				return nil, fmt.Errorf("fleet: quarantining %s: %w", f.path, rerr)
 			}
 			warn("shard journal %s is unreadable; quarantined to %s", f.path, q)
-			pool.quarantined = append(pool.quarantined, f.path)
 			continue
-		case os.IsNotExist(err):
+		case errors.Is(err, fs.ErrNotExist):
 			continue
 		default:
 			// Includes *characterize.CohortMismatchError: the file belongs
@@ -103,11 +107,7 @@ func mergeShardJournals(base string, shards int, cohort validity.Cohort, warn fu
 			pool.cells = append(pool.cells, c)
 		}
 		if f.idx >= shards {
-			merged := f.path + ".merged"
-			if rerr := os.Rename(f.path, merged); rerr != nil {
-				return nil, fmt.Errorf("fleet: absorbing %s: %w", f.path, rerr)
-			}
-			pool.absorbed = append(pool.absorbed, f.path)
+			pool.surplus = append(pool.surplus, f.path)
 		}
 	}
 	return pool, nil

@@ -149,13 +149,7 @@ func Run(ctx context.Context, opts Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer func() {
-		for _, j := range journals {
-			if j != nil {
-				_ = j.Close()
-			}
-		}
-	}()
+	defer closeAll(journals)
 
 	shardWorkers := opts.Workers / shards
 	if shardWorkers < 1 {
@@ -218,9 +212,10 @@ func plannedCells(bases []*arch.Spec, size, shards, nBenches int) []int64 {
 }
 
 // openShardJournals pools any existing shard journals, opens one fresh
-// journal per shard under the fleet cohort, and redistributes pooled
-// cells to their owning shards under the current layout. Returns nil
-// when the campaign runs without a checkpoint.
+// journal per shard under the fleet cohort, redistributes pooled cells
+// to their owning shards under the current layout, and only then retires
+// the surplus shard files to <file>.merged. Returns nil when the
+// campaign runs without a checkpoint.
 func openShardJournals(opts *Options, fl *Fleet, shards int) ([]*characterize.Journal, error) {
 	if opts.Checkpoint == "" {
 		return nil, nil
@@ -235,11 +230,7 @@ func openShardJournals(opts *Options, fl *Fleet, shards int) ([]*characterize.Jo
 		j, err := characterize.OpenJournalCohort(ShardPath(opts.Checkpoint, s),
 			characterize.JournalConfig{Cohort: cohort, Warn: opts.Warn})
 		if err != nil {
-			for _, open := range journals[:s] {
-				if open != nil {
-					_ = open.Close()
-				}
-			}
+			closeAll(journals)
 			return nil, err
 		}
 		journals[s] = j
@@ -254,13 +245,26 @@ func openShardJournals(opts *Options, fl *Fleet, shards int) ([]*characterize.Jo
 			continue
 		}
 		if err := j.Record(c.Board, c.Bench, c.Rep, c.Result); err != nil {
-			for _, open := range journals {
-				_ = open.Close()
-			}
+			closeAll(journals)
 			return nil, err
 		}
 	}
+	for _, path := range pool.surplus {
+		if err := os.Rename(path, path+".merged"); err != nil {
+			closeAll(journals)
+			return nil, fmt.Errorf("fleet: retiring %s: %w", path, err)
+		}
+	}
 	return journals, nil
+}
+
+// closeAll closes every open journal of journals.
+func closeAll(journals []*characterize.Journal) {
+	for _, j := range journals {
+		if j != nil {
+			_ = j.Close()
+		}
+	}
 }
 
 // shardSink adapts one shard's row stream onto its Aggregate and the

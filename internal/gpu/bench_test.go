@@ -23,13 +23,13 @@ func fleetKernels(b *testing.B) []*gpu.KernelDesc {
 }
 
 // eachBoard runs body as one sub-benchmark per paper board.
-func eachBoard(b *testing.B, body func(b *testing.B, sim *gpu.Sim, ks []*gpu.KernelDesc)) {
+func eachBoard(b *testing.B, body func(b *testing.B, spec *arch.Spec, sim *gpu.Sim, ks []*gpu.KernelDesc)) {
 	ks := fleetKernels(b)
 	for _, spec := range arch.AllBoards() {
 		sim := gpu.New(spec, clock.NewState(spec))
 		b.Run(spec.Name, func(b *testing.B) {
 			b.ReportAllocs()
-			body(b, sim, ks)
+			body(b, spec, sim, ks)
 		})
 	}
 }
@@ -39,7 +39,7 @@ var compiledSink *gpu.CompiledKernel
 
 // BenchmarkCompile times the frequency-invariant half of the model.
 func BenchmarkCompile(b *testing.B) {
-	eachBoard(b, func(b *testing.B, sim *gpu.Sim, ks []*gpu.KernelDesc) {
+	eachBoard(b, func(b *testing.B, spec *arch.Spec, sim *gpu.Sim, ks []*gpu.KernelDesc) {
 		var err error
 		for i := 0; i < b.N; i++ {
 			for _, k := range ks {
@@ -54,8 +54,8 @@ func BenchmarkCompile(b *testing.B) {
 // BenchmarkRunPairs times one compiled kernel evaluated across the
 // board's whole pair lattice, the batched precompute of a sweep.
 func BenchmarkRunPairs(b *testing.B) {
-	eachBoard(b, func(b *testing.B, sim *gpu.Sim, ks []*gpu.KernelDesc) {
-		pairs := clock.ValidPairs(sim.Spec())
+	eachBoard(b, func(b *testing.B, spec *arch.Spec, sim *gpu.Sim, ks []*gpu.KernelDesc) {
+		pairs := clock.ValidPairs(spec)
 		cks := make([]*gpu.CompiledKernel, len(ks))
 		for i, k := range ks {
 			ck, err := sim.Compile(k)
@@ -78,7 +78,7 @@ func BenchmarkRunPairs(b *testing.B) {
 // BenchmarkRunKernel times one uncached launch's simulation: compile and
 // evaluate at the programmed pair.
 func BenchmarkRunKernel(b *testing.B) {
-	eachBoard(b, func(b *testing.B, sim *gpu.Sim, ks []*gpu.KernelDesc) {
+	eachBoard(b, func(b *testing.B, spec *arch.Spec, sim *gpu.Sim, ks []*gpu.KernelDesc) {
 		for i := 0; i < b.N; i++ {
 			for _, k := range ks {
 				if _, err := sim.RunKernel(k); err != nil {

@@ -101,12 +101,6 @@ func New(spec *arch.Spec, clk *clock.State) *Sim {
 	return &Sim{spec: spec, clk: clk}
 }
 
-// Spec returns the simulated board.
-func (s *Sim) Spec() *arch.Spec { return s.spec }
-
-// Clock returns the DVFS state the simulator reads.
-func (s *Sim) Clock() *clock.State { return s.clk }
-
 // Occupancy computes the number of resident blocks per SM for a kernel,
 // applying the block, warp, register and shared-memory limits.
 func (s *Sim) Occupancy(k *KernelDesc) (blocksPerSM, residentWarps int) {

@@ -23,11 +23,6 @@ func TestFromRowsAndAccessors(t *testing.T) {
 	if m.At(0, 1) != 9 {
 		t.Error("Set did not stick")
 	}
-	c := m.Clone()
-	c.Set(0, 0, -1)
-	if m.At(0, 0) == -1 {
-		t.Error("Clone aliases the original")
-	}
 }
 
 func TestFromRowsRejectsBadInput(t *testing.T) {

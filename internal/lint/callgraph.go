@@ -143,25 +143,15 @@ var randConstructors = map[string]bool{
 	"NewPCG": true, "NewChaCha8": true,
 }
 
-// seededSplit reports whether fn is one of the module's seeded RNG
-// constructors: internal/fastrng's New (the splitmix chain every
-// campaign generator derives from) and the fleet's per-device split
-// (Device/DeviceName derive a generator from seed ^ hash(index), a pure
-// function of the cohort). These are deterministic by construction, so
+// seededSplit reports whether fn is the fleet's per-device RNG split:
+// Device and DeviceName derive a generator from seed ^ hash(index), a
+// pure function of the cohort. That is deterministic by construction, so
 // the taint pass treats them as leaves rather than following their call
 // graph — the same standing math/rand's constructors get above.
 func seededSplit(fn *types.Func) bool {
 	pkg := fn.Pkg()
-	if pkg == nil {
-		return false
-	}
-	switch {
-	case strings.HasSuffix(pkg.Path(), "internal/fastrng"):
-		return strings.HasPrefix(fn.Name(), "New")
-	case strings.HasSuffix(pkg.Path(), "internal/fleet"):
-		return fn.Name() == "Device" || fn.Name() == "DeviceName"
-	}
-	return false
+	return pkg != nil && strings.HasSuffix(pkg.Path(), "internal/fleet") &&
+		(fn.Name() == "Device" || fn.Name() == "DeviceName")
 }
 
 // callSource classifies a statically resolved callee as a nondeterminism

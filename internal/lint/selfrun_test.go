@@ -10,20 +10,7 @@ import (
 // invariants enforced as the codebase grows — a new violation anywhere
 // in the module breaks the build.
 func TestSelfRun(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks the whole module; skipped in -short")
-	}
-	root, err := FindModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := Load(root, "./...")
-	if err != nil {
-		t.Fatalf("loading module: %v", err)
-	}
-	if len(pkgs) < 20 {
-		t.Fatalf("loaded only %d packages; the module sweep is not covering the tree", len(pkgs))
-	}
+	pkgs, _ := loadModule(t)
 	for _, d := range Run(pkgs, All()) {
 		t.Errorf("gpulint: %s", d)
 	}

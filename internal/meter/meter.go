@@ -82,10 +82,6 @@ type Measurement struct {
 	AvgWatts     float64   // mean of samples
 	EnergyJoules float64   // sample-integrated energy
 	Duration     float64   // observed duration, seconds
-	// Overloaded is set when any reading hit the configured measurement
-	// range: the clipped readings understate the true power, exactly as a
-	// real instrument flags OL on a mis-ranged channel.
-	Overloaded bool
 
 	// Valid flags, per sample, whether the reading is genuine (true) or
 	// was reconstructed by interpolation after a detected instrument
@@ -120,12 +116,9 @@ func (m *Measurement) Confidence() float64 {
 type Meter struct {
 	SamplePeriod float64
 	NoiseStdDev  float64
-	// RangeWatts is the selected measurement range; readings clip there
-	// and set Measurement.Overloaded. Zero means auto-range (no clipping).
-	RangeWatts float64
 	// Gain is the channel's calibration gain: every reading (noise
-	// included, range clipping excluded) is scaled by it, modeling the
-	// per-instrument calibration drift a real fleet of meters exhibits.
+	// included) is scaled by it, modeling the per-instrument calibration
+	// drift a real fleet of meters exhibits.
 	// Zero means 1.0 — a perfectly calibrated channel — so existing
 	// meters and all single-board goldens are untouched. The fleet
 	// generator draws each device's gain from its jitter profile.
@@ -248,10 +241,6 @@ func (m *Meter) Measure(trace Trace, rng *rand.Rand) (*Measurement, error) {
 		}
 		if m.Gain != 0 {
 			w *= m.Gain
-		}
-		if m.RangeWatts > 0 && w > m.RangeWatts {
-			w = m.RangeWatts
-			out.Overloaded = true
 		}
 		out.Samples = append(out.Samples, w)
 	}

@@ -165,10 +165,6 @@ func (m *Meter) MeasurePeriodic(p Periodic, rng *rand.Rand) (*Measurement, error
 		if m.Gain != 0 {
 			w *= m.Gain
 		}
-		if m.RangeWatts > 0 && w > m.RangeWatts {
-			w = m.RangeWatts
-			out.Overloaded = true
-		}
 		out.Samples = append(out.Samples, w)
 	}
 	return m.finalize(out)

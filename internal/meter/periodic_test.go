@@ -142,26 +142,6 @@ func TestMeasurePeriodicNoiseStream(t *testing.T) {
 	}
 }
 
-// TestMeasurePeriodicRangeClip: clipping and the Overloaded flag behave as
-// on the flat path.
-func TestMeasurePeriodicRangeClip(t *testing.T) {
-	m := New()
-	m.RangeWatts = 150
-	p := Tile(testPeriod(), 60)
-	got, err := m.MeasurePeriodic(p, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Overloaded {
-		t.Error("210 W segments on a 150 W range did not flag Overloaded")
-	}
-	for i, w := range got.Samples {
-		if w > m.RangeWatts {
-			t.Fatalf("sample %d = %g exceeds the %g W range", i, w, m.RangeWatts)
-		}
-	}
-}
-
 func TestMeasurePeriodicTooShort(t *testing.T) {
 	m := New()
 	if _, err := m.MeasurePeriodic(Tile(testPeriod(), 2), nil); err != ErrTooShort {
@@ -211,12 +191,11 @@ func TestReleaseMeasurementReuse(t *testing.T) {
 	ReleaseMeasurement(nil)
 	stale := newMeasurement(8)
 	stale.Samples = append(stale.Samples, 1, 2, 3)
-	stale.Overloaded = true
 	stale.Dropped = 5
 	stale.Valid = []bool{false}
 	ReleaseMeasurement(stale)
 	fresh := newMeasurement(2)
-	if len(fresh.Samples) != 0 || fresh.Overloaded || fresh.Dropped != 0 || fresh.Valid != nil {
+	if len(fresh.Samples) != 0 || fresh.Dropped != 0 || fresh.Valid != nil {
 		t.Fatalf("recycled Measurement not zeroed: %+v", fresh)
 	}
 	if cap(fresh.Samples) < 2 {

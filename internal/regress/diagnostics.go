@@ -3,7 +3,6 @@ package regress
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"gpuperf/internal/linalg"
 )
@@ -191,24 +190,6 @@ func powerIterate(m *linalg.Matrix, start []float64) float64 {
 		v = w
 	}
 	return lam
-}
-
-// TopCollinear reports the k most collinear column indices by VIF,
-// descending (for diagnostics output).
-func TopCollinear(x [][]float64, k int) ([]int, error) {
-	vifs, err := VIF(x)
-	if err != nil {
-		return nil, err
-	}
-	idx := make([]int, len(vifs))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return vifs[idx[a]] > vifs[idx[b]] })
-	if k > len(idx) {
-		k = len(idx)
-	}
-	return idx[:k], nil
 }
 
 func stddev(v []float64) float64 {

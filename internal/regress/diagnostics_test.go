@@ -49,13 +49,6 @@ func TestVIFDetectsCollinearity(t *testing.T) {
 	if vifs[2] > 2 {
 		t.Errorf("independent column VIF %g, want small", vifs[2])
 	}
-	top, err := TopCollinear(x, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if (top[0] != 0 && top[0] != 1) || (top[1] != 0 && top[1] != 1) {
-		t.Errorf("TopCollinear = %v, want the collinear pair first", top)
-	}
 }
 
 func TestVIFExactDependenceIsInf(t *testing.T) {

@@ -6,7 +6,6 @@ import (
 
 	"gpuperf/internal/arch"
 	"gpuperf/internal/characterize"
-	"gpuperf/internal/clock"
 	"gpuperf/internal/core"
 	"gpuperf/internal/validity"
 )
@@ -209,13 +208,4 @@ func Fig11(title string, infl []core.Influence) *Table {
 		t.AddRow(f.Variable, fmt.Sprintf("%.1f%%", f.Share*100), Bar(f.Share, 30))
 	}
 	return t
-}
-
-// ValidPairsLine summarizes a board's Table III row set, e.g. for logs.
-func ValidPairsLine(spec *arch.Spec) string {
-	var parts []string
-	for _, p := range clock.ValidPairs(spec) {
-		parts = append(parts, p.String())
-	}
-	return spec.Name + ": " + strings.Join(parts, " ")
 }

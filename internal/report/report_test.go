@@ -195,13 +195,6 @@ func TestFigureRenderers(t *testing.T) {
 	}
 }
 
-func TestValidPairsLine(t *testing.T) {
-	s := ValidPairsLine(arch.GTX680())
-	if !strings.HasPrefix(s, "GTX 680:") || !strings.Contains(s, "(H-H)") || strings.Contains(s, "(L-L)") {
-		t.Errorf("ValidPairsLine wrong: %q", s)
-	}
-}
-
 func TestMarkdownRendering(t *testing.T) {
 	tb := NewTable("Title", "a", "b")
 	tb.AddRow("x|y", "2")

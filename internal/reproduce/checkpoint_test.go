@@ -100,14 +100,14 @@ func TestReproduceCheckpointResume(t *testing.T) {
 // that leaves the journal byte-identical on disk — never a silent reset.
 func TestReproduceCheckpointCohortMismatch(t *testing.T) {
 	cp := filepath.Join(t.TempDir(), "journal.jsonl")
-	reproduceCheckpointed(t, cp, session.WithCodeVersion("test"))
+	reproduceCheckpointed(t, cp, func(c *session.Config) { c.CodeVersion = "test" })
 	before, err := os.ReadFile(cp)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	s, err := session.New(session.WithSeed(7), session.WithBoards("GTX 480"),
-		session.WithCodeVersion("test"), session.WithCheckpoint(cp))
+		func(c *session.Config) { c.CodeVersion = "test" }, session.WithCheckpoint(cp))
 	if err == nil {
 		_ = s.Close() // the test fails below either way
 	}

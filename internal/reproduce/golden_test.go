@@ -91,7 +91,7 @@ func TestPaperFaultedGolden(t *testing.T) {
 		rec  *obs.Recorder
 	}{{"events", obs.New()}, {"track-free", obs.NewTrackFree()}} {
 		s, err := session.New(append(opts, session.WithSeed(42), session.WithWorkers(1),
-			session.WithObs(r.rec), session.WithCodeVersion("golden"))...)
+			session.WithObs(r.rec), func(c *session.Config) { c.CodeVersion = "golden" })...)
 		if err != nil {
 			t.Fatal(err)
 		}

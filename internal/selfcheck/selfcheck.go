@@ -164,13 +164,3 @@ func Run(seed int64) []Result {
 		"power R̄² %.2f < time R̄² %.2f", pm.AdjR2(), tm.AdjR2())
 	return out
 }
-
-// AllOK reports whether every check passed.
-func AllOK(results []Result) bool {
-	for _, r := range results {
-		if !r.OK {
-			return false
-		}
-	}
-	return true
-}

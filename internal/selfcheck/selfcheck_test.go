@@ -12,16 +12,4 @@ func TestAllChecksPass(t *testing.T) {
 			t.Errorf("%s failed: %s", r.Name, r.Detail)
 		}
 	}
-	if !AllOK(results) {
-		t.Error("AllOK disagrees with individual results")
-	}
-}
-
-func TestAllOKDetectsFailure(t *testing.T) {
-	if !AllOK(nil) {
-		t.Error("empty results should be OK")
-	}
-	if AllOK([]Result{{OK: true}, {OK: false}}) {
-		t.Error("failure not detected")
-	}
 }

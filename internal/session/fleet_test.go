@@ -11,18 +11,27 @@ import (
 )
 
 func TestOpenRejectsBadFleetConfig(t *testing.T) {
-	cases := []Option{
-		WithFleet(-1, 1, ""),
-		WithFleet(0, 4, ""),      // shards without a fleet
-		WithFleet(0, 1, "tight"), // jitter without a fleet
-		WithFleet(10, 1, "corevolt:2"),
-		WithFleet(10, 1, "bogus:0.1"),
-	}
-	for i, opt := range cases {
-		if _, err := New(opt); err == nil {
+	for i, fc := range []struct {
+		size, shards int
+		jitter       string
+	}{
+		{-1, 1, ""},
+		{0, 4, ""},      // shards without a fleet
+		{0, 1, "tight"}, // jitter without a fleet
+		{10, 1, "corevolt:2"},
+		{10, 1, "bogus:0.1"},
+	} {
+		cfg := DefaultConfig()
+		cfg.FleetSize, cfg.FleetShards, cfg.FleetJitter = fc.size, fc.shards, fc.jitter
+		if _, err := Open(cfg); err == nil {
 			t.Errorf("case %d: bad fleet config accepted", i)
 		}
 	}
+}
+
+// tightFleet configures a six-device fleet with the tight jitter profile.
+func tightFleet(shards int) Option {
+	return func(c *Config) { c.FleetSize, c.FleetShards, c.FleetJitter = 6, shards, "tight" }
 }
 
 // TestSessionFleetCampaign runs a small fleet through a session over one,
@@ -40,7 +49,7 @@ func TestSessionFleetCampaign(t *testing.T) {
 	} {
 		var want []byte
 		for _, shards := range []int{1, 3} {
-			s, err := New(WithBoards(boards...), WithWorkers(2), WithFleet(6, shards, "tight"))
+			s, err := New(WithBoards(boards...), WithWorkers(2), tightFleet(shards))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -91,7 +100,7 @@ func TestSessionFleetCampaign(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "fleet.journal")
 	for _, shards := range []int{3, 1} {
 		s, err := New(WithBoards("GTX 480", "GTX 680"), WithWorkers(2),
-			WithFleet(6, shards, "tight"), WithCheckpoint(ckpt))
+			tightFleet(shards), WithCheckpoint(ckpt))
 		if err != nil {
 			t.Fatal(err)
 		}

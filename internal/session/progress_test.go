@@ -80,7 +80,7 @@ func TestSessionPowerFanoutReachesDevices(t *testing.T) {
 	benches := workloads.Table4()[:1]
 	sink := &sinkFanout{}
 	s := open(t, WithBoards("GTX 480", "GTX 680"), WithWorkers(2),
-		WithObs(obs.New()), WithPowerFanout(sink), WithTrackPrefix("campaign/1"))
+		WithObs(obs.New()), func(c *Config) { c.PowerFanout, c.TrackPrefix = sink, "campaign/1" })
 	res, err := s.Sweep(context.Background(), benches)
 	if err != nil {
 		t.Fatal(err)

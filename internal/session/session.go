@@ -188,42 +188,6 @@ func WithCache(enabled bool) Option { return func(c *Config) { c.Cache = enabled
 // dir.
 func WithArtifactsDir(dir string) Option { return func(c *Config) { c.ArtifactsDir = dir } }
 
-// WithRepetitions sets the repetition-cohort size (see Config.Repetitions).
-func WithRepetitions(n int) Option { return func(c *Config) { c.Repetitions = n } }
-
-// WithMinValid sets the publishability floor in valid repetitions per
-// cell (0: every repetition must be valid).
-func WithMinValid(n int) Option { return func(c *Config) { c.MinValid = n } }
-
-// WithTriageOut writes the machine-readable triage report to path after
-// a reproduction.
-func WithTriageOut(path string) Option { return func(c *Config) { c.TriageOut = path } }
-
-// WithCodeVersion pins the cohort's code-version stamp (tests mostly).
-func WithCodeVersion(v string) Option { return func(c *Config) { c.CodeVersion = v } }
-
-// WithPowerFanout attaches a live scope-tagged power-sample sink to every
-// metered run of the session's campaigns.
-func WithPowerFanout(f driver.PowerFanout) Option {
-	return func(c *Config) { c.PowerFanout = f }
-}
-
-// WithFleet configures a fleet campaign: size jittered devices over the
-// session's boards, swept across shards pipelines.
-func WithFleet(size, shards int, jitter string) Option {
-	return func(c *Config) {
-		c.FleetSize = size
-		c.FleetShards = shards
-		c.FleetJitter = jitter
-	}
-}
-
-// WithTrackPrefix namespaces the session's sweep track names (see
-// Config.TrackPrefix).
-func WithTrackPrefix(prefix string) Option {
-	return func(c *Config) { c.TrackPrefix = prefix }
-}
-
 // Session owns one campaign stack. Build with New, release with Close.
 // A Session is safe for concurrent campaign calls — the engines share no
 // mutable state beyond the session's own resilience policy and journal,
@@ -535,7 +499,7 @@ func (s *Session) RepeatUnder(ctx context.Context, trackPrefix string, benches [
 //gpulint:deterministic
 func (s *Session) Fleet(ctx context.Context, benches []*workloads.Benchmark) (*fleet.Report, error) {
 	if s.cfg.FleetSize < 1 {
-		return nil, fmt.Errorf("session: Fleet called without a fleet size (WithFleet)")
+		return nil, fmt.Errorf("session: Fleet called without a fleet size (Config.FleetSize)")
 	}
 	faultSpec := ""
 	if s.cfg.Faults != nil {

@@ -15,7 +15,7 @@ import (
 // from its resolved configuration, NewTriage inherits the repetition
 // policy, and an out-of-range publishability floor is rejected at Open.
 func TestSessionCohortIdentityAndValidation(t *testing.T) {
-	s := open(t, WithBoards("GTX 480"), WithRepetitions(3), WithMinValid(2), WithCodeVersion("test"))
+	s := open(t, WithBoards("GTX 480"), func(c *Config) { c.Repetitions, c.MinValid, c.CodeVersion = 3, 2, "test" })
 	c := s.Cohort()
 	if c.Seed != 42 || !reflect.DeepEqual(c.Boards, []string{"GTX 480"}) || c.Profile != "" || c.CodeVersion != "test" {
 		t.Errorf("cohort = %+v", c)
@@ -27,10 +27,14 @@ func TestSessionCohortIdentityAndValidation(t *testing.T) {
 		t.Errorf("triage MinValid = %d, want 2", got)
 	}
 
-	if _, err := New(WithRepetitions(2), WithMinValid(3)); err == nil {
+	cfg := DefaultConfig()
+	cfg.Repetitions, cfg.MinValid = 2, 3
+	if _, err := Open(cfg); err == nil {
 		t.Error("min-valid above repetitions accepted")
 	}
-	if _, err := New(WithMinValid(-1)); err == nil {
+	cfg = DefaultConfig()
+	cfg.MinValid = -1
+	if _, err := Open(cfg); err == nil {
 		t.Error("negative min-valid accepted")
 	}
 }
@@ -45,9 +49,9 @@ func TestTriageOn(t *testing.T) {
 		want   bool
 	}{
 		{"single run", WithSeed(42), false},
-		{"triage report", WithTriageOut("baseline.json"), true},
-		{"two repetitions", WithRepetitions(2), true},
-		{"min-valid floor", WithMinValid(1), true},
+		{"triage report", func(c *Config) { c.TriageOut = "baseline.json" }, true},
+		{"two repetitions", func(c *Config) { c.Repetitions = 2 }, true},
+		{"min-valid floor", func(c *Config) { c.MinValid = 1 }, true},
 	} {
 		if got := open(t, WithBoards("GTX 480"), tc.option).TriageOn(); got != tc.want {
 			t.Errorf("%s: TriageOn = %v, want %v", tc.name, got, tc.want)
@@ -60,7 +64,7 @@ func TestTriageOn(t *testing.T) {
 // version, so every recorded artifact names the campaign it measured.
 func TestSessionCohortStampedIntoMetrics(t *testing.T) {
 	rec := obs.New()
-	s := open(t, WithBoards("GTX 480"), WithObs(rec), WithCodeVersion("testver"))
+	s := open(t, WithBoards("GTX 480"), WithObs(rec), func(c *Config) { c.CodeVersion = "testver" })
 	var buf bytes.Buffer
 	if err := rec.WriteMetrics(&buf); err != nil {
 		t.Fatal(err)
@@ -81,7 +85,7 @@ func TestSessionRepeatRepZeroMatchesSweep(t *testing.T) {
 	benches := workloads.Table4()[:2]
 	ctx := context.Background()
 
-	s := open(t, WithBoards("GTX 480"), WithRepetitions(2), WithCodeVersion("test"))
+	s := open(t, WithBoards("GTX 480"), func(c *Config) { c.Repetitions, c.CodeVersion = 2, "test" })
 	reps, err := s.Repeat(ctx, benches)
 	if err != nil {
 		t.Fatal(err)

@@ -212,16 +212,6 @@ func ModelingSet() []*Benchmark {
 	return out
 }
 
-// SampleCount returns the total number of modeling samples (benchmark ×
-// input-size combinations); the paper reports 114.
-func SampleCount() int {
-	n := 0
-	for _, b := range ModelingSet() {
-		n += len(b.Sizes)
-	}
-	return n
-}
-
 // Modeling input scales. The paper's execution times span milliseconds to
 // tens of seconds; the wide scale range reproduces that dynamic range,
 // which is what makes the performance model's R̄² high while its percentage

@@ -53,8 +53,12 @@ func TestModelingSetMatchesPaper(t *testing.T) {
 	if got := len(ModelingSet()); got != 33 {
 		t.Errorf("modeling set has %d benchmarks, want 33", got)
 	}
-	if got := SampleCount(); got != 114 {
-		t.Errorf("SampleCount = %d, want 114", got)
+	samples := 0
+	for _, b := range ModelingSet() {
+		samples += len(b.Sizes)
+	}
+	if samples != 114 {
+		t.Errorf("modeling set has %d (benchmark, input-size) samples, want 114", samples)
 	}
 }
 

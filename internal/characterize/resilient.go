@@ -228,10 +228,10 @@ func sweepBenchR(ctx context.Context, boardName string, b *workloads.Benchmark, 
 //
 // A caching device with cells to measure gets its kernels, its pairs and
 // their noiseless timing from the tables' entry for its timing half, and
-// builds its launch payloads from it before the pair loop, so the loop
-// runs entirely against the device's launch cache. The payloads are
-// bit-identical to per-launch simulation (pinned by property tests), so
-// results, golden artifacts and the device's noise stream are unchanged.
+// adopts it before the pair loop, so every launch of the loop folds the
+// table's result with the device's own watts. The folds are bit-identical
+// to per-launch simulation (pinned by property tests), so results, golden
+// artifacts and the device's noise stream are unchanged.
 // A job whose every cell replays from the journal builds and consults no
 // table, and neither does a device with caching off: it simulates every
 // launch, which keeps the uncached reference independent of the tables.

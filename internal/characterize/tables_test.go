@@ -171,15 +171,15 @@ func TestReplayedJobBuildsNoTable(t *testing.T) {
 	}
 }
 
-// tableOf returns the timing table a sweep's device precomputed its
-// launch payloads from, or nil. Nothing outside the sweep holds the
-// table, so the test reads it off the device's unexported field.
+// tableOf returns the timing table a sweep's device last adopted, or nil.
+// Nothing outside the sweep holds the table, so the test reads it off the
+// device's unexported field.
 func tableOf(dev *driver.Device) *gpu.TimingTable {
-	f := reflect.ValueOf(dev).Elem().FieldByName("table")
-	if !f.IsValid() {
+	f := reflect.ValueOf(dev).Elem().FieldByName("adopted")
+	if !f.IsValid() || f.Len() == 0 {
 		return nil
 	}
-	return (*gpu.TimingTable)(f.UnsafePointer())
+	return (*gpu.TimingTable)(f.Index(f.Len() - 1).FieldByName("tab").UnsafePointer())
 }
 
 // TestSweepDropsTablesAfterLastJob: a sweep drops a table once every job

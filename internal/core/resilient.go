@@ -172,11 +172,11 @@ func collectBenchR(ctx context.Context, boardName string, b *workloads.Benchmark
 
 		// Batched fast path: the passes below launch each kernel once
 		// profiled at the default pair, then unprofiled at every pair.
-		// Precompute every pair kernel-major (compile once, evaluate all
-		// pairs in one pass) so the metered loop, the profiled pass
-		// included, runs against the device's launch cache. Payloads are
-		// bit-identical to per-launch simulation, so the dataset is
-		// unchanged.
+		// Evaluate every pair kernel-major into a timing table (compile
+		// once, evaluate all pairs in one pass) that the device adopts, so
+		// the metered loop, the profiled pass included, launches from it.
+		// Its folds are bit-identical to per-launch simulation, so the
+		// dataset is unchanged.
 		if _, perr := dev.PrecomputePairs(kernels, pairs); perr != nil {
 			return nil, 0, 0, nil, perr
 		}

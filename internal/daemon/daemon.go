@@ -1,7 +1,7 @@
 // Package daemon is the serving layer: a long-running gpuperfd process
 // owns a fleet of simulated devices and a shared metrics registry, and
-// exposes the campaign engine over HTTP (launch payloads stay in the
-// caches of the devices each campaign boots) —
+// exposes the campaign engine over HTTP (launch payloads stay with the
+// devices each campaign boots) —
 //
 //	GET    /metrics                     live Prometheus text exposition
 //	GET    /healthz                     liveness

@@ -2,76 +2,72 @@ package driver
 
 import (
 	"fmt"
+	"slices"
 
 	"gpuperf/internal/clock"
 	"gpuperf/internal/gpu"
 )
 
-// PrecomputeTable fills the device's launch cache for every kernel of a
-// timing table at the given pairs, which the table must hold. A sweep
-// calls it once per (board, benchmark) job before its pair loop, so the
-// loop's launches all hit the device's map, profiled or not.
+// PrecomputeTable adopts a timing table, built for this device's timing
+// half, at the given pairs, which the table must hold. A sweep calls it
+// once per (board, benchmark) job before its pair loop. From then on a
+// launch of one of the table's kernels, or of an equal copy, at one of
+// those pairs, profiled or not, folds the table's shared result with the
+// device's own power model and stores nothing. The fold is bit-identical
+// to a launch miss's: both evaluate the same compiled kernel (a property
+// test in internal/gpu holds them to the frozen reference model), and
+// timing reads only the timing half.
 //
-// The table supplies the noiseless timing, shared by every device with
-// this timing half; the device folds each result into its own payload
-// with its own power model (newCachedLaunch), on a scratch copy of its
-// clock, per-level tables included, programmed to the pair. The payloads
-// are bit-identical to what a launch miss would have stored: the table
-// and Sim.RunKernel evaluate the same compiled kernel (a property test in
-// internal/gpu holds both to the frozen reference model), and the timing
-// model reads only the timing half. The device's own clock, noise stream
-// and fault state are never touched — precompute is invisible to
-// everything but the cache and the miss counter, which counts one per
-// payload built. Entries the cache already holds are skipped. From here
-// on, a launch of one of the table's own descriptors takes its
-// fingerprint from the table instead of hashing it.
-//
-// The table must have been built for this device's timing half. Returns
-// the number of payloads built; zero when launch caching is disabled on
-// this device, in which case the table is neither read nor kept.
+// It counts, and returns, one launch-cache miss per kernel and pair that
+// no earlier adoption and no map entry serves, so adopting the same
+// kernels and pairs again counts none. With launch caching disabled it
+// returns zero and neither reads nor keeps the table.
 func (d *Device) PrecomputeTable(t *gpu.TimingTable, pairs []clock.Pair) (int, error) {
-	if d.cache == nil {
+	if !d.caching {
 		return 0, nil
 	}
 	if *t.Timing() != d.spec.Timing {
 		return 0, fmt.Errorf("driver: %s: timing table built for another timing half", d.spec.Name)
 	}
-	d.table = t
-	o := d.obs
-	scratch := *d.clk
-	built := 0
+	a := adoption{tab: t}
+	for _, p := range pairs {
+		if !slices.Contains(t.Pairs(), p) {
+			return 0, fmt.Errorf("driver: precompute: timing table has no pair %s", p)
+		}
+		a.pairs |= pairBit(p)
+	}
+	misses := 0
 	for i, k := range t.Kernels() {
-		kfp := t.KernelFingerprint(i)
-		for _, p := range pairs {
-			key := launchKey{pair: p, kernel: kfp}
-			if _, ok := d.cache[key]; ok {
-				continue
-			}
-			res := t.Result(i, p)
-			if res == nil {
-				return built, fmt.Errorf("driver: precompute %q: timing table has no pair %s", k.Name, p)
-			}
-			if err := scratch.SetPair(p); err != nil {
-				return built, fmt.Errorf("driver: precompute %q: %w", k.Name, err)
-			}
-			d.cache[key] = d.newCachedLaunch(res, &scratch)
-			built++
-			if o != nil {
-				o.misses.Inc()
+		for _, p := range t.Pairs() {
+			if a.pairs&pairBit(p) != 0 && d.fromTable(k, p) == nil && d.cache[launchKey{pair: p, kernel: t.KernelFingerprint(i)}] == nil {
+				misses++
 			}
 		}
 	}
-	return built, nil
+	// An earlier adoption whose kernels this table holds, at pairs it is
+	// adopted at, serves nothing more: a device that sweeps one benchmark
+	// again and again keeps one table.
+	d.adopted = slices.DeleteFunc(d.adopted, func(old adoption) bool {
+		return old.pairs&^a.pairs == 0 && !slices.ContainsFunc(old.tab.Kernels(), func(k *gpu.KernelDesc) bool {
+			_, ok := t.KernelIndex(k)
+			return !ok
+		})
+	})
+	d.adopted = append(d.adopted, a)
+	if o := d.obs; o != nil {
+		o.misses.Add(int64(misses))
+	}
+	return misses, nil
 }
 
 // PrecomputePairs is PrecomputeTable over a private table for this
 // device's own timing half, built from ks and pairs. It serves callers
 // with one device per kernel list, such as the Section IV collector;
 // sweeps share one table across the devices of a timing half instead.
-// Returns the number of payloads built; zero when launch caching is
-// disabled, in which case no table is built.
+// Returns the miss count; zero when launch caching is disabled, in which
+// case no table is built.
 func (d *Device) PrecomputePairs(ks []*gpu.KernelDesc, pairs []clock.Pair) (int, error) {
-	if d.cache == nil || len(ks) == 0 || len(pairs) == 0 {
+	if !d.caching || len(ks) == 0 || len(pairs) == 0 {
 		return 0, nil
 	}
 	t, err := gpu.NewTimingTable(d.spec, ks, pairs)

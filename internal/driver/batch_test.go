@@ -11,10 +11,10 @@ import (
 )
 
 // TestPrecomputePairsMatchesUncached is the batched-launch guarantee at
-// the driver layer: a device whose cache was filled by PrecomputePairs
-// produces byte-identical metered results to an uncached reference, a
-// second precompute simulates nothing, and a second device, which shares
-// nothing with the first, simulates every entry and matches too.
+// the driver layer: a device that adopted PrecomputePairs' table produces
+// byte-identical metered results to an uncached reference, a second
+// precompute counts no miss, and a second device, which shares nothing
+// with the first, counts every entry and matches too.
 func TestPrecomputePairsMatchesUncached(t *testing.T) {
 	pre, err := OpenBoard("GTX 480")
 	if err != nil {
@@ -77,7 +77,7 @@ func TestPrecomputePairsMatchesUncached(t *testing.T) {
 
 // TestProfiledLaunchHitsUnprofiledPrecompute: the profiler only adds
 // counter jitter after the cache lookup, so a profiled launch at a pair an
-// unprofiled precompute filled is served from the device's own cache.
+// unprofiled precompute adopted is served from the device's table.
 func TestProfiledLaunchHitsUnprofiledPrecompute(t *testing.T) {
 	d, err := OpenBoard("GTX 680")
 	if err != nil {

@@ -10,70 +10,76 @@ import (
 	"gpuperf/internal/power"
 )
 
-// The launch cache memoizes the *noiseless* outcome of a kernel launch:
-// the simulated execution time, the per-launch power waveform, and the
-// base activity vector. All of these are pure functions of (board spec,
-// programmed clock pair, kernel description) — the interval simulator and
-// the hardware power model draw no randomness. Everything stochastic
-// (profiler counter jitter, meter sampling noise) is applied *after* a
-// cache lookup, from the device's own rng, so a run consumes exactly the
-// same noise stream whether its launches hit or miss the cache and the
-// results are byte-identical either way.
+// A launch's noiseless outcome — execution time, power waveform,
+// activity vector — is a pure function of (board spec, clock pair,
+// kernel): neither the simulator nor the power model draws randomness,
+// and everything stochastic is applied after the lookup from the device's
+// own rng, so hits and misses give byte-identical results.
 //
-// Each device keeps its payloads in a map of its own and never shares
-// them: a payload holds its device's watts and scope joules, and in a
-// fleet every jittered device's power half differs. A map only ever holds
-// one spec, so a modified spec booted under a stock board's name (the
-// ablation experiments do this) cannot be served the stock board's
-// entries. What devices do share is the noiseless timing: time, phase
-// events and activities depend only on the spec's timing half
-// (arch.Timing), so a sweep builds one gpu.TimingTable per timing half
-// and benchmark, and each device's payloads are folded from that table
-// with the device's own power model (PrecomputeTable). The table lives
-// for one sweep call; nothing is process-wide. A process-wide payload
-// tier once measured no hits in a fleet while costing CPU and heap on
-// every workload (see docs/ARCHITECTURE.md, "Launch memoization" and
-// "Timing tables").
+// Time, phase events and activities depend only on the timing half
+// (arch.Timing) and the pair, so a device that adopted a gpu.TimingTable
+// (PrecomputeTable) folds each launch of its kernels at its pairs from the
+// shared result with its own power model, and stores nothing. Any other
+// launch keeps its payload in the device's own map: it holds the device's
+// watts, and a modified spec under a stock board's name (the ablations)
+// must not be served the stock board's. See docs/ARCHITECTURE.md, "Launch
+// memoization".
 
-// launchKey identifies one cacheable launch on its device. The spec is
-// implied by the map's owner. The profiler flag is not part of the key:
-// profiling only adds counter jitter after the lookup, so profiled and
-// unprofiled launches share one payload.
+// launchKey identifies one memoized launch on its device; the map's owner
+// implies the spec. Profiling only adds counter jitter after the lookup,
+// so profiled and unprofiled launches share one key.
 type launchKey struct {
 	pair   clock.Pair
 	kernel uint64 // gpu.KernelDesc fingerprint
 }
 
-// cachedLaunch is the immutable noiseless payload. The trace must never be
-// handed to callers directly — meter.Trace.Append mutates its last segment
-// in place, so exposure requires a copy (see Device.Launch).
+// cachedLaunch is a noiseless launch payload. Its trace never escapes by
+// reference (see Device.Launch): meter.Trace.Append mutates the last
+// segment in place, and the next table launch refolds the payload.
 type cachedLaunch struct {
 	time  float64
 	trace meter.Trace
 	acts  counters.Vector
-	// scopeJ is the launch's GPU-domain energy split by power scope
-	// (core vs memory, joules) — the noiseless per-scope integral the
-	// live telemetry fan-out scales into watts. Pure function of the
-	// same inputs as the trace, so cache hits and misses agree.
+	// scopeJ is the GPU-domain energy by power scope (joules), which the
+	// live telemetry fan-out scales into watts.
 	scopeJ power.Breakdown
 }
 
-// newCachedLaunch folds a noiseless kernel result, evaluated at clk, into
-// a launch payload with this device's power model. It only reads the
-// result and keeps no reference to it: a launch miss reuses its result
-// storage for the next miss, and a timing table's results are shared.
-// The phase's switching activity scales the energy events, never the
-// profiler counters.
-func (d *Device) newCachedLaunch(res *gpu.KernelResult, clk *clock.State) *cachedLaunch {
-	cl := &cachedLaunch{time: res.Time, acts: res.Activities}
+// adoption is a timing table a device launches from and the pairs it was
+// adopted at, one pairBit each.
+type adoption struct {
+	tab   *gpu.TimingTable
+	pairs uint16
+}
+
+// pairBit is p's bit among the 3×3 (core, memory) level combinations.
+func pairBit(p clock.Pair) uint16 { return 1 << (3*int(p.Core) + int(p.Mem)) }
+
+// fromTable returns k's noiseless result at p from a table adopted at p
+// that holds k or an equal copy, or nil. The newest adoption goes first:
+// a collector adopts a table per input size and launches the latest's.
+func (d *Device) fromTable(k *gpu.KernelDesc, p clock.Pair) *gpu.KernelResult {
+	for i := len(d.adopted) - 1; i >= 0; i-- {
+		if a := &d.adopted[i]; a.pairs&pairBit(p) != 0 {
+			if j, ok := a.tab.KernelIndex(k); ok {
+				return a.tab.Result(j, p)
+			}
+		}
+	}
+	return nil
+}
+
+// fold folds a noiseless result at the programmed pair into cl with this
+// device's power model, reusing cl's waveform and keeping no reference to
+// res. Switching activity scales the energy events, never the counters.
+func (d *Device) fold(cl *cachedLaunch, res *gpu.KernelResult) {
+	cl.time, cl.trace, cl.acts, cl.scopeJ = res.Time, cl.trace[:0], res.Activities, power.Breakdown{}
 	for _, ph := range res.Phases {
 		ev := ph.Events
 		ev.Scale(ph.EnergyScale)
-		w := d.pm.SystemWatts(clk, ev, ph.Duration)
-		cl.trace = cl.trace.Append(ph.Duration, w)
-		cl.scopeJ = cl.scopeJ.Add(d.pm.ScopeWatts(clk, ev, ph.Duration).Scale(ph.Duration))
+		cl.trace = cl.trace.Append(ph.Duration, d.pm.SystemWatts(d.clk, ev, ph.Duration))
+		cl.scopeJ = cl.scopeJ.Add(d.pm.ScopeWatts(d.clk, ev, ph.Duration).Scale(ph.Duration))
 	}
-	return cl
 }
 
 // launchCachingOff is the global enable switch, read when a device boots
@@ -97,15 +103,15 @@ func PushLaunchCachingEnabled(on bool) (restore func()) {
 	return func() { launchCachingOff.Store(!prev) }
 }
 
-// DisableLaunchCache detaches this device from its launch cache; every
-// subsequent launch re-runs the simulator. Determinism tests use this as
-// the uncached reference.
-func (d *Device) DisableLaunchCache() { d.cache, d.table = nil, nil }
+// DisableLaunchCache detaches this device from its launch cache and its
+// adopted tables; every subsequent launch re-runs the simulator.
+// Determinism tests use this as the uncached reference.
+func (d *Device) DisableLaunchCache() { d.caching, d.adopted, d.cache = false, nil, nil }
 
 // LaunchCaching reports whether the device memoizes its launches. A sweep
 // builds and consults timing tables only for devices that do; the others
 // simulate every launch.
-func (d *Device) LaunchCaching() bool { return d.cache != nil }
+func (d *Device) LaunchCaching() bool { return d.caching }
 
 // DefaultSharedLaunchCacheEntries was the capacity of the removed
 // process-wide launch cache.

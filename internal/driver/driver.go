@@ -64,18 +64,15 @@ type Device struct {
 	faults   *fault.Injector
 	pristine []byte
 
-	// Launch memoization (see cache.go): this device's noiseless launch
-	// payloads, never shared with another device. nil when caching is off.
-	cache map[launchKey]*cachedLaunch
-	// table is the timing table the cache was last filled from; launches
-	// of its descriptors take their fingerprints from it. nil when
-	// caching is off or nothing was precomputed.
-	table *gpu.TimingTable
-
-	// miss is the device's own result storage for launches that miss the
-	// cache, made at the first miss: the simulator evaluates into it and
-	// the payload is folded from it before the next launch.
-	miss *gpu.KernelResult
+	// Launch memoization (see cache.go): the adopted timing tables, the
+	// payload the latest table launch folded, the device's own map of every
+	// other launch's payload, made at its first insert, and the storage the
+	// simulator evaluates a miss into, made at the first miss.
+	caching  bool
+	adopted  []adoption
+	tableHit cachedLaunch
+	cache    map[launchKey]*cachedLaunch
+	miss     *gpu.KernelResult
 
 	// Instrumentation (see obs.go); nil unless Observe attached a recorder.
 	obs *driverObs
@@ -103,14 +100,6 @@ func (d *Device) SetPowerFanout(f PowerFanout) { d.fanout = f }
 // device between campaigns.
 func (d *Device) IdleScopePower() power.Breakdown {
 	return d.pm.IdleScopeWatts(d.clk)
-}
-
-// initCaches gives the device its own launch cache unless the global
-// switch has caching off.
-func (d *Device) initCaches() {
-	if LaunchCachingEnabled() {
-		d.cache = make(map[launchKey]*cachedLaunch)
-	}
 }
 
 // Open boots a device from a VBIOS image. The image's board name must match
@@ -161,8 +150,8 @@ func boot(spec *arch.Spec, img []byte, vbios *bios.Image) (*Device, error) {
 		inst:     meter.New(),
 		noise:    fastrng.Get(seed),
 		baseSeed: seed,
+		caching:  LaunchCachingEnabled(),
 	}
-	d.initCaches()
 	return d, nil
 }
 
@@ -318,22 +307,24 @@ func (d *Device) MicroSim(k *gpu.KernelDesc) (*gpu.MicroResult, error) {
 }
 
 // launch returns the noiseless outcome of running k at the current
-// clocks, consulting the device's launch cache before the simulator. The
-// returned value is shared and immutable; it never touches d.noise, so the
-// device's noise stream is identical on hits and misses.
+// clocks: folded from an adopted timing table, else from the launch map,
+// else from the simulator. It is valid until the next launch and must not
+// be modified; d.noise is never touched, so hits and misses draw alike.
 func (d *Device) launch(k *gpu.KernelDesc) (*cachedLaunch, error) {
 	o := d.obs
 	if o != nil {
 		o.launches.Inc()
 	}
 	var key launchKey
-	if d.cache != nil {
-		kfp, ok := d.table.Fingerprint(k)
-		if !ok {
-			kfp = k.Fingerprint()
+	if d.caching {
+		cl := &d.tableHit
+		if res := d.fromTable(k, d.clk.Pair()); res != nil {
+			d.fold(cl, res)
+		} else {
+			key = launchKey{pair: d.clk.Pair(), kernel: k.Fingerprint()}
+			cl = d.cache[key]
 		}
-		key = launchKey{pair: d.clk.Pair(), kernel: kfp}
-		if cl, ok := d.cache[key]; ok {
+		if cl != nil {
 			if o != nil {
 				o.hitsDevice.Inc()
 				if o.track.Recording() {
@@ -350,10 +341,14 @@ func (d *Device) launch(k *gpu.KernelDesc) (*cachedLaunch, error) {
 	if err := d.sim.RunKernelInto(k, d.miss); err != nil {
 		return nil, err
 	}
-	cl := d.newCachedLaunch(d.miss, d.clk)
-	if d.cache != nil {
+	cl := new(cachedLaunch)
+	d.fold(cl, d.miss)
+	if d.caching {
 		if o != nil {
 			o.misses.Inc()
+		}
+		if d.cache == nil {
+			d.cache = make(map[launchKey]*cachedLaunch)
 		}
 		d.cache[key] = cl
 	}
@@ -369,8 +364,8 @@ func (d *Device) Launch(k *gpu.KernelDesc) (*LaunchResult, error) {
 	out := &LaunchResult{
 		Kernel: k.Name,
 		Time:   cl.time,
-		// Copy: Trace.Append mutates its receiver's last segment, so the
-		// cached waveform must never escape by reference.
+		// Copy: Trace.Append and the next table launch write the payload's
+		// waveform in place, so it must never escape by reference.
 		Trace:      append(meter.Trace(nil), cl.trace...),
 		Activities: cl.acts,
 	}

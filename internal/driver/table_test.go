@@ -1,8 +1,6 @@
 package driver
 
 import (
-	"math"
-	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -26,56 +24,6 @@ func backpropTable(tb testing.TB) *gpu.TimingTable {
 	return tab
 }
 
-// TestPrecomputeTableMatchesUncached: devices that differ from the base
-// board only in the power half fill their caches from the base board's
-// table, and each measures byte-identically to its own uncached
-// reference — the table lends timing, each payload keeps its own watts.
-func TestPrecomputeTableMatchesUncached(t *testing.T) {
-	base := arch.GTX680()
-	k := testKernel(4 * base.SMCount)
-	pairs := clock.ValidPairs(base)
-	tab, err := gpu.NewTimingTable(base, []*gpu.KernelDesc{k}, pairs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var watts []uint64
-	for _, scale := range []float64{1, 1.02, 1.05} {
-		spec := jittered(base, scale)
-		d, err := OpenSpec(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref, err := OpenSpec(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref.DisableLaunchCache()
-		n, err := d.PrecomputeTable(tab, pairs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n != len(pairs) {
-			t.Fatalf("precompute built %d payloads, want %d", n, len(pairs))
-		}
-		// runAcrossPairs launches a fresh descriptor equal to the table's:
-		// it hashes to the table's fingerprint and hits.
-		got := runAcrossPairs(t, d, 42)
-		want := runAcrossPairs(t, ref, 42)
-		for i := range want {
-			if !reflect.DeepEqual(got[i], want[i]) {
-				t.Fatalf("scale %g, pair #%d: table-built result differs from uncached", scale, i)
-			}
-		}
-		watts = append(watts, math.Float64bits(got[0].Measurement.AvgWatts))
-		if n, err := d.PrecomputeTable(tab, pairs); err != nil || n != 0 {
-			t.Fatalf("second precompute built %d payloads (%v), want 0", n, err)
-		}
-	}
-	if watts[0] == watts[1] || watts[1] == watts[2] {
-		t.Fatalf("jittered devices read bit-identical watts %#x: payloads are not their own", watts)
-	}
-}
-
 // TestPrecomputeTableRefusesOtherTimingHalf: a table is only valid for
 // devices whose timing half equals the one it was built for; one field
 // of difference is enough to refuse it.
@@ -91,15 +39,15 @@ func TestPrecomputeTableRefusesOtherTimingHalf(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "another timing half") {
 		t.Fatalf("PrecomputeTable on a different timing half: err = %v", err)
 	}
-	if d.table != nil || len(d.cache) != 0 {
+	if d.adopted != nil || d.cache != nil {
 		t.Fatal("a refused table left state on the device")
 	}
 }
 
-// TestTableKernelLaunchHits: after a precompute, a launch of the table's
+// TestTableKernelLaunchHits: after an adoption, a launch of the table's
 // own descriptor and a launch of an equal copy are both served from the
-// device's cache — the first by the table's fingerprint, the second by
-// hashing — and build nothing.
+// table — the first found by pointer, the second by fingerprint — and
+// simulate nothing.
 func TestTableKernelLaunchHits(t *testing.T) {
 	tab := backpropTable(t)
 	d, err := OpenBoard("GTX 680")
@@ -144,8 +92,46 @@ func TestPrecomputeTableDisabled(t *testing.T) {
 	if n, err := d.PrecomputeTable(tab, tab.Pairs()); err != nil || n != 0 {
 		t.Fatalf("cache-disabled precompute built %d payloads (%v), want 0", n, err)
 	}
-	if d.table != nil || d.LaunchCaching() {
+	if d.adopted != nil || d.LaunchCaching() {
 		t.Fatal("cache-disabled device kept the table")
+	}
+}
+
+// TestCoveredAdoptionIsDropped: a device that sweeps one benchmark again
+// and again, each time from a fresh table, keeps one table, and an
+// adoption at fewer pairs keeps the wider one beside it. Dropping a
+// covered table changes no miss count: only the first adoption of each
+// kernel and pair counts.
+func TestCoveredAdoptionIsDropped(t *testing.T) {
+	d, err := OpenBoard("GTX 680")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs := clock.ValidPairs(d.Spec())
+	for _, c := range []struct {
+		bench   string
+		pairs   []clock.Pair
+		misses  bool
+		adopted int
+	}{
+		{"backprop", pairs, true, 1},
+		{"backprop", pairs, false, 1},
+		{"streamcluster", pairs, true, 2},
+		{"backprop", pairs, false, 2},
+		{"backprop", pairs[:1], false, 3},
+	} {
+		tab, err := gpu.NewTimingTable(d.Spec(), workloads.ByName(c.bench).Kernels(1), pairs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := d.PrecomputeTable(tab, c.pairs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (n > 0) != c.misses || len(d.adopted) != c.adopted {
+			t.Fatalf("%s at %d pairs: %d misses and %d tables kept, want misses %v and %d tables",
+				c.bench, len(c.pairs), n, len(d.adopted), c.misses, c.adopted)
+		}
 	}
 }
 
@@ -164,8 +150,8 @@ func BenchmarkTimingTable(b *testing.B) {
 	}
 }
 
-// BenchmarkPrecomputeTable is one device's share of a sweep job: folding
-// the table's results into its own payloads at every pair.
+// BenchmarkPrecomputeTable is one device's share of a sweep job before its
+// pair loop: adopting the table at every pair, counting its misses.
 func BenchmarkPrecomputeTable(b *testing.B) {
 	tab := backpropTable(b)
 	d, err := OpenSpec(jittered(arch.GTX680(), 1.01))
@@ -174,16 +160,16 @@ func BenchmarkPrecomputeTable(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		clear(d.cache)
+		d.adopted = nil
 		if _, err := d.PrecomputeTable(tab, tab.Pairs()); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkLaunchHit times a cached launch of the table's own descriptor,
-// whose fingerprint comes from the table, beside a cached launch of an
-// equal copy, which still hashes every phase field.
+// BenchmarkLaunchHit times a launch of the table's own descriptor, found
+// by pointer and folded from the table, beside a launch of an equal copy,
+// which is found by hashing every phase field.
 func BenchmarkLaunchHit(b *testing.B) {
 	tab := backpropTable(b)
 	d, err := OpenBoard("GTX 680")
@@ -255,8 +241,8 @@ func BenchmarkLaunchMiss(b *testing.B) {
 }
 
 // BenchmarkRunMetered is one metered sweep cell: backprop at the default
-// pair, stretched to the sweeps' 0.5 s minimum, on a device whose launch
-// payloads were precomputed from a timing table, so every launch hits.
+// pair, stretched to the sweeps' 0.5 s minimum, on a device that adopted
+// a timing table, so every launch folds from it.
 // /release hands the RunResult and its Measurement back to their pools, as
 // the sweep and the collector do once a cell is copied out; /norelease
 // drops them, so every cell allocates both afresh.

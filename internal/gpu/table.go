@@ -11,8 +11,8 @@ import (
 // one timing half: every kernel compiled once, fingerprinted once and
 // evaluated at every pair. Execution time, phase events and activities
 // depend only on arch.Timing and the pair, so every device whose spec has
-// this timing half — every jittered device of one base board — can build
-// its launch payloads from one table and compute only its own watts.
+// this timing half — every jittered device of one base board — can launch
+// from one table and compute only its own watts.
 //
 // A table is immutable after NewTimingTable and safe for concurrent reads
 // by any number of goroutines. Its kernel descriptors and results are
@@ -77,16 +77,19 @@ func (t *TimingTable) Pairs() []clock.Pair { return t.pairs }
 // KernelFingerprint returns the i-th kernel's fingerprint.
 func (t *TimingTable) KernelFingerprint(i int) uint64 { return t.fps[i] }
 
-// Fingerprint returns k's fingerprint when k is one of the table's own
-// descriptors — the same pointer, not an equal copy — and false
-// otherwise, including on a nil table.
-func (t *TimingTable) Fingerprint(k *KernelDesc) (uint64, bool) {
-	if t == nil {
-		return 0, false
-	}
+// KernelIndex returns the index of k among the table's kernels: the same
+// descriptor first, then an equal copy, matched by fingerprint. It
+// reports false when the table holds neither.
+func (t *TimingTable) KernelIndex(k *KernelDesc) (int, bool) {
 	for i, tk := range t.kernels {
 		if tk == k {
-			return t.fps[i], true
+			return i, true
+		}
+	}
+	fp := k.Fingerprint()
+	for i, f := range t.fps {
+		if f == fp {
+			return i, true
 		}
 	}
 	return 0, false

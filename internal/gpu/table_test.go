@@ -103,7 +103,8 @@ func TestTimingIgnoresPowerHalf(t *testing.T) {
 }
 
 // TestTimingTable pins the table against Compile + RunPairs and its
-// pointer-identity fingerprint lookup.
+// kernel-index lookup: the table's own descriptor and an equal copy are
+// found, a different kernel is not.
 func TestTimingTable(t *testing.T) {
 	spec := arch.GTX680()
 	pairs := clock.ValidPairs(spec)
@@ -128,20 +129,21 @@ func TestTimingTable(t *testing.T) {
 		for pi, p := range tab.Pairs() {
 			compareResults(t, spec.Name, k.Name, p, tab.Result(i, p), want[pi])
 		}
-		fp, ok := tab.Fingerprint(k)
-		if !ok || fp != k.Fingerprint() || fp != tab.KernelFingerprint(i) {
-			t.Fatalf("%s: table fingerprint %#x (found %v), want %#x", k.Name, fp, ok, k.Fingerprint())
+		if tab.KernelFingerprint(i) != k.Fingerprint() {
+			t.Fatalf("%s: table fingerprint %#x, want %#x", k.Name, tab.KernelFingerprint(i), k.Fingerprint())
 		}
 		copied := *k
-		if _, ok := tab.Fingerprint(&copied); ok {
-			t.Fatalf("%s: an equal copy was served the table's fingerprint", k.Name)
+		for _, kd := range []*gpu.KernelDesc{k, &copied} {
+			if got, ok := tab.KernelIndex(kd); !ok || got != i {
+				t.Fatalf("%s: kernel index %d (found %v), want %d", k.Name, got, ok, i)
+			}
+		}
+		copied.Blocks++
+		if _, ok := tab.KernelIndex(&copied); ok {
+			t.Fatalf("%s: a different kernel was found in the table", k.Name)
 		}
 	}
 	if tab.Result(0, clock.Pair{Core: arch.FreqLow, Mem: arch.FreqLow}) != nil {
 		t.Fatal("table served a pair the GTX 680 does not expose")
-	}
-	var none *gpu.TimingTable
-	if _, ok := none.Fingerprint(ks[0]); ok {
-		t.Fatal("a nil table served a fingerprint")
 	}
 }
